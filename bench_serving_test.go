@@ -173,10 +173,11 @@ func benchGet(b *testing.B, url string) {
 
 // BenchmarkServerSweep measures /v1/sweep latency cold (every request a
 // fresh seed base, so the fleet simulates), warm (one hot entry served from
-// the store), and overlap (windows sliding by half their width across a
-// primed corpus, so every response assembles from per-seed records with zero
-// recompute — the acceptance target is ≥5× over cold at the same window
-// size).
+// the store), and assembled (windows nobody asked for before, fully covered by
+// a primed corpus, so every response assembles from per-seed records with
+// zero recompute and none is an exact repeat served from a window record —
+// the acceptance target is ≥5× over overlap-cold, whose window is the
+// assembled windows' mean size).
 func BenchmarkServerSweep(b *testing.B) {
 	const scenario, seeds = "prop2.3-nudc", 8
 	b.Run(fmt.Sprintf("cold/%s/seeds=%d", scenario, seeds), func(b *testing.B) {
@@ -195,11 +196,9 @@ func BenchmarkServerSweep(b *testing.B) {
 		}
 	})
 
-	// The overlap pair shares one window size so the ns/op ratio is the
-	// warm-overlap speedup.
 	const (
 		window = 64
-		primed = 512 // corpus positions primed before the overlap loop
+		primed = 512 // corpus positions primed before the assembled loop
 	)
 	seedStride := workload.Seeds(1, 2)[1] - workload.Seeds(1, 2)[0]
 	b.Run(fmt.Sprintf("overlap-cold/%s/seeds=%d", scenario, window), func(b *testing.B) {
@@ -208,32 +207,72 @@ func BenchmarkServerSweep(b *testing.B) {
 			benchGet(b, fmt.Sprintf("%s/v1/sweep?scenario=%s&seeds=%d&seedBase=%d", ts.URL, scenario, window, 1+i*100000000))
 		}
 	})
-	b.Run(fmt.Sprintf("overlap/%s/seeds=%d", scenario, window), func(b *testing.B) {
-		st, err := store.Open("", store.Options{MaxMemEntries: 4 * primed})
-		if err != nil {
-			b.Fatal(err)
+
+	// A pure assembly persists its window record, so a window asked for twice
+	// is an exact repeat the second time and measures the fast path instead.
+	// Every window below is therefore issued once: sizes alternate around the
+	// primed window size (33, 95, 34, 94, ... — never 64 itself, mean 64 over
+	// any even number of requests), and each pass over the sizes moves the
+	// offset by a stride coprime to the offset count.  Once all of them are
+	// spent the daemon is replaced by a freshly primed one, off the clock.
+	const (
+		minCount, maxCount = 33, 95
+		sizes              = maxCount - minCount   // 62: 33..95 without 64
+		offsets            = primed - maxCount + 1 // 418 = 2·11·19
+		offsetStride       = 97
+	)
+	b.Run(fmt.Sprintf("assembled/%s/seeds=%d..%d", scenario, minCount, maxCount), func(b *testing.B) {
+		var srv *server.Server
+		var ts *httptest.Server
+		var asked uint64 // seeds requested of the current daemon since priming
+		retire := func() {
+			ss := srv.SchedulerStats()
+			if ss.SeedsComputed != primed {
+				b.Fatalf("assembled loop recomputed seeds: %d computed for %d primed", ss.SeedsComputed, primed)
+			}
+			// A window-record hit resolves no per-seed record, so this is what
+			// says that no request took the fast path.
+			if ss.SeedsCached != asked {
+				b.Fatalf("assembled loop: %d of %d seeds came from per-seed records", ss.SeedsCached, asked)
+			}
+			ts.Close()
+			srv.Close()
 		}
-		srv, err := server.New(server.Config{Store: st})
-		if err != nil {
-			b.Fatal(err)
-		}
-		ts := httptest.NewServer(srv.Handler())
-		b.Cleanup(func() { ts.Close(); srv.Close() })
-		// Prime corpus positions 0..primed-1 in a few large windows.
-		for base := 0; base < primed; base += window {
-			benchGet(b, fmt.Sprintf("%s/v1/sweep?scenario=%s&seeds=%d&seedBase=%d", ts.URL, scenario, window, 1+int64(base)*seedStride))
-		}
-		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			// Slide by half a window per iteration: every request overlaps
-			// its neighbours by 50% and is fully covered by the corpus.
-			base := (int64(i) * window / 2) % int64(primed-window)
-			benchGet(b, fmt.Sprintf("%s/v1/sweep?scenario=%s&seeds=%d&seedBase=%d", ts.URL, scenario, window, 1+base*seedStride))
+			n := i % (sizes * offsets)
+			if n == 0 {
+				b.StopTimer()
+				if srv != nil {
+					retire()
+				}
+				// Sized to hold every window record the loop adds, so none of
+				// the primed per-seed records is ever evicted.
+				st, err := store.Open("", store.Options{MaxMemEntries: primed + window + sizes*offsets, MaxMemBytes: 1 << 30})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if srv, err = server.New(server.Config{Store: st}); err != nil {
+					b.Fatal(err)
+				}
+				ts = httptest.NewServer(srv.Handler())
+				// Prime corpus positions 0..primed-1 in a few large windows.
+				for base := 0; base < primed; base += window {
+					benchGet(b, fmt.Sprintf("%s/v1/sweep?scenario=%s&seeds=%d&seedBase=%d", ts.URL, scenario, window, 1+int64(base)*seedStride))
+				}
+				asked = 0
+				b.StartTimer()
+			}
+			k := n % sizes
+			count := minCount + k/2
+			if k%2 == 1 {
+				count = maxCount - k/2
+			}
+			asked += uint64(count)
+			offset := int64(n / sizes * offsetStride % offsets)
+			benchGet(b, fmt.Sprintf("%s/v1/sweep?scenario=%s&seeds=%d&seedBase=%d", ts.URL, scenario, count, 1+offset*seedStride))
 		}
 		b.StopTimer()
-		if ss := srv.SchedulerStats(); ss.SeedsComputed != primed {
-			b.Fatalf("overlap loop recomputed seeds: %d computed for %d primed", ss.SeedsComputed, primed)
-		}
+		retire()
 	})
 }
 

@@ -15,8 +15,10 @@
 // layer — Prometheus-format metrics, an exposition parser, the Server-Timing
 // stage tracer, W3C traceparent identities with a tail-sampling trace log,
 // and the admission token bucket behind udcd's serving path (internal/obs),
-// the content-addressed run-corpus store with its binary codec,
-// length-prefixed frame streams and shard-occupancy census (internal/store),
+// the content-addressed run-corpus store — per-seed records (a sweep's
+// scored outcome, an extraction source's recorded run) under whole-request
+// records — with its binary codec, length-prefixed frame streams and
+// shard-occupancy census (internal/store),
 // the fleet toolkit — rendezvous shard assignment, a consecutive-failure
 // suspicion detector with half-open probes, seeded-jitter backoff and a
 // deterministic fault-injection transport (internal/fleet), and the udcd

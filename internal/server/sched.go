@@ -546,10 +546,12 @@ func (r resolution) status() CacheStatus {
 // compute the same seed — are simulated in one dispatcher round and written
 // back as per-seed records.  qualifiedName namespaces the per-seed keys
 // ("scenario:"/"extraction:"); a nil eval simulates without scoring (and
-// accepts unscored cached records).  Cached records decode through a pooled
-// decoder, and only when needRuns is set (extraction sources) are the decoded
-// runs copied out of its buffers into the resolution; sweeps consume
-// outcomes alone, so their partial-hit path materialises no run at all.
+// accepts unscored cached records).  needRuns selects the per-seed record:
+// extraction sources consume recorded runs, so they store KindSeed records
+// and decode them through a pooled decoder, copying each run out of its
+// buffers into the resolution; nothing in the scenario namespace ever reads
+// a run, so sweeps and claims store and read the scored outcome alone
+// (KindOutcome, a few dozen bytes) and never encode, cache or decode a run.
 // tr (nil-safe) accumulates the stage timings: corpus reads under "resolve",
 // flight-table claims under "claim", fleet waits under "compute", per-seed
 // record writes under "persist" and outcome merging under "assemble".
@@ -571,50 +573,51 @@ func (r resolution) status() CacheStatus {
 // are too heavy to ship; they always resolve locally).
 func (s *scheduler) resolveSeeds(ctx context.Context, qualifiedName, adversary string, spec workload.Spec, eval workload.Evaluator, seeds []int64, needRuns, localOnly bool, tr *obs.Trace, emit func(workload.RunOutcome)) (resolution, error) {
 	n := len(seeds)
-	keys := make([]store.Key, n)
-	for i, seed := range seeds {
-		keys[i] = store.SeedKeySpec(qualifiedName, adversary, seed).Key()
-	}
+	keys := store.SeedKeys(qualifiedName, adversary, seeds)
 
 	var cachedOut, computedOut, joinedOut, remoteOut []workload.RunOutcome
 	var runsBySeed map[int64]*model.Run
+	var dec *store.RunDecoder
 	if needRuns {
 		runsBySeed = make(map[int64]*model.Run, n)
+		dec = store.Decoders.Get()
+		defer store.Decoders.Put(dec)
 	}
 	resolved := make([]bool, n)
 
-	dec := store.Decoders.Get()
-	defer store.Decoders.Put(dec)
-
-	// adopt folds a cached record into the resolution.  rec may be a
-	// transient view of dec's buffers: everything retained beyond the next
-	// decode — the run, when needed — is compacted into owned storage here.
-	adopt := func(rec *store.SeedRecord) *model.Run {
-		if eval != nil && !rec.Scored {
-			return nil
-		}
-		cachedOut = append(cachedOut, rec.Outcome())
-		if emit != nil {
-			emit(rec.Outcome())
-		}
-		run := rec.Run
+	// adopt folds the cached record stored for seeds[i] into the resolution
+	// and returns its outcome and — for extraction sources — an owned copy of
+	// its run (the decoder's view is transient).  A checksum-clean payload
+	// that fails to decode, or carries another seed, is an incompatible
+	// record (a different kind under the key, e.g. a run-carrying seed record
+	// an older daemon stored for a sweep): ok is false and the seed is
+	// recomputed and overwritten.
+	adopt := func(i int, payload []byte) (out workload.RunOutcome, run *model.Run, ok bool) {
 		if needRuns {
-			run = run.CompactClone()
-			runsBySeed[rec.Seed] = run
+			rec, err := dec.DecodeSeedRecord(payload)
+			if err != nil || rec.Seed != seeds[i] || (eval != nil && !rec.Scored) {
+				return workload.RunOutcome{}, nil, false
+			}
+			out, run = rec.Outcome(), rec.Run.CompactClone()
+			runsBySeed[out.Seed] = run
+		} else {
+			var err error
+			if out, err = store.DecodeOutcome(payload); err != nil || out.Seed != seeds[i] {
+				return workload.RunOutcome{}, nil, false
+			}
 		}
-		return run
+		cachedOut = append(cachedOut, out)
+		if emit != nil {
+			emit(out)
+		}
+		resolved[i] = true
+		return out, run, true
 	}
 
 	resolveSpan := tr.Span("resolve")
 	for i, payload := range s.store.GetMulti(keys) {
-		if payload == nil {
-			continue
-		}
-		// A decode failure on a checksum-clean payload means an incompatible
-		// record (e.g. a different kind under a colliding key); recompute.
-		rec, err := dec.DecodeSeedRecord(payload)
-		if err == nil && rec.Seed == seeds[i] && adopt(rec) != nil {
-			resolved[i] = true
+		if payload != nil {
+			adopt(i, payload)
 		}
 	}
 	resolveSpan.End()
@@ -666,25 +669,17 @@ func (s *scheduler) resolveSeeds(ctx context.Context, qualifiedName, adversary s
 		// and keeps overlapping requests at exactly one computation per seed.
 		stillOwned := owned[:0]
 		for _, i := range owned {
-			var rec *store.SeedRecord
-			if payload, ok := s.store.Probe(keys[i]); ok {
-				if r, err := dec.DecodeSeedRecord(payload); err == nil && r.Seed == seeds[i] && (eval == nil || r.Scored) {
-					rec = r
-				}
-			}
-			if rec == nil {
-				stillOwned = append(stillOwned, i)
-				continue
-			}
 			// Joiners on this key come from the same namespace, so they need the
 			// run exactly when this request does; the published run is adopt's
 			// owned copy, never the decoder's transient view.
-			run := adopt(rec)
-			resolved[i] = true
 			c := ownedCalls[i]
-			c.outcome = rec.Outcome()
-			if needRuns {
-				c.run = run
+			payload, ok := s.store.Probe(keys[i])
+			if ok {
+				c.outcome, c.run, ok = adopt(i, payload)
+			}
+			if !ok {
+				stillOwned = append(stillOwned, i)
+				continue
 			}
 			s.mu.Lock()
 			delete(s.seedflight, keys[i])
@@ -787,7 +782,11 @@ func (s *scheduler) resolveSeeds(ctx context.Context, qualifiedName, adversary s
 				putPayloads := make([][]byte, len(idxs))
 				for j, i := range idxs {
 					putKeys[j] = keys[i]
-					putPayloads[j] = store.EncodeSeedRecord(store.NewSeedRecord(job.seedRuns[j], eval != nil))
+					if needRuns {
+						putPayloads[j] = store.EncodeSeedRecord(store.NewSeedRecord(job.seedRuns[j], eval != nil))
+					} else {
+						putPayloads[j] = store.EncodeOutcome(job.seedRuns[j].Outcome)
+					}
 				}
 				if failed, _ := s.store.PutMulti(putKeys, putPayloads); failed > 0 {
 					s.count(func(st *SchedulerStats) { st.PutErrors += uint64(failed) })

@@ -448,6 +448,115 @@ func TestSeedFaultIsolation(t *testing.T) {
 	}
 }
 
+// TestSweepReplacesRunCarryingSeedRecord covers a corpus written before
+// sweeps stored outcome-only per-seed records: a run-carrying seed record
+// under a scenario's seed key is intact but of another kind, so it is neither
+// served nor counted as corruption — that one seed is recomputed, the
+// response is the serial sweep's bytes, and the entry is overwritten with an
+// outcome container.
+func TestSweepReplacesRunCarryingSeedRecord(t *testing.T) {
+	dir := t.TempDir()
+	_, ts := newTestServer(t, dir)
+	get(t, ts.URL+"/v1/sweep?scenario=prop2.3-nudc&seeds=8")
+
+	sc := registry.MustScenario("prop2.3-nudc")
+	seed := workload.Seeds(1, 8)[2]
+	runs, err := workload.Runner{}.RunAll([]workload.Task{{Spec: sc.Spec, Seeds: []int64{seed}, Eval: sc.Eval}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := server.SweepSeedKey("prop2.3-nudc", "", seed)
+	planted := store.EncodeSeedRecord(store.NewSeedRecord(runs[0][0], true))
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put(key, planted); err != nil {
+		t.Fatal(err)
+	}
+
+	sub := server.SweepRequest{Scenario: "prop2.3-nudc", Seeds: 5, SeedBase: 1}
+	golden := goldenSweepBody(t, sub)
+	srv2, ts2 := newTestServer(t, dir)
+	status, header, body := get(t, ts2.URL+"/v1/sweep?scenario=prop2.3-nudc&seeds=5")
+	if status != http.StatusOK || header.Get("X-Cache") != "partial" {
+		t.Fatalf("HTTP %d X-Cache %q", status, header.Get("X-Cache"))
+	}
+	if !bytes.Equal(body, golden) {
+		t.Fatalf("body differs from direct serial sweep")
+	}
+	if ss := srv2.SchedulerStats(); ss.SeedsComputed != 1 || ss.SeedsCached != 4 || ss.PutErrors != 0 {
+		t.Fatalf("scheduler stats: %+v (want the planted seed computed, not cached)", ss)
+	}
+	if st := srv2.Store().Stats(); st.CorruptEntries != 0 {
+		t.Fatalf("an intact record of another kind counted as corruption: %+v", st)
+	}
+	raw, err := os.ReadFile(srv2.Store().EntryPath(key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o, err := store.DecodeOutcome(raw); err != nil || o.Seed != seed {
+		t.Fatalf("seed entry after the sweep: outcome %+v, %v; want seed %d's outcome container", o, err, seed)
+	}
+}
+
+// TestSweepStoresOutcomesExtractStoresRuns pins which per-seed record each
+// namespace keeps.  A sweep's are outcome containers — no recorded run, well
+// under 1 KiB each — and still assemble novel windows after a restart; an
+// extraction over the same seed values keeps its own run-carrying records,
+// which a restarted daemon decodes (not re-simulates) to grow the sample.
+func TestSweepStoresOutcomesExtractStoresRuns(t *testing.T) {
+	const window = 64
+	dir := t.TempDir()
+	srv, ts := newTestServer(t, dir)
+	get(t, ts.URL+fmt.Sprintf("/v1/sweep?scenario=prop2.3-nudc&seeds=%d", window))
+	get(t, ts.URL+"/v1/extract?extraction=kx-perfect&runs=6&seedBase=1")
+
+	for _, seed := range workload.Seeds(1, window) {
+		path := srv.Store().EntryPath(server.SweepSeedKey("prop2.3-nudc", "", seed))
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kind, err := store.Kind(raw); err != nil || kind != store.KindOutcome || len(raw) > 1<<10 {
+			t.Fatalf("sweep seed %d: %d-byte entry of kind %d (%v), want an outcome container of at most 1 KiB", seed, len(raw), kind, err)
+		}
+	}
+	for _, seed := range workload.Seeds(1, 6) {
+		raw, err := os.ReadFile(srv.Store().EntryPath(server.ExtractSeedKey("kx-perfect", "", seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kind, err := store.Kind(raw); err != nil || kind != store.KindSeed {
+			t.Fatalf("extraction source seed %d: entry of kind %d (%v), want a seed record", seed, kind, err)
+		}
+	}
+
+	srv2, ts2 := newTestServer(t, dir)
+	grown := server.ExtractRequest{Extraction: "kx-perfect", Runs: 8, SeedBase: 1}
+	status, header, body := get(t, ts2.URL+"/v1/extract?extraction=kx-perfect&runs=8&seedBase=1")
+	if status != http.StatusOK || header.Get("X-Cache") != "partial" {
+		t.Fatalf("restarted grown extraction: HTTP %d X-Cache %q", status, header.Get("X-Cache"))
+	}
+	if !bytes.Equal(body, goldenExtractBody(t, grown)) {
+		t.Fatalf("restarted grown extraction body differs from direct Runner.Extract")
+	}
+	if ss := srv2.SchedulerStats(); ss.SeedsCached != 6 || ss.SeedsComputed != 2 {
+		t.Fatalf("restarted grown extraction seed stats: %+v", ss)
+	}
+	sub := server.SweepRequest{Scenario: "prop2.3-nudc", Seeds: window / 2, SeedBase: 1}
+	status, header, body = get(t, ts2.URL+fmt.Sprintf("/v1/sweep?scenario=prop2.3-nudc&seeds=%d", window/2))
+	if status != http.StatusOK || header.Get("X-Cache") != "hit" {
+		t.Fatalf("restarted sub-window: HTTP %d X-Cache %q", status, header.Get("X-Cache"))
+	}
+	if !bytes.Equal(body, goldenSweepBody(t, sub)) {
+		t.Fatalf("restarted sub-window body differs from direct serial sweep")
+	}
+	if ss := srv2.SchedulerStats(); ss.SeedsCached != 6+window/2 || ss.SeedsComputed != 2 {
+		t.Fatalf("restarted sub-window seed stats: %+v", ss)
+	}
+}
+
 // TestConcurrentDuplicatesComputeOnce fires 64 concurrent identical sweep
 // requests at a cold daemon.  All 64 bodies must be byte-identical to the
 // direct serial sweep, and each of the 8 seeds must have been computed (and

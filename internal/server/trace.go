@@ -196,7 +196,9 @@ func (s *Server) handleTraceByID(w http.ResponseWriter, r *http.Request) {
 
 // CorpusResponse is the /v1/corpus body: where the corpus lives, how its
 // entries distribute across the 256-way shard layout (with a per-kind
-// census), what the memory layer holds, and the per-source seed traffic the
+// census: "outcome" counts sweeps' per-seed records, "seed" extraction
+// sources' run-carrying ones, "sweep"/"extraction" whole served requests),
+// what the memory layer holds, and the per-source seed traffic the
 // scheduler has observed.  Per-seed keys are digests, so the per-source view
 // is live accounting since the daemon started, not a disk census.
 type CorpusResponse struct {

@@ -344,12 +344,13 @@ func TestCorpusEndpoint(t *testing.T) {
 	if !corpus.Persistent || corpus.Dir == "" {
 		t.Fatalf("corpus reports persistent=%v dir=%q for a disk-backed store", corpus.Persistent, corpus.Dir)
 	}
-	// 4 per-seed records plus the assembled window record.
+	// 4 per-seed records — a sweep's are outcome containers — plus the
+	// assembled window record.
 	if corpus.Disk.Entries != 5 {
 		t.Fatalf("corpus counted %d entries, want 5 (4 seeds + 1 window)", corpus.Disk.Entries)
 	}
-	if corpus.Disk.Kinds["seed"] != 4 || corpus.Disk.Kinds["sweep"] != 1 {
-		t.Fatalf("kind census = %v, want 4 seed + 1 sweep", corpus.Disk.Kinds)
+	if corpus.Disk.Kinds["outcome"] != 4 || corpus.Disk.Kinds["sweep"] != 1 || len(corpus.Disk.Kinds) != 2 {
+		t.Fatalf("kind census = %v, want exactly 4 outcome + 1 sweep", corpus.Disk.Kinds)
 	}
 	var shardEntries int
 	for _, sh := range corpus.Disk.Shards {

@@ -32,16 +32,17 @@ const (
 	KindSweep byte = 3
 	// KindExtraction is an ExtractionRecord.
 	KindExtraction byte = 4
-	// KindSeed is a SeedRecord: one seed's recorded run plus its scored
-	// outcome.
+	// KindSeed is a SeedRecord: one seed's recorded run plus the simulator's
+	// counters — the per-seed corpus record of an extraction source, whose
+	// pipeline consumes the run.
 	KindSeed byte = 5
-	// KindOutcome is a single workload.RunOutcome — the per-seed unit of a
-	// binary sweep stream.  Wire-only: outcome containers are framed onto
-	// streamed responses, never stored.
+	// KindOutcome is a single workload.RunOutcome: the per-seed corpus record
+	// of a sweep (nothing in the scenario namespace reads a run, so none is
+	// stored) and, framed, the per-seed unit of a binary sweep stream.
 	KindOutcome byte = 6
 	// KindError is a stream error trailer: the terminal frame of a binary
 	// stream whose computation failed after records were already written.
-	// Wire-only, like KindOutcome.
+	// Wire-only: error containers are never stored.
 	KindError byte = 7
 )
 

@@ -2,6 +2,7 @@ package store_test
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"repro/internal/model"
@@ -195,6 +196,28 @@ func TestSeedKeySpecDigests(t *testing.T) {
 		if base.Key() == other.Key() {
 			t.Fatalf("distinct seed specs collided: %+v", other)
 		}
+	}
+}
+
+// TestSeedKeysMatchSeedKeySpec pins the batch derivation to the per-seed
+// one: a digest that moved would silently orphan every stored record.
+func TestSeedKeysMatchSeedKeySpec(t *testing.T) {
+	seeds := []int64{0, 1, -1, 7919, -7919, 1 << 40, math.MaxInt64, math.MinInt64}
+	for _, name := range []string{"scenario:prop2.3-nudc", "extraction:kx-perfect", "scenario:"} {
+		for _, adversary := range []string{"", "cascade"} {
+			keys := store.SeedKeys(name, adversary, seeds)
+			if len(keys) != len(seeds) {
+				t.Fatalf("%d keys for %d seeds", len(keys), len(seeds))
+			}
+			for i, seed := range seeds {
+				if want := store.SeedKeySpec(name, adversary, seed).Key(); keys[i] != want {
+					t.Errorf("SeedKeys(%q, %q)[seed %d] = %s, want %s", name, adversary, seed, keys[i], want)
+				}
+			}
+		}
+	}
+	if keys := store.SeedKeys("scenario:x", "", nil); len(keys) != 0 {
+		t.Fatalf("no seeds yielded %d keys", len(keys))
 	}
 }
 

@@ -23,9 +23,10 @@ import (
 // sweep record.
 const maxFrameLen = 1 << 30
 
-// EncodeOutcome serialises one per-seed outcome as a wire container.  The
-// recorded run is not part of an outcome frame — streams carry scores, not
-// traces — so frames stay a few dozen bytes.
+// EncodeOutcome serialises one per-seed outcome as a container: the frame of
+// a binary sweep stream and the per-seed corpus record of a sweep.  The
+// recorded run is not part of it — streams and sweep responses carry scores,
+// not traces — so an outcome stays a few dozen bytes.
 func EncodeOutcome(o workload.RunOutcome) []byte {
 	var w writer
 	w.svarint(o.Seed)
@@ -36,7 +37,8 @@ func EncodeOutcome(o workload.RunOutcome) []byte {
 	return seal(KindOutcome, w.buf)
 }
 
-// DecodeOutcome deserialises a container encoded by EncodeOutcome.
+// DecodeOutcome deserialises a container encoded by EncodeOutcome.  It reads
+// bytes that come back from disk, so it is fuzzed (FuzzDecodeOutcome).
 func DecodeOutcome(data []byte) (workload.RunOutcome, error) {
 	payload, err := unseal(data, KindOutcome)
 	if err != nil {

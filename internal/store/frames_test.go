@@ -5,6 +5,7 @@ import (
 	"io"
 	"reflect"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/model"
 	"repro/internal/sim"
@@ -52,10 +53,38 @@ func TestStreamErrorRoundTrip(t *testing.T) {
 	if msg != "compute queue full" {
 		t.Fatalf("decoded %q", msg)
 	}
-	// The wire kinds never reach the store: a KindOutcome container must fail
-	// a sweep-record decode, not alias it.
+	// An outcome container is also a sweep's per-seed corpus record, so it
+	// shares the store with window records: a sweep-record decode must reject
+	// it, not alias it.
 	if _, err := store.DecodeSweepRecord(store.EncodeOutcome(workload.RunOutcome{Seed: 9})); err == nil {
 		t.Fatal("sweep-record decode accepted an outcome container")
+	}
+}
+
+// TestOutcomeMatchesSeedRecordOutcome is the differential behind storing a
+// sweep's per-seed record as an outcome container: for random scored seeds
+// it decodes to exactly the outcome the run-carrying seed record yields, and
+// both equal what was swept.
+func TestOutcomeMatchesSeedRecordOutcome(t *testing.T) {
+	run := model.NewRun(2)
+	property := func(o workload.RunOutcome) bool {
+		if len(o.Violations) == 0 {
+			o.Violations = nil // both decoders render "none" as nil
+		}
+		got, err := store.DecodeOutcome(store.EncodeOutcome(o))
+		if err != nil {
+			t.Logf("outcome container: %v", err)
+			return false
+		}
+		rec, err := store.DecodeSeedRecord(store.EncodeSeedRecord(store.NewSeedRecord(workload.SeedRun{Outcome: o, Run: run}, true)))
+		if err != nil {
+			t.Logf("seed record: %v", err)
+			return false
+		}
+		return reflect.DeepEqual(got, rec.Outcome()) && reflect.DeepEqual(got, o)
+	}
+	if err := quick.Check(property, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
 	}
 }
 

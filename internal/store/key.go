@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"strconv"
 
 	"repro/internal/sim"
 )
@@ -35,10 +36,14 @@ type KeySpec struct {
 	Count int
 }
 
+// keyPrefixFormat renders the part of a digest's preimage that precedes the
+// seed range: the versions, then the spec's Kind, Name and Adversary.
+const keyPrefixFormat = "udc-store|codec=%d|engine=%d|%s|%s|%s|"
+
 // Key digests the spec.
 func (ks KeySpec) Key() Key {
 	h := sha256.New()
-	fmt.Fprintf(h, "udc-store|codec=%d|engine=%d|%s|%s|%s|%d|%d",
+	fmt.Fprintf(h, keyPrefixFormat+"%d|%d",
 		CodecVersion, sim.EngineVersion, ks.Kind, ks.Name, ks.Adversary, ks.SeedBase, ks.Count)
 	var k Key
 	h.Sum(k[:0])
@@ -54,4 +59,20 @@ func (ks KeySpec) Key() Key {
 // to the same record.
 func SeedKeySpec(qualifiedName, adversary string, seed int64) KeySpec {
 	return KeySpec{Kind: "seed", Name: qualifiedName, Adversary: adversary, SeedBase: seed, Count: 1}
+}
+
+// SeedKeys returns SeedKeySpec(qualifiedName, adversary, seed).Key() for every
+// seed of a window.  The seeds share everything before the seed value, so the
+// prefix is rendered once and each digest costs one integer append and one
+// SHA-256 — a window's keys are derived on every request that reaches the
+// per-seed records.
+func SeedKeys(qualifiedName, adversary string, seeds []int64) []Key {
+	buf := fmt.Appendf(nil, keyPrefixFormat, CodecVersion, sim.EngineVersion, "seed", qualifiedName, adversary)
+	prefix := len(buf)
+	keys := make([]Key, len(seeds))
+	for i, seed := range seeds {
+		buf = append(strconv.AppendInt(buf[:prefix], seed, 10), "|1"...)
+		keys[i] = sha256.Sum256(buf)
+	}
+	return keys
 }

@@ -69,12 +69,15 @@ func (r *reader) stats() sim.Stats {
 	}
 }
 
-// SeedRecord is the seed-granular unit of the run corpus: one seed's recorded
-// run plus the simulator's counters, and — when the seed was swept under a
-// scenario's evaluator — the scored outcome verbatim.  Sweep responses
-// assemble from the outcomes; extraction pipelines reuse the recorded runs
-// for their simulate stage.  Records written by a simulate-only pass (an
-// extraction source) carry Scored == false and no outcome fields.
+// SeedRecord is the run-carrying per-seed unit of the run corpus: one seed's
+// recorded run plus the simulator's counters.  Extraction pipelines store one
+// per source seed and reuse the recorded runs for their simulate stage.
+// Sweeps do not: their per-seed record is the scored outcome alone
+// (EncodeOutcome), because no sweep response reads a run.  The daemon
+// therefore writes every SeedRecord from a simulate-only pass, with
+// Scored == false and the outcome fields (Violations, LatencySum,
+// LatencyActions) empty; the format still carries them, and they can go at
+// the next CodecVersion bump.
 type SeedRecord struct {
 	// Seed is the concrete seed value (part of the record's key, repeated so
 	// a decoded record is self-describing).

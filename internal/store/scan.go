@@ -4,7 +4,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 )
 
@@ -13,13 +12,11 @@ import (
 // census of entries by container kind.  The scan reads directory metadata
 // only — plus, when kinds is requested, the first five bytes of each entry
 // (magic + kind byte), never whole payloads — so it stays cheap enough for an
-// introspection endpoint even on a large corpus.  Entries still in the
-// pre-sharding flat layout are reported under the pseudo-shard "flat".
+// introspection endpoint even on a large corpus.
 
 // ShardInfo is one shard directory's occupancy.
 type ShardInfo struct {
-	// Shard is the two-hex-digit directory name ("00".."ff"), or "flat" for
-	// legacy entries in the store root.
+	// Shard is the two-hex-digit directory name ("00".."ff").
 	Shard string `json:"shard"`
 	// Entries and Bytes are the shard's entry count and summed file size.
 	Entries int   `json:"entries"`
@@ -28,12 +25,13 @@ type ShardInfo struct {
 
 // ScanResult is a point-in-time census of the persistent corpus.
 type ScanResult struct {
-	// Shards lists the non-empty shards, sorted by name ("flat" last).
+	// Shards lists the non-empty shards, sorted by name (os.ReadDir's order).
 	Shards []ShardInfo `json:"shards"`
 	// Entries and Bytes are the corpus totals.
 	Entries int   `json:"entries"`
 	Bytes   int64 `json:"bytes"`
-	// Kinds counts entries by container kind name ("seed", "sweep", ...);
+	// Kinds counts entries by container kind name ("outcome", "seed",
+	// "sweep", ...);
 	// nil when the scan was asked to skip kind classification.  Files whose
 	// first bytes are not a store container count under "unknown".
 	Kinds map[string]int `json:"kinds,omitempty"`
@@ -57,17 +55,8 @@ func (s *Store) ScanShards(kinds bool) (ScanResult, error) {
 	if kinds {
 		res.Kinds = make(map[string]int)
 	}
-	flat := ShardInfo{Shard: "flat"}
 	for _, entry := range root {
-		if !entry.IsDir() {
-			// Legacy flat-layout entry (or an unrelated file): count only
-			// recognisable .bin entries.
-			if strings.HasSuffix(entry.Name(), ".bin") {
-				s.scanEntry(filepath.Join(s.dir, entry.Name()), entry, &flat, &res)
-			}
-			continue
-		}
-		if !isShardName(entry.Name()) {
+		if !entry.IsDir() || !isShardName(entry.Name()) {
 			continue
 		}
 		shard := ShardInfo{Shard: entry.Name()}
@@ -86,16 +75,6 @@ func (s *Store) ScanShards(kinds bool) (ScanResult, error) {
 			res.Shards = append(res.Shards, shard)
 		}
 	}
-	if flat.Entries > 0 {
-		res.Shards = append(res.Shards, flat)
-	}
-	sort.Slice(res.Shards, func(i, j int) bool {
-		// Two-hex shard names sort lexicographically; "flat" sorts last.
-		if len(res.Shards[i].Shard) != len(res.Shards[j].Shard) {
-			return len(res.Shards[i].Shard) < len(res.Shards[j].Shard)
-		}
-		return res.Shards[i].Shard < res.Shards[j].Shard
-	})
 	return res, nil
 }
 

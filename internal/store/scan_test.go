@@ -27,45 +27,48 @@ func TestScanShards(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// One legacy flat-layout entry and one foreign file in the root: the scan
-	// must count the former under "flat" and skip the latter.
-	flatKey := KeySpec{Kind: "scan-test", Name: "flat"}.Key()
-	flatPayload := EncodeSweepRecord(&SweepRecord{Scenario: "s"})
-	if err := os.WriteFile(filepath.Join(dir, flatKey.String()+".bin"), flatPayload, 0o644); err != nil {
+	// Files in the root — foreign, or named like an entry — are not part of
+	// the sharded layout: the scan must skip them.
+	for _, name := range []string{"README.txt", keys[0].String() + ".bin"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("not a container"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sweepKey := KeySpec{Kind: "scan-test", Name: "sweep"}.Key()
+	sweepPayload := EncodeSweepRecord(&SweepRecord{Scenario: "s"})
+	want += int64(len(sweepPayload))
+	if err := st.Put(sweepKey, sweepPayload); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "README.txt"), []byte("not a container"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	keys = append(keys, sweepKey)
 
 	res, err := st.ScanShards(true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Entries != len(keys)+1 {
-		t.Fatalf("scan counted %d entries, want %d", res.Entries, len(keys)+1)
+	if res.Entries != len(keys) {
+		t.Fatalf("scan counted %d entries, want %d", res.Entries, len(keys))
 	}
-	if res.Bytes != want+int64(len(flatPayload)) {
-		t.Fatalf("scan counted %d bytes, want %d", res.Bytes, want+int64(len(flatPayload)))
+	if res.Bytes != want {
+		t.Fatalf("scan counted %d bytes, want %d", res.Bytes, want)
 	}
-	if res.Kinds["seed"] != len(keys) || res.Kinds["sweep"] != 1 {
-		t.Fatalf("kind census = %v, want %d seed + 1 sweep", res.Kinds, len(keys))
+	if res.Kinds["seed"] != len(keys)-1 || res.Kinds["sweep"] != 1 {
+		t.Fatalf("kind census = %v, want %d seed + 1 sweep", res.Kinds, len(keys)-1)
 	}
 
-	// Shard attribution: every sharded entry's shard must appear, with the
-	// flat pseudo-shard sorted last.
+	// Shard attribution: every entry's shard must appear, in name order.
 	byName := make(map[string]ShardInfo)
-	for _, sh := range res.Shards {
+	for i, sh := range res.Shards {
 		byName[sh.Shard] = sh
+		if i > 0 && res.Shards[i-1].Shard >= sh.Shard {
+			t.Fatalf("shards out of order: %+v", res.Shards)
+		}
 	}
 	for _, key := range keys {
 		shard := key.String()[:2]
 		if byName[shard].Entries == 0 {
 			t.Fatalf("shard %s missing from the scan (%+v)", shard, res.Shards)
 		}
-	}
-	if res.Shards[len(res.Shards)-1].Shard != "flat" || byName["flat"].Entries != 1 {
-		t.Fatalf("flat pseudo-shard misplaced or miscounted: %+v", res.Shards)
 	}
 
 	// Kind classification off: same totals, no census.

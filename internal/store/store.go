@@ -1,9 +1,10 @@
 // Package store is the run-corpus layer: a compact deterministic binary codec
 // for recorded runs, per-seed records and sweep/extraction results, plus a
 // content-addressed on-disk store with an in-memory LRU front.  Entries are
-// keyed by a digest of their identity — per-seed records by (source name,
-// adversary, concrete seed value), request records by the full request window
-// — plus the engine and codec versions.  On disk, entries shard into 256
+// keyed by a digest of their identity — per-seed records (a sweep's scored
+// outcome, an extraction source's recorded run) by (source name, adversary,
+// concrete seed value), request records by the full request window — plus
+// the engine and codec versions.  On disk, entries shard into 256
 // subdirectories by key prefix so corpora of millions of per-seed records
 // keep directories small; GetMulti/PutMulti batch whole windows.  Writes are
 // atomic so concurrent readers never observe torn entries, and reads are
@@ -172,7 +173,7 @@ func (s *Store) get(key Key, countMiss bool) ([]byte, bool) {
 		return nil, false
 	}
 	scratch := scratchPool.Get().(*[]byte)
-	data, err := s.readDisk(key, scratch)
+	data, err := readFileOwned(s.EntryPath(key), scratch)
 	scratchPool.Put(scratch)
 	if err != nil {
 		s.miss(false, countMiss)
@@ -272,7 +273,7 @@ func (s *Store) GetMulti(keys []Key) [][]byte {
 	}
 	var misses, corrupt atomic.Uint64
 	readOne := func(i int, scratch *[]byte) {
-		data, err := s.readDisk(keys[i], scratch)
+		data, err := readFileOwned(s.EntryPath(keys[i]), scratch)
 		if err != nil {
 			misses.Add(1)
 			return
@@ -375,28 +376,6 @@ func readFileOwned(path string, scratch *[]byte) ([]byte, error) {
 	*scratch = buf
 	f.Close()
 	return append([]byte{}, buf[:total]...), nil
-}
-
-// readDisk reads an entry's bytes through the pooled scratch slab, falling
-// back to the pre-sharding flat layout (<hex>.bin in the store root) so a
-// corpus written by an older release stays warm.  A flat entry found this way
-// is opportunistically renamed into its shard — reads migrate the corpus one
-// entry at a time, and a failed rename just means the fallback fires again
-// next time.
-func (s *Store) readDisk(key Key, scratch *[]byte) ([]byte, error) {
-	data, err := readFileOwned(s.EntryPath(key), scratch)
-	if err == nil || !os.IsNotExist(err) {
-		return data, err
-	}
-	legacy := filepath.Join(s.dir, key.String()+".bin")
-	data, lerr := readFileOwned(legacy, scratch)
-	if lerr != nil {
-		return nil, err
-	}
-	if _, derr := s.shardDir(key); derr == nil {
-		_ = os.Rename(legacy, s.EntryPath(key))
-	}
-	return data, nil
 }
 
 // PutMulti stores a batch of payloads, index-aligned with keys, each through

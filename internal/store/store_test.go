@@ -228,43 +228,6 @@ func TestStoreShardedLayout(t *testing.T) {
 	}
 }
 
-// TestStoreReadsLegacyFlatLayout pins the migration path: entries written by
-// the pre-sharding release (flat <hex>.bin in the store root) are still
-// served, and a successful read renames them into their shard.
-func TestStoreReadsLegacyFlatLayout(t *testing.T) {
-	dir := t.TempDir()
-	key, payload := keyOf(1), payloadOf("legacy")
-	if err := os.WriteFile(filepath.Join(dir, key.String()+".bin"), payload, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, err := store.Open(dir, store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, ok := s.Get(key)
-	if !ok || !bytes.Equal(got, payload) {
-		t.Fatalf("legacy flat entry not served: %v, %v", got, ok)
-	}
-	if st := s.Stats(); st.DiskHits != 1 || st.Misses != 0 {
-		t.Fatalf("stats after legacy read: %+v", st)
-	}
-	// The read migrated the entry into its shard.
-	if _, err := os.Stat(s.EntryPath(key)); err != nil {
-		t.Fatalf("legacy entry not migrated to %s: %v", s.EntryPath(key), err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, key.String()+".bin")); !os.IsNotExist(err) {
-		t.Fatalf("legacy flat file still present after migration")
-	}
-	// A fresh store finds it at the sharded path directly.
-	s2, err := store.Open(dir, store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, ok := s2.Get(key); !ok || !bytes.Equal(got, payload) {
-		t.Fatalf("migrated entry not served from shard")
-	}
-}
-
 // TestStoreGetMultiPutMulti drives the batched API across both layers: a
 // PutMulti batch, a fresh store reading the batch from disk, and a mixed
 // hit/miss GetMulti with index-aligned results and exact counters.

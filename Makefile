@@ -1,7 +1,7 @@
 GO ?= go
 BENCHTIME ?= 10x
 
-.PHONY: all build test race vet fmt-check smoke daemon-smoke metrics-smoke fleet-smoke bench bench-compare
+.PHONY: all build test race vet fmt-check smoke daemon-smoke metrics-smoke fleet-smoke bench-smoke bench bench-compare
 
 all: build test
 
@@ -43,6 +43,14 @@ metrics-smoke:
 # /metrics, and drains the coordinator cleanly on SIGTERM.
 fleet-smoke:
 	./scripts/fleet_smoke.sh
+
+# bench-smoke covers the repo's one end-to-end benchmark, a nested module that
+# `go test ./...` never compiles: vet and test it against the current
+# internal/ API, then run all six workloads at 1/50 size with every
+# byte-identity gate on (≈ 10 s each on a 2-core box).
+bench-smoke:
+	cd benchmarks/udcbench && $(GO) vet ./... && $(GO) test ./...
+	bash benchmarks/run.sh -smoke
 
 # bench runs the Table 1 benchmark, the adversary sweep, the
 # knowledge-extraction benchmark and the serving-layer benchmarks (codec,

@@ -5,8 +5,10 @@ package server
 // deterministically instead of depending on request interleaving.
 
 import (
+	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -204,8 +206,8 @@ func abandonedErrForTest() error {
 // must arrive as the declared trailers, not as ordinary headers.
 func TestStreamerZeroRecordTrailers(t *testing.T) {
 	rec := httptest.NewRecorder()
-	st := newStreamer(rec, formatNDJSON)
-	st.setTrailers(CacheHit, &obs.Trace{}, time.Millisecond)
+	st := newStreamer(&request{w: rec, format: formatNDJSON, tr: &obs.Trace{}, start: time.Now()})
+	st.setTrailers(CacheHit)
 	st.write(MarshalBody(streamTrailerLine{Trailer: struct{}{}}))
 
 	res := rec.Result()
@@ -217,6 +219,73 @@ func TestStreamerZeroRecordTrailers(t *testing.T) {
 	}
 	if res.Trailer.Get("Server-Timing") == "" {
 		t.Fatal("Server-Timing missing from the trailers")
+	}
+}
+
+// TestStreamFlushesRecordsToSocket pins the progressive property where a
+// client can see it, on a real socket through the instrumented route: with
+// the window held open by a planted in-flight seed, the first cached record
+// must be readable from the response body before that seed is published.
+// (A fully buffered body only shows record order, not when records arrived.)
+func TestStreamFlushesRecordsToSocket(t *testing.T) {
+	srv, ts := newTraceTestServer(t, Config{})
+	const scenario = "prop2.3-nudc"
+	url := ts.URL + "/v1/sweep?scenario=" + scenario + "&seedBase=1&seeds="
+	if resp, body := getBody(t, url+"8", nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("prime: HTTP %d: %s", resp.StatusCode, body)
+	}
+
+	seeds := workload.Seeds(1, 12)
+	joinSeed := seeds[len(seeds)-1]
+	sc := registry.MustScenario(scenario)
+	res, err := workload.Sweep(sc.Spec, []int64{joinSeed}, sc.Eval)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, publish := plantSeedCall(srv.sched, SweepSeedKey(scenario, "", joinSeed))
+	c.outcome = res.Outcomes[0]
+
+	first := make(chan []byte, 1)
+	rest := make(chan int, 1)
+	go func() {
+		defer close(first)
+		defer close(rest)
+		req, _ := http.NewRequest(http.MethodGet, url+"12", nil)
+		req.Header.Set("Accept", ctNDJSON)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Errorf("stream: %v", err)
+			return
+		}
+		defer resp.Body.Close()
+		br := bufio.NewReader(resp.Body)
+		line, err := br.ReadBytes('\n')
+		if err != nil {
+			t.Errorf("first record: %v", err)
+			return
+		}
+		first <- line
+		n := 0
+		for ; err == nil; n++ {
+			_, err = br.ReadBytes('\n')
+		}
+		rest <- n - 1
+	}()
+
+	select {
+	case line := <-first:
+		var o struct {
+			Seed int64 `json:"seed"`
+		}
+		if err := json.Unmarshal(line, &o); err != nil || o.Seed < 1 || o.Seed > 8 {
+			t.Errorf("first streamed line %q is not one of the 8 cached records (%v)", line, err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("no record reached the client while the window was still resolving: streamed records are not flushed to the socket")
+	}
+	publish()
+	if n := <-rest; !t.Failed() && n != len(seeds) {
+		t.Fatalf("%d lines after the first, want %d (the other %d outcomes plus the trailer)", n, len(seeds), len(seeds)-1)
 	}
 }
 

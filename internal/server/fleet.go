@@ -279,73 +279,44 @@ func registryScenario(name, adversary string) (registry.Scenario, error) {
 // outcomes carry explicit seeds, so an arbitrary non-contiguous claim set
 // round-trips exactly.
 func (s *scheduler) Claim(ctx context.Context, req ClaimRequest, tr *obs.Trace) (payload []byte, status CacheStatus, err error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+	s.count(func(st *SchedulerStats) { st.Requests++ })
+	defer func() { s.finish(status, err) }()
 	sc, err := registryScenario(req.Scenario, req.Adversary)
 	if err != nil {
-		s.count(func(st *SchedulerStats) { st.Requests++; st.Errors++ })
 		return nil, CacheMiss, err
 	}
-	s.count(func(st *SchedulerStats) { st.Requests++ })
-	res, err := s.resolveSeeds(ctx, scenarioNamespace+sc.Name, req.Adversary, sc.Spec, sc.Eval, req.Seeds, false, true, tr, nil)
+	w := &window{
+		s: s, ctx: ctx, tr: tr, localOnly: true,
+		source: scenarioNamespace + sc.Name, adversary: req.Adversary,
+		spec: sc.Spec, eval: sc.Eval, seeds: req.Seeds,
+	}
+	payload, counts, err := w.sweepRecord(sc, req.Seeds[0])
 	if err != nil {
-		s.finish(CacheMiss, err)
 		return nil, CacheMiss, err
 	}
-	encodeSpan := tr.Span("assemble")
-	payload = store.EncodeSweepRecord(&store.SweepRecord{
-		Scenario:  sc.Name,
-		Check:     sc.Check,
-		Adversary: req.Adversary,
-		SeedBase:  req.Seeds[0],
-		Outcomes:  res.outcomes,
-	})
-	encodeSpan.End()
-	status = res.status()
-	s.finish(status, nil)
-	return payload, status, nil
+	return payload, cacheStatus(counts), nil
 }
 
-// handleClaim is the fleet-internal claim endpoint.  It is deliberately not
-// rate-limited (peers are trusted; admission happened at the coordinator's
-// ingress) but it is subject to the compute-queue gate and to draining —
-// both reject with statuses the coordinator's retry/fallback logic treats
-// as transient.
+// handleClaim is the fleet-internal claim endpoint (see admit for what its
+// ingress skips).
 func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
-	const route = "/v1/claim"
-	start := time.Now()
-	tr := s.beginTrace(r)
-	w.Header().Set("X-Trace-Id", tr.ID.String())
-	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: errMethod.Error()})
-		s.finishRequest(route, formatBin, tr, start, "", errMethod)
-		return
-	}
-	if err := s.admitDrain(); err != nil {
-		s.failRequest(w, route, formatBin, tr, start, err)
-		return
-	}
-	s.active.Add(1)
-	defer s.active.Add(-1)
 	var req ClaimRequest
-	err := json.NewDecoder(r.Body).Decode(&req)
-	if err == nil {
-		err = req.normalize()
-	}
-	if err != nil {
-		s.failRequest(w, route, formatBin, tr, start, badRequest(err))
+	q, ctx, done := s.admit(w, r, routeClaim, func() error {
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			return err
+		}
+		return req.normalize()
+	})
+	if q == nil {
 		return
 	}
-	ctx, cancel := s.requestContext(r)
-	defer cancel()
-	payload, status, err := s.sched.Claim(ctx, req, tr)
+	defer done()
+	payload, status, err := s.sched.Claim(ctx, req, q.tr)
 	if err != nil {
-		s.failRequest(w, route, formatBin, tr, start, err)
+		q.fail(err)
 		return
 	}
-	setCacheHeader(w, status)
-	s.writeTracedBinary(w, route, tr, start, status, payload)
+	q.serveBinary(status, payload)
 }
 
 // FleetPeerJSON is one member's row in the /v1/fleet body.  Counters and

@@ -446,8 +446,12 @@ func TestDrainWaitsForInFlight(t *testing.T) {
 func TestClaimEndpointValidation(t *testing.T) {
 	_, ts := newTestServer(t, "")
 
-	if status, _, _ := get(t, ts.URL+"/v1/claim"); status != http.StatusMethodNotAllowed {
+	status, header, _ := get(t, ts.URL+"/v1/claim")
+	if status != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /v1/claim: HTTP %d, want 405", status)
+	}
+	if got := header.Get("Allow"); got != "POST" {
+		t.Fatalf("GET /v1/claim: Allow = %q, want POST", got)
 	}
 	resp, err := http.Post(ts.URL+"/v1/claim", "application/json", strings.NewReader(`{"scenario":""}`))
 	if err != nil {
@@ -456,6 +460,21 @@ func TestClaimEndpointValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("claim without scenario: HTTP %d, want 400", resp.StatusCode)
+	}
+
+	// A seed list past the 1 MiB body bound is refused before it is allocated.
+	oversize := `{"scenario":"prop2.3-nudc","seeds":[1` + strings.Repeat(",1", 1<<19) + `]}`
+	resp, err = http.Post(ts.URL+"/v1/claim", "application/json", strings.NewReader(oversize))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e struct {
+		Error string `json:"error"`
+	}
+	derr := json.NewDecoder(resp.Body).Decode(&e)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || derr != nil || e.Error == "" {
+		t.Fatalf("oversize claim: HTTP %d, error envelope %+v (%v), want 413 with a JSON error", resp.StatusCode, e, derr)
 	}
 
 	body := `{"scenario":"prop2.3-nudc","seeds":[7,3,11]}`
@@ -481,6 +500,50 @@ func TestClaimEndpointValidation(t *testing.T) {
 	for i, want := range []int64{7, 3, 11} {
 		if rec.Outcomes[i].Seed != want {
 			t.Fatalf("outcome %d seed = %d, want %d (claims must preserve arbitrary seed order)", i, rec.Outcomes[i].Seed, want)
+		}
+	}
+}
+
+// TestClaimRepeatedSeed pins slot semantics: a claim naming a seed twice
+// answers with one outcome per listed seed, in request order — cold (the
+// second slot joins the first slot's own flight entry) and again from the
+// corpus.
+func TestClaimRepeatedSeed(t *testing.T) {
+	_, ts := newTestServer(t, "")
+	golden := goldenSweepBody(t, server.SweepRequest{Scenario: "prop2.3-nudc", Seeds: 1, SeedBase: 5})
+	for _, grade := range []string{"miss", "hit"} {
+		resp, err := http.Post(ts.URL+"/v1/claim", "application/json", strings.NewReader(`{"scenario":"prop2.3-nudc","seeds":[5,9,5]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw := new(bytes.Buffer)
+		_, err = raw.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s claim: HTTP %d, read error %v", grade, resp.StatusCode, err)
+		}
+		if got := resp.Header.Get("X-Cache"); got != grade {
+			t.Fatalf("X-Cache = %q, want %q", got, grade)
+		}
+		rec, err := store.DecodeSweepRecord(raw.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rec.Outcomes) != 3 {
+			t.Fatalf("%s claim returned %d outcomes, want 3", grade, len(rec.Outcomes))
+		}
+		for i, want := range []int64{5, 9, 5} {
+			if rec.Outcomes[i].Seed != want {
+				t.Fatalf("%s claim: outcome %d seed = %d, want %d", grade, i, rec.Outcomes[i].Seed, want)
+			}
+		}
+		// Both copies of seed 5 are the outcome a direct serial sweep yields.
+		outs := rec.Outcomes
+		for _, i := range []int{0, 2} {
+			rec.Outcomes = outs[i : i+1]
+			if !bytes.Equal(server.MarshalBody(server.SweepResponseOf(rec)), golden) {
+				t.Fatalf("%s claim: slot %d's outcome differs from a direct serial sweep of seed 5", grade, i)
+			}
 		}
 	}
 }

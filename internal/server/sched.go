@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -252,7 +251,7 @@ type fleetJob struct {
 // maxBatch bounds the number of jobs one dispatcher round carries.
 const maxBatch = 64
 
-// maxClaimPasses bounds resolveSeeds' claim/join passes: the first pass plus
+// maxClaimPasses bounds window.resolve's claim/join passes: the first pass plus
 // re-claims of seeds whose joined owner failed with an owner-local error
 // (shed or abandoned) that says nothing about this request.
 const maxClaimPasses = 3
@@ -513,515 +512,6 @@ func (s *scheduler) Stats() SchedulerStats {
 	return s.stats
 }
 
-// resolution is the outcome of resolving one seed window against the corpus:
-// outcomes (and, when the caller asked for them, recorded runs) in seed
-// order, plus how each seed was obtained.
-type resolution struct {
-	outcomes []workload.RunOutcome
-	runs     model.System
-	cached   int
-	computed int
-	joined   int
-	// remote counts seeds resolved by fleet peers' claims; like computed
-	// seeds they grade as non-cached for X-Cache.
-	remote int
-}
-
-// status classifies the resolution for the X-Cache header.
-func (r resolution) status() CacheStatus {
-	switch {
-	case r.cached == len(r.outcomes):
-		return CacheHit
-	case r.cached > 0:
-		return CachePartial
-	default:
-		return CacheMiss
-	}
-}
-
-// resolveSeeds is the seed-granular heart of the scheduler.  It splits the
-// window into (cached ∪ in-flight ∪ missing): cached seeds decode from
-// per-seed corpus records, in-flight seeds join concurrent requests'
-// computations, and missing seeds — claimed atomically so no two requests
-// compute the same seed — are simulated in one dispatcher round and written
-// back as per-seed records.  qualifiedName namespaces the per-seed keys
-// ("scenario:"/"extraction:"); a nil eval simulates without scoring (and
-// accepts unscored cached records).  needRuns selects the per-seed record:
-// extraction sources consume recorded runs, so they store KindSeed records
-// and decode them through a pooled decoder, copying each run out of its
-// buffers into the resolution; nothing in the scenario namespace ever reads
-// a run, so sweeps and claims store and read the scored outcome alone
-// (KindOutcome, a few dozen bytes) and never encode, cache or decode a run.
-// tr (nil-safe) accumulates the stage timings: corpus reads under "resolve",
-// flight-table claims under "claim", fleet waits under "compute", per-seed
-// record writes under "persist" and outcome merging under "assemble".
-// A non-nil emit observes every resolved outcome as it becomes available —
-// cached seeds during the corpus read, computed seeds when their fleet round
-// lands, joined seeds as their owners publish them — in arrival order, on the
-// request's own goroutine; it is how streamed responses flush progressively.
-// ctx bounds the computation: an expired context sheds unclaimed work and
-// releases this request's seed claims; joiners of those claims do not inherit
-// this request's failure — they re-claim the seeds and recompute.
-//
-// In fleet mode, claimed scenario seeds whose corpus shard is owned by a
-// remote peer are resolved by claim RPCs instead of the local fleet round
-// ("remote" stage), overlapping the local compute; failed, suspect or slow
-// peers degrade to local recompute (see the fleet commentary in fleet.go),
-// so the assembled resolution is identical either way.  localOnly forces
-// everything local — set on claim handling, so claims never recurse across
-// the fleet, and irrelevant when needRuns is set (extraction source runs
-// are too heavy to ship; they always resolve locally).
-func (s *scheduler) resolveSeeds(ctx context.Context, qualifiedName, adversary string, spec workload.Spec, eval workload.Evaluator, seeds []int64, needRuns, localOnly bool, tr *obs.Trace, emit func(workload.RunOutcome)) (resolution, error) {
-	n := len(seeds)
-	keys := store.SeedKeys(qualifiedName, adversary, seeds)
-
-	var cachedOut, computedOut, joinedOut, remoteOut []workload.RunOutcome
-	var runsBySeed map[int64]*model.Run
-	var dec *store.RunDecoder
-	if needRuns {
-		runsBySeed = make(map[int64]*model.Run, n)
-		dec = store.Decoders.Get()
-		defer store.Decoders.Put(dec)
-	}
-	resolved := make([]bool, n)
-
-	// adopt folds the cached record stored for seeds[i] into the resolution
-	// and returns its outcome and — for extraction sources — an owned copy of
-	// its run (the decoder's view is transient).  A checksum-clean payload
-	// that fails to decode, or carries another seed, is an incompatible
-	// record (a different kind under the key, e.g. a run-carrying seed record
-	// an older daemon stored for a sweep): ok is false and the seed is
-	// recomputed and overwritten.
-	adopt := func(i int, payload []byte) (out workload.RunOutcome, run *model.Run, ok bool) {
-		if needRuns {
-			rec, err := dec.DecodeSeedRecord(payload)
-			if err != nil || rec.Seed != seeds[i] || (eval != nil && !rec.Scored) {
-				return workload.RunOutcome{}, nil, false
-			}
-			out, run = rec.Outcome(), rec.Run.CompactClone()
-			runsBySeed[out.Seed] = run
-		} else {
-			var err error
-			if out, err = store.DecodeOutcome(payload); err != nil || out.Seed != seeds[i] {
-				return workload.RunOutcome{}, nil, false
-			}
-		}
-		cachedOut = append(cachedOut, out)
-		if emit != nil {
-			emit(out)
-		}
-		resolved[i] = true
-		return out, run, true
-	}
-
-	resolveSpan := tr.Span("resolve")
-	for i, payload := range s.store.GetMulti(keys) {
-		if payload != nil {
-			adopt(i, payload)
-		}
-	}
-	resolveSpan.End()
-
-	// Claim the unresolved seeds — joining any already in flight — compute
-	// the claims, and collect the joins.  The outer loop exists for the
-	// joiners: a joined owner can fail with an error that is local to it (its
-	// submit was shed by the admission gate, or its client disconnected and
-	// its context expired), which says nothing about this request.  Those
-	// seeds stay unresolved and the next pass re-claims them — an owner
-	// deregisters its flight entries before publishing failure, so the retry
-	// either becomes the owner, earning this request's own admission verdict,
-	// or joins a fresh owner.  Passes are bounded; an owner-local error that
-	// survives them is re-tagged by coalesceUpstream so the joiner's client is
-	// answered with a retryable 503 rather than a status it never earned.
-	// This request's own submit errors propagate unmodified.
-	var computeErr error
-	joinedTotal := 0
-	for pass := 1; computeErr == nil; pass++ {
-		claimSpan := tr.Span("claim")
-		var owned []int
-		ownedCalls := make(map[int]*seedCall)
-		var joined []int
-		var joinedCalls []*seedCall
-		s.mu.Lock()
-		for i := range seeds {
-			if resolved[i] {
-				continue
-			}
-			if c, ok := s.seedflight[keys[i]]; ok {
-				joined = append(joined, i)
-				joinedCalls = append(joinedCalls, c)
-				continue
-			}
-			c := &seedCall{done: make(chan struct{}), owner: tr.TraceIDOrZero()}
-			s.seedflight[keys[i]] = c
-			owned = append(owned, i)
-			ownedCalls[i] = c
-		}
-		s.mu.Unlock()
-		if len(owned) == 0 && len(joined) == 0 {
-			claimSpan.End()
-			break
-		}
-
-		// An identical seed may have been computed and stored between our batch
-		// read and the flight registration; it was stored before its call
-		// deregistered, so one uncounted probe per claimed seed closes the race
-		// and keeps overlapping requests at exactly one computation per seed.
-		stillOwned := owned[:0]
-		for _, i := range owned {
-			// Joiners on this key come from the same namespace, so they need the
-			// run exactly when this request does; the published run is adopt's
-			// owned copy, never the decoder's transient view.
-			c := ownedCalls[i]
-			payload, ok := s.store.Probe(keys[i])
-			if ok {
-				c.outcome, c.run, ok = adopt(i, payload)
-			}
-			if !ok {
-				stillOwned = append(stillOwned, i)
-				continue
-			}
-			s.mu.Lock()
-			delete(s.seedflight, keys[i])
-			s.mu.Unlock()
-			close(c.done)
-		}
-		owned = stillOwned
-		claimSpan.End()
-
-		// Simulate the claimed seeds — remote-owned ones via their peers'
-		// claim RPCs, the rest in one local dispatcher round — persist the
-		// local results as per-seed records, and publish every owned seed
-		// (outcome or failure) to any requests that joined.
-		if len(owned) > 0 {
-			localOwned := owned
-			var remoteGroups map[string][]int
-			if s.fleet != nil && !needRuns && !localOnly && strings.HasPrefix(qualifiedName, scenarioNamespace) {
-				localOwned, remoteGroups = s.fleet.partition(keys, owned)
-			}
-
-			// published tracks which owned indices have had their flight
-			// entry closed this pass (success or failure), so the hedge and
-			// late remote results cannot double-publish; settled counts them,
-			// so the collection loop can stop waiting on a slow peer the
-			// moment a hedge has answered everything.
-			published := make(map[int]bool, len(owned))
-			settled := 0
-
-			// publishSeed resolves one owned index: the outcome joins the
-			// resolution (and the stream), the flight entry is deregistered
-			// and published.  Remote outcomes carry no run — sweeps never
-			// need one, and remote routing is gated on !needRuns, so every
-			// possible joiner of these keys consumes outcomes only.
-			publishSeed := func(i int, out workload.RunOutcome, run *model.Run, remote bool) {
-				if remote {
-					remoteOut = append(remoteOut, out)
-				} else {
-					computedOut = append(computedOut, out)
-				}
-				if emit != nil {
-					emit(out)
-				}
-				if needRuns {
-					runsBySeed[out.Seed] = run
-				}
-				resolved[i] = true
-				published[i] = true
-				settled++
-				c := ownedCalls[i]
-				c.outcome, c.run = out, run
-				s.mu.Lock()
-				delete(s.seedflight, keys[i])
-				s.mu.Unlock()
-				close(c.done)
-			}
-
-			// publishFailure releases still-claimed indices with ferr;
-			// joiners inspect it (ownerLocal) to decide whether to re-claim.
-			publishFailure := func(idxs []int, ferr error) {
-				for _, i := range idxs {
-					if published[i] {
-						continue
-					}
-					published[i] = true
-					settled++
-					c := ownedCalls[i]
-					c.err = ferr
-					s.mu.Lock()
-					delete(s.seedflight, keys[i])
-					s.mu.Unlock()
-					close(c.done)
-				}
-			}
-
-			// computeLocal simulates owned indices in one dispatcher round,
-			// persists them as per-seed records and publishes them.  It
-			// serves the local partition, the hedge, and degraded-mode
-			// fallback alike; a failed round publishes the failure.
-			computeLocal := func(idxs []int) error {
-				if len(idxs) == 0 {
-					return nil
-				}
-				ownedSeeds := make([]int64, len(idxs))
-				for j, i := range idxs {
-					ownedSeeds[j] = seeds[i]
-				}
-				job := &fleetJob{
-					runs: &workload.Task{Spec: spec, Seeds: ownedSeeds, Eval: eval},
-					done: make(chan struct{}),
-				}
-				computeSpan := tr.Span("compute")
-				err := s.submit(ctx, job)
-				computeSpan.End()
-				if err != nil {
-					publishFailure(idxs, err)
-					return err
-				}
-				persistSpan := tr.Span("persist")
-				putKeys := make([]store.Key, len(idxs))
-				putPayloads := make([][]byte, len(idxs))
-				for j, i := range idxs {
-					putKeys[j] = keys[i]
-					if needRuns {
-						putPayloads[j] = store.EncodeSeedRecord(store.NewSeedRecord(job.seedRuns[j], eval != nil))
-					} else {
-						putPayloads[j] = store.EncodeOutcome(job.seedRuns[j].Outcome)
-					}
-				}
-				if failed, _ := s.store.PutMulti(putKeys, putPayloads); failed > 0 {
-					s.count(func(st *SchedulerStats) { st.PutErrors += uint64(failed) })
-				}
-				persistSpan.End()
-				for j, i := range idxs {
-					sr := job.seedRuns[j]
-					publishSeed(i, sr.Outcome, sr.Run, false)
-				}
-				return nil
-			}
-
-			// Launch the remote claims first so they overlap the local
-			// round.  The goroutines touch nothing of the request's state —
-			// they speak to the transport and deliver on the channel; all
-			// publication happens here on the request goroutine (tr and emit
-			// are not concurrency-safe).
-			type remoteResult struct {
-				peer     string
-				idxs     []int
-				outcomes []workload.RunOutcome
-				err      error
-			}
-			var remoteCh chan remoteResult
-			if len(remoteGroups) > 0 {
-				remoteCh = make(chan remoteResult, len(remoteGroups))
-				traceID := tr.TraceIDOrZero()
-				scenario := strings.TrimPrefix(qualifiedName, scenarioNamespace)
-				for peer, idxs := range remoteGroups {
-					rseeds := make([]int64, len(idxs))
-					for j, i := range idxs {
-						rseeds[j] = seeds[i]
-					}
-					go func(peer string, idxs []int, rseeds []int64) {
-						outs, err := s.fleet.claim(ctx, peer, traceID, scenario, adversary, rseeds)
-						remoteCh <- remoteResult{peer: peer, idxs: idxs, outcomes: outs, err: err}
-					}(peer, idxs, rseeds)
-				}
-			}
-
-			computeErr = computeLocal(localOwned)
-
-			// Collect the remote claims.  The loop runs until every owned
-			// index is settled or the last group reports — claims honour
-			// ctx, so after an error or an expired context they return
-			// promptly, and every flight entry is published (outcome or
-			// failure) before this request lets go of its claims.
-			// Degradation: a failed group is recomputed locally; once
-			// HedgeDelay elapses every still-missing seed is hedged with a
-			// local recompute, at which point the loop exits without waiting
-			// for the slow peer (its goroutine delivers into the buffered
-			// channel and is dropped) — outcomes are deterministic, so
-			// either side's answer is the same bytes.
-			if remoteCh != nil {
-				var hedgeTimer *time.Timer
-				var hedgeC <-chan time.Time
-				if s.fleet.cfg.HedgeDelay > 0 && computeErr == nil {
-					hedgeTimer = time.NewTimer(s.fleet.cfg.HedgeDelay)
-					hedgeC = hedgeTimer.C
-				}
-				openIdxs := func(idxs []int) []int {
-					var open []int
-					for _, i := range idxs {
-						if !published[i] {
-							open = append(open, i)
-						}
-					}
-					return open
-				}
-				remoteSpan := tr.Span("remote")
-				ctxC := ctx.Done()
-				for pending := len(remoteGroups); pending > 0 && settled < len(owned); {
-					select {
-					case res := <-remoteCh:
-						pending--
-						if res.err == nil {
-							for j, i := range res.idxs {
-								if !published[i] {
-									publishSeed(i, res.outcomes[j], nil, true)
-								}
-							}
-							continue
-						}
-						open := openIdxs(res.idxs)
-						if len(open) == 0 {
-							continue
-						}
-						s.fleet.health.NoteFallback(res.peer, len(open))
-						if computeErr == nil {
-							computeErr = computeLocal(open)
-						} else {
-							publishFailure(open, computeErr)
-						}
-					case <-hedgeC:
-						hedgeC = nil
-						var open []int
-						for peer, idxs := range remoteGroups {
-							if g := openIdxs(idxs); len(g) > 0 {
-								s.fleet.health.NoteHedge(peer)
-								open = append(open, g...)
-							}
-						}
-						if computeErr == nil {
-							computeErr = computeLocal(open)
-						} else {
-							publishFailure(open, computeErr)
-						}
-					case <-ctxC:
-						ctxC = nil
-						if computeErr == nil {
-							computeErr = abandoned(ctx)
-						}
-					}
-				}
-				if hedgeTimer != nil {
-					hedgeTimer.Stop()
-				}
-				remoteSpan.End()
-			}
-		}
-
-		// Collect the seeds concurrent requests computed for us.  The wait is
-		// compute time: someone's fleet round is producing these seeds.  An
-		// expired request context stops waiting — the owners' computations are
-		// unaffected, this request just stops consuming them.
-		joinSpan := tr.Span("compute")
-		retry := false
-		for j, c := range joinedCalls {
-			if computeErr != nil {
-				break
-			}
-			select {
-			case <-c.done:
-			case <-ctx.Done():
-				// The owners' computations are unaffected; this request just
-				// stops consuming them (c stays untouched — it is published by
-				// its owner, not us).
-				computeErr = abandoned(ctx)
-				continue
-			}
-			if c.err != nil {
-				if ownerLocal(c.err) {
-					// The owner's failure, not the seeds': leave them
-					// unresolved for the next pass to re-claim, or re-tag
-					// once the retry budget is spent.
-					if pass < maxClaimPasses {
-						retry = true
-					} else {
-						computeErr = coalesceUpstream(c.err)
-					}
-					continue
-				}
-				computeErr = c.err
-				continue
-			}
-			joinedOut = append(joinedOut, c.outcome)
-			// Span link: this request consumed a seed computed under the
-			// owner's trace.
-			tr.Link(c.owner)
-			if emit != nil {
-				emit(c.outcome)
-			}
-			if needRuns {
-				runsBySeed[c.outcome.Seed] = c.run
-			}
-			resolved[joined[j]] = true
-			joinedTotal++
-		}
-		joinSpan.End()
-		if !retry {
-			break
-		}
-	}
-	if computeErr != nil {
-		return resolution{}, computeErr
-	}
-
-	assembleSpan := tr.Span("assemble")
-	outcomes, err := workload.MergeOutcomes(seeds, cachedOut, computedOut, joinedOut, remoteOut)
-	if err != nil {
-		return resolution{}, err
-	}
-	res := resolution{
-		outcomes: outcomes,
-		cached:   len(cachedOut),
-		computed: len(computedOut),
-		joined:   joinedTotal,
-		remote:   len(remoteOut),
-	}
-	if needRuns {
-		res.runs = make(model.System, n)
-		for i, seed := range seeds {
-			res.runs[i] = runsBySeed[seed]
-		}
-	}
-	assembleSpan.End()
-
-	tr.AddSeeds(obs.SeedCounts{Requested: n, Cached: res.cached, Computed: res.computed, Coalesced: res.joined, Remote: res.remote})
-	s.count(func(st *SchedulerStats) {
-		st.SeedsRequested += uint64(n)
-		st.SeedsCached += uint64(res.cached)
-		st.SeedsComputed += uint64(res.computed)
-		st.SeedsCoalesced += uint64(res.joined)
-		st.SeedsRemote += uint64(res.remote)
-		if res.computed == 0 && res.joined > 0 {
-			st.Coalesced++
-		}
-	})
-	if n > 0 {
-		s.noteSource(qualifiedName, adversary, seeds[0], seeds[n-1], res.cached, res.computed, res.joined, res.remote)
-	}
-	return res, nil
-}
-
-// noteSource folds one window resolution into the per-source seed counters
-// behind /v1/corpus.  Counters describe observed traffic since the server
-// started — per-seed corpus records do not carry their source name (keys are
-// digests), so live accounting is the only per-source view there is.
-func (s *scheduler) noteSource(qualifiedName, adversary string, first, last int64, cached, computed, joined, remote int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	key := qualifiedName + "\x00" + adversary
-	c, ok := s.sources[key]
-	if !ok {
-		c = &SourceStats{Source: qualifiedName, Adversary: adversary, MinSeed: first, MaxSeed: last}
-		s.sources[key] = c
-	}
-	c.MinSeed = min(c.MinSeed, first)
-	c.MaxSeed = max(c.MaxSeed, last)
-	c.SeedsCached += uint64(cached)
-	c.SeedsComputed += uint64(computed)
-	c.SeedsCoalesced += uint64(joined)
-	c.SeedsRemote += uint64(remote)
-}
-
 // SourcesSnapshot returns the per-source seed counters, sorted by source then
 // adversary, for /v1/corpus.
 func (s *scheduler) SourcesSnapshot() []SourceStats {
@@ -1044,27 +534,16 @@ func (s *scheduler) SourcesSnapshot() []SourceStats {
 // how much of it came from the corpus.  tr (nil-safe) collects per-stage
 // timings for the Server-Timing header and ?debug=timing traces.  A non-nil
 // emit observes every per-seed outcome as the flight table resolves it (see
-// resolveSeeds); on the window-record fast path the stored record is decoded
-// and replayed through emit, so streamed responses carry the same record set
+// window); on the window-record fast path the stored record is decoded and
+// replayed through emit, so streamed responses carry the same record set
 // whatever the cache grade.  ctx bounds the request's compute.
 func (s *scheduler) Sweep(ctx context.Context, req SweepRequest, tr *obs.Trace, emit func(workload.RunOutcome)) (payload []byte, status CacheStatus, err error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	sc, err := registry.LookupScenario(req.Scenario)
-	if err != nil {
-		s.count(func(st *SchedulerStats) { st.Requests++; st.Errors++ })
-		return nil, CacheMiss, notFound(err)
-	}
-	if req.Adversary != "" {
-		adv, _, err := registry.Adversary(req.Adversary)
-		if err != nil {
-			s.count(func(st *SchedulerStats) { st.Requests++; st.Errors++ })
-			return nil, CacheMiss, notFound(err)
-		}
-		sc.Spec.Adversary = adv
-	}
 	s.count(func(st *SchedulerStats) { st.Requests++ })
+	defer func() { s.finish(status, err) }()
+	sc, err := registryScenario(req.Scenario, req.Adversary)
+	if err != nil {
+		return nil, CacheMiss, err
+	}
 
 	// Request-level fast path: an identical window was served before, so its
 	// assembled record is already in the corpus (uncounted probe — a miss
@@ -1082,63 +561,52 @@ func (s *scheduler) Sweep(ctx context.Context, req SweepRequest, tr *obs.Trace, 
 			}
 		}
 		tr.AddSeeds(obs.SeedCounts{Requested: req.Seeds, Cached: req.Seeds})
-		s.finish(CacheHit, nil)
 		return payload, CacheHit, nil
 	}
 
-	res, err := s.resolveSeeds(ctx, scenarioNamespace+sc.Name, req.Adversary, sc.Spec, sc.Eval, workload.Seeds(req.SeedBase, req.Seeds), false, false, tr, emit)
+	w := &window{
+		s: s, ctx: ctx, tr: tr, emit: emit,
+		source: scenarioNamespace + sc.Name, adversary: req.Adversary,
+		spec: sc.Spec, eval: sc.Eval, seeds: workload.Seeds(req.SeedBase, req.Seeds),
+	}
+	payload, counts, err := w.sweepRecord(sc, req.SeedBase)
 	if err != nil {
-		s.finish(CacheMiss, err)
 		return nil, CacheMiss, err
 	}
-	encodeSpan := tr.Span("assemble")
-	payload = store.EncodeSweepRecord(&store.SweepRecord{
-		Scenario:  sc.Name,
-		Check:     sc.Check,
-		Adversary: req.Adversary,
-		SeedBase:  req.SeedBase,
-		Outcomes:  res.outcomes,
-	})
-	encodeSpan.End()
 	// Persist the assembled window unless this request was fully coalesced —
 	// its seeds are being written by their owners, so a repeat resolves as a
 	// pure per-seed assembly and persists then.  Pure assemblies do persist,
 	// so a repeatedly requested subset graduates to the window-record fast
 	// path instead of re-assembling forever.
-	if res.computed > 0 || res.remote > 0 || res.joined == 0 {
+	if counts.Computed > 0 || counts.Remote > 0 || counts.Coalesced == 0 {
 		persistSpan := tr.Span("persist")
 		if perr := s.store.Put(key, payload); perr != nil {
 			s.count(func(st *SchedulerStats) { st.PutErrors++ })
 		}
 		persistSpan.End()
 	}
-	status = res.status()
-	s.finish(status, nil)
-	return payload, status, nil
+	return payload, cacheStatus(counts), nil
 }
 
 // Extract serves one validated extract request, returning the encoded record
 // and how much of it came from the corpus.  The whole-pipeline record is the
-// request-level cache; on a miss, the simulate stage reuses cached per-seed
-// source runs and only the pipeline tail is recomputed.  tr (nil-safe)
-// collects per-stage timings for the Server-Timing header and ?debug=timing
-// traces.  ctx bounds the request's compute; the pipeline tail is one
-// indivisible computation, so there is no per-seed emit here — streamed
-// extraction responses replay the decoded record instead.
+// request-level cache; on a miss, extractMiss reuses cached per-seed source
+// runs and recomputes only the pipeline tail.  tr (nil-safe) collects
+// per-stage timings for the Server-Timing header and ?debug=timing traces.
+// ctx bounds the request's compute; the pipeline tail is one indivisible
+// computation, so there is no per-seed emit here — streamed extraction
+// responses replay the decoded record instead.
 func (s *scheduler) Extract(ctx context.Context, req ExtractRequest, tr *obs.Trace) (payload []byte, status CacheStatus, err error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+	s.count(func(st *SchedulerStats) { st.Requests++ })
+	defer func() { s.finish(status, err) }()
 	sc, err := registry.LookupExtraction(req.Extraction)
 	if err != nil {
-		s.count(func(st *SchedulerStats) { st.Requests++; st.Errors++ })
 		return nil, CacheMiss, notFound(err)
 	}
-	ext := sc.Extraction
+	ext := &sc.Extraction
 	if req.Adversary != "" {
 		adv, _, err := registry.Adversary(req.Adversary)
 		if err != nil {
-			s.count(func(st *SchedulerStats) { st.Requests++; st.Errors++ })
 			return nil, CacheMiss, notFound(err)
 		}
 		ext.Source.Adversary = adv
@@ -1149,16 +617,13 @@ func (s *scheduler) Extract(ctx context.Context, req ExtractRequest, tr *obs.Tra
 	if req.SeedBase != 0 {
 		ext.BaseSeed = req.SeedBase
 	}
-	s.count(func(st *SchedulerStats) { st.Requests++ })
 
-	spec := store.KeySpec{Kind: "extract", Name: req.Extraction, Adversary: req.Adversary, SeedBase: ext.BaseSeed, Count: ext.Runs}
-	key := spec.Key()
+	key := store.KeySpec{Kind: "extract", Name: req.Extraction, Adversary: req.Adversary, SeedBase: ext.BaseSeed, Count: ext.Runs}.Key()
 	probeSpan := tr.Span("resolve")
 	payload, probed := s.store.Probe(key)
 	probeSpan.End()
 	if probed {
 		tr.AddSeeds(obs.SeedCounts{Requested: ext.Runs, Cached: ext.Runs})
-		s.finish(CacheHit, nil)
 		return payload, CacheHit, nil
 	}
 
@@ -1169,7 +634,7 @@ func (s *scheduler) Extract(ctx context.Context, req ExtractRequest, tr *obs.Tra
 	s.mu.Lock()
 	if c, ok := s.inflight[key]; ok {
 		// Direct stats increment: legal because this block owns mu (taken
-		// three lines up, released below before the wait).
+		// two lines up, released below before the wait).
 		s.stats.Coalesced++
 		s.mu.Unlock()
 		claimSpan.End()
@@ -1180,17 +645,13 @@ func (s *scheduler) Extract(ctx context.Context, req ExtractRequest, tr *obs.Tra
 		// The wait is compute time: the owning request's pipeline tail is
 		// producing this response.
 		waitSpan := tr.Span("compute")
+		defer waitSpan.End()
 		select {
 		case <-c.done:
+			return c.payload, c.status, c.err
 		case <-ctx.Done():
-			waitSpan.End()
-			err := abandoned(ctx)
-			s.finish(CacheMiss, err)
-			return nil, CacheMiss, err
+			return nil, CacheMiss, abandoned(ctx)
 		}
-		waitSpan.End()
-		s.finish(c.status, c.err)
-		return c.payload, c.status, c.err
 	}
 	c := &call{done: make(chan struct{}), owner: tr.TraceIDOrZero()}
 	s.inflight[key] = c
@@ -1203,54 +664,13 @@ func (s *scheduler) Extract(ctx context.Context, req ExtractRequest, tr *obs.Tra
 	if restored {
 		c.payload, c.status = stored, CacheHit
 	} else {
-		c.status = CacheMiss
-		// The pipeline's index state is cached by identity (window size
-		// excluded): a window that extends a previously served one resolves
-		// only the uncovered tail seeds and feeds them to System.Add.  A
-		// window smaller than the cached prefix rebuilds from scratch —
-		// knowledge is relative to the whole system, so a smaller window
-		// needs its own index — and the larger state returns to the cache.
-		stateID := store.KeySpec{Kind: "exstate", Name: req.Extraction, Adversary: req.Adversary, SeedBase: ext.BaseSeed}.Key()
-		exState := s.claimExtractionState(stateID)
-		if exState.Indexed > ext.Runs {
-			s.releaseExtractionState(stateID, exState)
-			exState = &workload.ExtractionState{}
-		}
-		reused := exState.Indexed
-		seeds := workload.Seeds(ext.BaseSeed, ext.Runs)[reused:]
-		var res resolution
-		if len(seeds) > 0 {
-			res, c.err = s.resolveSeeds(ctx, extractionNamespace+req.Extraction, req.Adversary, ext.Source, nil, seeds, true, false, tr, nil)
-		}
+		c.payload, c.status, c.err = s.extractMiss(ctx, req, sc, tr)
 		if c.err == nil {
-			job := &fleetJob{extract: &ext, sampled: res.runs, exState: exState, done: make(chan struct{})}
-			tailSpan := tr.Span("compute")
-			c.err = s.submit(ctx, job)
-			tailSpan.End()
-			// The state stays coherent even when the tail errors, so it is
-			// always worth returning to the cache.
-			s.releaseExtractionState(stateID, exState)
-			if c.err == nil {
-				if reused > 0 {
-					s.count(func(st *SchedulerStats) { st.IndexReuses++; st.IndexedRunsReused += uint64(reused) })
-				}
-				encodeSpan := tr.Span("assemble")
-				c.payload = store.EncodeExtractionRecord(store.NewExtractionRecord(req.Adversary, sc.Stress, job.exResult))
-				encodeSpan.End()
-				// The pipeline tail always runs on a request-level miss, so
-				// cached source runs or a reused index prefix make the
-				// response partial, never a hit.
-				if res.cached > 0 || reused > 0 {
-					c.status = CachePartial
-				}
-				persistSpan := tr.Span("persist")
-				if perr := s.store.Put(key, c.payload); perr != nil {
-					s.count(func(st *SchedulerStats) { st.PutErrors++ })
-				}
-				persistSpan.End()
+			persistSpan := tr.Span("persist")
+			if perr := s.store.Put(key, c.payload); perr != nil {
+				s.count(func(st *SchedulerStats) { st.PutErrors++ })
 			}
-		} else {
-			s.releaseExtractionState(stateID, exState)
+			persistSpan.End()
 		}
 	}
 
@@ -1258,6 +678,62 @@ func (s *scheduler) Extract(ctx context.Context, req ExtractRequest, tr *obs.Tra
 	delete(s.inflight, key)
 	s.mu.Unlock()
 	close(c.done)
-	s.finish(c.status, c.err)
 	return c.payload, c.status, c.err
+}
+
+// extractMiss computes an extraction nobody has stored: the source runs
+// resolve as a seed window (cached per-seed records reused), then the pipeline
+// tail runs on the worker fleet.  sc.Extraction carries the request's
+// adversary, window and base seed.
+//
+// The pipeline's index state is cached by identity (window size excluded): a
+// window that extends a previously served one resolves only the uncovered
+// tail seeds and feeds them to System.Add.  A window smaller than the cached
+// prefix rebuilds from scratch — knowledge is relative to the whole system,
+// so a smaller window needs its own index — and the larger state returns to
+// the cache.
+func (s *scheduler) extractMiss(ctx context.Context, req ExtractRequest, sc registry.ExtractionScenario, tr *obs.Trace) ([]byte, CacheStatus, error) {
+	ext := &sc.Extraction
+	stateID := store.KeySpec{Kind: "exstate", Name: req.Extraction, Adversary: req.Adversary, SeedBase: ext.BaseSeed}.Key()
+	exState := s.claimExtractionState(stateID)
+	if exState.Indexed > ext.Runs {
+		s.releaseExtractionState(stateID, exState)
+		exState = &workload.ExtractionState{}
+	}
+	// The state stays coherent even when the tail errors, so it is always
+	// worth returning to the cache.
+	defer s.releaseExtractionState(stateID, exState)
+	reused := exState.Indexed
+
+	w := &window{
+		s: s, ctx: ctx, tr: tr, needRuns: true,
+		source: extractionNamespace + req.Extraction, adversary: req.Adversary,
+		spec: ext.Source, seeds: workload.Seeds(ext.BaseSeed, ext.Runs)[reused:],
+	}
+	var counts obs.SeedCounts
+	if len(w.seeds) > 0 {
+		var err error
+		if counts, err = w.resolve(); err != nil {
+			return nil, CacheMiss, err
+		}
+	}
+	job := &fleetJob{extract: ext, sampled: w.runs, exState: exState, done: make(chan struct{})}
+	tailSpan := tr.Span("compute")
+	err := s.submit(ctx, job)
+	tailSpan.End()
+	if err != nil {
+		return nil, CacheMiss, err
+	}
+	if reused > 0 {
+		s.count(func(st *SchedulerStats) { st.IndexReuses++; st.IndexedRunsReused += uint64(reused) })
+	}
+	encodeSpan := tr.Span("assemble")
+	defer encodeSpan.End()
+	payload := store.EncodeExtractionRecord(store.NewExtractionRecord(req.Adversary, sc.Stress, job.exResult))
+	// The pipeline tail always runs on a request-level miss, so cached source
+	// runs or a reused index prefix make the response partial, never a hit.
+	if counts.Cached > 0 || reused > 0 {
+		return payload, CachePartial, nil
+	}
+	return payload, CacheMiss, nil
 }

@@ -8,7 +8,10 @@
 // fleet.  Responses assemble from the union (X-Cache: hit | partial | miss),
 // extraction pipelines reuse cached per-seed source runs for their simulate
 // stage, and every response is byte-identical to a direct serial
-// workload.Sweep / Runner.Extract call.
+// workload.Sweep / Runner.Extract call.  window.go holds that resolution
+// (one slot-indexed window value per request, its stages as methods);
+// request.go holds the shared ingress (admit) and the per-request value that
+// every response is stamped, counted and traced through.
 //
 // Endpoints:
 //
@@ -41,7 +44,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -164,10 +166,10 @@ func New(cfg Config) (*Server, error) {
 	s.metrics = newServerMetrics(s.sched, st, s.traces, fc, time.Now())
 	s.mux.HandleFunc("/healthz", s.instrument("/healthz", s.handleHealthz))
 	s.mux.HandleFunc("/readyz", s.instrument("/readyz", s.handleReadyz))
-	s.mux.HandleFunc("/v1/claim", s.instrument("/v1/claim", s.handleClaim))
+	s.mux.HandleFunc(routeClaim, s.instrument(routeClaim, s.handleClaim))
 	s.mux.HandleFunc("/v1/fleet", s.instrument("/v1/fleet", s.handleFleet))
-	s.mux.HandleFunc("/v1/sweep", s.instrument("/v1/sweep", s.handleSweep))
-	s.mux.HandleFunc("/v1/extract", s.instrument("/v1/extract", s.handleExtract))
+	s.mux.HandleFunc(routeSweep, s.instrument(routeSweep, s.handleSweep))
+	s.mux.HandleFunc(routeExtract, s.instrument(routeExtract, s.handleExtract))
 	s.mux.HandleFunc("/v1/scenarios", s.instrument("/v1/scenarios", s.handleScenarios))
 	s.mux.HandleFunc("/v1/adversaries", s.instrument("/v1/adversaries", s.handleAdversaries))
 	s.mux.HandleFunc("/v1/stats", s.instrument("/v1/stats", s.handleStats))
@@ -198,6 +200,10 @@ func (r *statusRecorder) WriteHeader(code int) {
 	r.code = code
 	r.ResponseWriter.WriteHeader(code)
 }
+
+// Unwrap lets http.ResponseController reach the connection's Flush, which
+// embedding the interface hides — streamed records depend on it.
+func (r *statusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter }
 
 // instrument wraps a route with the live HTTP metrics: one requests_total
 // increment per finished request (labeled by status code) and one latency
@@ -316,8 +322,8 @@ func (s *Server) requestContext(r *http.Request) (context.Context, context.Cance
 }
 
 // decodeRequest fills req from the query string (GET) or the JSON body
-// (POST); other methods are rejected.  Query parameters use the JSON field
-// names.
+// (POST); admit has rejected every other method.  Query parameters use the
+// JSON field names.
 func decodeRequest(r *http.Request, fields map[string]any) error {
 	switch r.Method {
 	case http.MethodGet:
@@ -344,8 +350,7 @@ func decodeRequest(r *http.Request, fields map[string]any) error {
 				*p = v
 			}
 		}
-		return nil
-	case http.MethodPost:
+	default:
 		target := make(map[string]json.RawMessage)
 		if err := json.NewDecoder(r.Body).Decode(&target); err != nil {
 			return fmt.Errorf("decode request body: %w", err)
@@ -359,13 +364,9 @@ func decodeRequest(r *http.Request, fields map[string]any) error {
 				return fmt.Errorf("field %s: %w", name, err)
 			}
 		}
-		return nil
-	default:
-		return errMethod
 	}
+	return nil
 }
-
-var errMethod = errors.New("method not allowed (use GET or POST)")
 
 // HealthResponse is the /healthz and /readyz body.
 type HealthResponse struct {
@@ -391,139 +392,79 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	const route = "/v1/sweep"
-	start := time.Now()
-	tr := s.beginTrace(r)
-	w.Header().Set("X-Trace-Id", tr.ID.String())
-	format, err := negotiateFormat(r)
-	if err != nil {
-		s.failRequest(w, route, format, tr, start, err)
-		return
-	}
 	var req SweepRequest
-	err = decodeRequest(r, map[string]any{
-		"scenario":  &req.Scenario,
-		"adversary": &req.Adversary,
-		"seeds":     &req.Seeds,
-		"seedBase":  &req.SeedBase,
+	q, ctx, done := s.admit(w, r, routeSweep, func() error {
+		if err := decodeRequest(r, map[string]any{
+			"scenario":  &req.Scenario,
+			"adversary": &req.Adversary,
+			"seeds":     &req.Seeds,
+			"seedBase":  &req.SeedBase,
+		}); err != nil {
+			return err
+		}
+		return req.normalize()
 	})
-	if err == errMethod {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: err.Error()})
-		s.finishRequest(route, format, tr, start, "", err)
+	if q == nil {
 		return
 	}
-	if err == nil {
-		err = req.normalize()
+	defer done()
+	if q.format == formatNDJSON || q.format == formatBinStream {
+		q.streamSweep(ctx, req)
+		return
 	}
+	payload, status, err := s.sched.Sweep(ctx, req, q.tr, nil)
 	if err != nil {
-		s.failRequest(w, route, format, tr, start, badRequest(err))
+		q.fail(err)
 		return
 	}
-	if err := s.admitDrain(); err != nil {
-		s.failRequest(w, route, format, tr, start, err)
-		return
-	}
-	if err := s.admitRate(r); err != nil {
-		s.failRequest(w, route, format, tr, start, err)
-		return
-	}
-	s.active.Add(1)
-	defer s.active.Add(-1)
-	ctx, cancel := s.requestContext(r)
-	defer cancel()
-	if format == formatNDJSON || format == formatBinStream {
-		s.streamSweep(ctx, w, req, tr, start, format)
-		return
-	}
-	payload, status, err := s.sched.Sweep(ctx, req, tr, nil)
-	if err != nil {
-		s.failRequest(w, route, format, tr, start, err)
-		return
-	}
-	if format == formatBin {
-		setCacheHeader(w, status)
-		s.writeTracedBinary(w, route, tr, start, status, payload)
+	if q.format == formatBin {
+		q.serveBinary(status, payload)
 		return
 	}
 	rec, err := store.DecodeSweepRecord(payload)
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
-		s.finishRequest(route, format, tr, start, "", err)
+		q.fail(err)
 		return
 	}
-	setCacheHeader(w, status)
-	s.writeTraced(w, r, route, tr, start, status, SweepResponseOf(rec))
+	q.serveJSON(status, SweepResponseOf(rec))
 }
 
 func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
-	const route = "/v1/extract"
-	start := time.Now()
-	tr := s.beginTrace(r)
-	w.Header().Set("X-Trace-Id", tr.ID.String())
-	format, err := negotiateFormat(r)
-	if err == nil && format == formatBinStream {
-		// An extraction's pipeline tail is one indivisible computation, so
-		// there is no per-seed frame sequence to stream; NDJSON streams the
-		// verdicts, binary callers take the buffered container.
-		err = notAcceptable(fmt.Errorf("format bin-stream is not supported on /v1/extract (use bin or ndjson)"))
-	}
-	if err != nil {
-		s.failRequest(w, route, format, tr, start, err)
-		return
-	}
 	var req ExtractRequest
-	err = decodeRequest(r, map[string]any{
-		"extraction": &req.Extraction,
-		"adversary":  &req.Adversary,
-		"runs":       &req.Runs,
-		"seedBase":   &req.SeedBase,
+	q, ctx, done := s.admit(w, r, routeExtract, func() error {
+		if err := decodeRequest(r, map[string]any{
+			"extraction": &req.Extraction,
+			"adversary":  &req.Adversary,
+			"runs":       &req.Runs,
+			"seedBase":   &req.SeedBase,
+		}); err != nil {
+			return err
+		}
+		return req.normalize()
 	})
-	if err == errMethod {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: err.Error()})
-		s.finishRequest(route, format, tr, start, "", err)
+	if q == nil {
 		return
 	}
-	if err == nil {
-		err = req.normalize()
+	defer done()
+	if q.format == formatNDJSON {
+		q.streamExtract(ctx, req)
+		return
 	}
+	payload, status, err := s.sched.Extract(ctx, req, q.tr)
 	if err != nil {
-		s.failRequest(w, route, format, tr, start, badRequest(err))
+		q.fail(err)
 		return
 	}
-	if err := s.admitDrain(); err != nil {
-		s.failRequest(w, route, format, tr, start, err)
-		return
-	}
-	if err := s.admitRate(r); err != nil {
-		s.failRequest(w, route, format, tr, start, err)
-		return
-	}
-	s.active.Add(1)
-	defer s.active.Add(-1)
-	ctx, cancel := s.requestContext(r)
-	defer cancel()
-	if format == formatNDJSON {
-		s.streamExtract(ctx, w, req, tr, start)
-		return
-	}
-	payload, status, err := s.sched.Extract(ctx, req, tr)
-	if err != nil {
-		s.failRequest(w, route, format, tr, start, err)
-		return
-	}
-	if format == formatBin {
-		setCacheHeader(w, status)
-		s.writeTracedBinary(w, route, tr, start, status, payload)
+	if q.format == formatBin {
+		q.serveBinary(status, payload)
 		return
 	}
 	rec, err := store.DecodeExtractionRecord(payload)
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
-		s.finishRequest(route, format, tr, start, "", err)
+		q.fail(err)
 		return
 	}
-	setCacheHeader(w, status)
-	s.writeTraced(w, r, route, tr, start, status, ExtractResponseOf(rec))
+	q.serveJSON(status, ExtractResponseOf(rec))
 }
 
 // TraceStageJSON is one stage of a ?debug=timing trace.
@@ -550,67 +491,6 @@ type DebugTimingResponse struct {
 }
 
 func millis(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
-// writeTraced finishes a served sweep/extract response: it renders the stage
-// trace as a Server-Timing header (always), wraps the body in a trace
-// envelope when the request opted in with ?debug=timing (the inner response
-// bytes are the unchanged normal body), and finishes the trace — histogram
-// observations, the trace-log record, and the structured slow-request log.
-func (s *Server) writeTraced(w http.ResponseWriter, r *http.Request, route string, tr *obs.Trace, start time.Time, status CacheStatus, v any) {
-	total := time.Since(start)
-	w.Header().Set("Server-Timing", tr.ServerTiming(
-		"total;dur="+obs.FormatMillis(total),
-		`cache;desc="`+string(status)+`"`))
-	var n int
-	if r.URL.Query().Get("debug") == "timing" {
-		trace := TraceJSON{TotalMillis: millis(total), Cache: string(status)}
-		for _, st := range tr.Stages() {
-			trace.Stages = append(trace.Stages, TraceStageJSON{Name: st.Name, Millis: millis(st.Dur)})
-		}
-		n = writeJSON(w, http.StatusOK, DebugTimingResponse{
-			Trace:    trace,
-			Response: json.RawMessage(bytes.TrimSuffix(MarshalBody(v), []byte("\n"))),
-		})
-	} else {
-		n = writeJSON(w, http.StatusOK, v)
-	}
-	s.observeWire(route, formatJSON, n)
-	s.finishRequest(route, formatJSON, tr, start, status, nil)
-}
-
-// writeTracedBinary finishes a served sweep/extract response in the binary
-// format: the store's codec container written to the wire byte-for-byte —
-// what the scheduler returned is what the client's decoder (and the corpus)
-// sees, with no re-encode in between.  ?debug=timing has no binary framing;
-// the stage trace still travels in the Server-Timing header.
-func (s *Server) writeTracedBinary(w http.ResponseWriter, route string, tr *obs.Trace, start time.Time, status CacheStatus, payload []byte) {
-	total := time.Since(start)
-	w.Header().Set("Server-Timing", tr.ServerTiming(
-		"total;dur="+obs.FormatMillis(total),
-		`cache;desc="`+string(status)+`"`))
-	w.Header().Set("Content-Type", ctBinary)
-	w.Header().Set("Content-Length", strconv.Itoa(len(payload)))
-	w.WriteHeader(http.StatusOK)
-	w.Write(payload)
-	s.observeWire(route, formatBin, len(payload))
-	s.finishRequest(route, formatBin, tr, start, status, nil)
-}
-
-// observeWire records one finished corpus-route response body on the wire
-// accounting counters, by route and negotiated format.
-func (s *Server) observeWire(route, format string, bytes int) {
-	s.metrics.wireResponses.With(route, format).Inc()
-	s.metrics.wireBytes.With(route, format).Add(uint64(bytes))
-}
-
-// setCacheHeader marks how much of the body came from the run corpus: "hit"
-// (nothing computed), "partial" (assembled from cached and computed seeds),
-// or "miss" (everything computed).  The indicator lives in a header, not the
-// body, because cached, assembled and computed bodies are byte-identical by
-// design.
-func setCacheHeader(w http.ResponseWriter, status CacheStatus) {
-	w.Header().Set("X-Cache", string(status))
-}
 
 func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, catalogResponse())

@@ -733,40 +733,60 @@ func TestCatalogAndStatsEndpoints(t *testing.T) {
 
 func TestRequestValidation(t *testing.T) {
 	_, ts := newTestServer(t, "")
+	oversize := `{"scenario":"prop2.3-nudc","pad":"` + strings.Repeat("x", 1<<20) + `"}`
 	cases := []struct {
 		url  string
 		want int
+		post string // POST body; empty means GET
 	}{
-		{"/v1/sweep", http.StatusBadRequest},                                    // missing scenario
-		{"/v1/sweep?scenario=no-such-scenario", http.StatusNotFound},            // unknown name
-		{"/v1/sweep?scenario=prop2.3-nudc&seeds=999999", http.StatusBadRequest}, // over MaxSeeds
-		{"/v1/sweep?scenario=prop2.3-nudc&seeds=abc", http.StatusBadRequest},    // unparsable
-		{"/v1/sweep?scenario=prop2.3-nudc&adversary=nope", http.StatusNotFound}, // unknown adversary
-		{"/v1/extract", http.StatusBadRequest},                                  // missing extraction
-		{"/v1/extract?extraction=no-such-pipeline", http.StatusNotFound},        // unknown name
-		{"/v1/extract?extraction=kx-perfect&runs=-2", http.StatusBadRequest},    // bad runs
+		{"/v1/sweep", http.StatusBadRequest, ""},                                    // missing scenario
+		{"/v1/sweep?scenario=no-such-scenario", http.StatusNotFound, ""},            // unknown name
+		{"/v1/sweep?scenario=prop2.3-nudc&seeds=999999", http.StatusBadRequest, ""}, // over MaxSeeds
+		{"/v1/sweep?scenario=prop2.3-nudc&seeds=abc", http.StatusBadRequest, ""},    // unparsable
+		{"/v1/sweep?scenario=prop2.3-nudc&adversary=nope", http.StatusNotFound, ""}, // unknown adversary
+		{"/v1/extract", http.StatusBadRequest, ""},                                  // missing extraction
+		{"/v1/extract?extraction=no-such-pipeline", http.StatusNotFound, ""},        // unknown name
+		{"/v1/extract?extraction=kx-perfect&runs=-2", http.StatusBadRequest, ""},    // bad runs
+		{"/v1/sweep", http.StatusRequestEntityTooLarge, oversize},                   // body over the 1 MiB bound
 	}
 	for _, tc := range cases {
-		status, _, body := get(t, ts.URL+tc.url)
+		var status int
+		var body []byte
+		if tc.post == "" {
+			status, _, body = get(t, ts.URL+tc.url)
+		} else {
+			resp, err := http.Post(ts.URL+tc.url, "application/json", strings.NewReader(tc.post))
+			if err != nil {
+				t.Fatal(err)
+			}
+			status = resp.StatusCode
+			body, _ = io.ReadAll(resp.Body)
+			resp.Body.Close()
+		}
 		if status != tc.want {
-			t.Errorf("%s: HTTP %d, want %d (%s)", tc.url, status, tc.want, body)
+			t.Errorf("%s: HTTP %d, want %d (%.200s)", tc.url, status, tc.want, body)
 		}
 		var e struct {
 			Error string `json:"error"`
 		}
 		if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
-			t.Errorf("%s: error body %q not a JSON error", tc.url, body)
+			t.Errorf("%s: error body %.200q not a JSON error", tc.url, body)
 		}
 	}
 
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/sweep", nil)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("DELETE /v1/sweep: HTTP %d, want 405", resp.StatusCode)
+	for _, route := range []string{"/v1/sweep", "/v1/extract"} {
+		req, _ := http.NewRequest(http.MethodDelete, ts.URL+route, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusMethodNotAllowed {
+			t.Fatalf("DELETE %s: HTTP %d, want 405", route, resp.StatusCode)
+		}
+		if got := resp.Header.Get("Allow"); got != "GET, POST" {
+			t.Fatalf("DELETE %s: Allow = %q, want %q", route, got, "GET, POST")
+		}
 	}
 }
 

@@ -1,0 +1,62 @@
+package server
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"strings"
+	"testing"
+)
+
+// Size limits on the package's non-test functions — ROADMAP item 3's
+// function-length check, kept dependency-free so it runs in tier-1.
+const (
+	maxFuncLines  = 100
+	maxFuncParams = 6
+)
+
+// lengthExempt names the functions allowed past maxFuncLines, with the reason.
+var lengthExempt = map[string]string{
+	"newServerMetrics": "a flat list of metric registrations: no branching to untangle, and splitting it would only scatter the list",
+}
+
+// TestFunctionSizeLimits keeps the scheduler diet enforced: no function in
+// the package's non-test files runs past maxFuncLines or takes more than
+// maxFuncParams parameters.  A function that needs more is carrying several
+// jobs or threading state that belongs in a value (see window and request).
+func TestFunctionSizeLimits(t *testing.T) {
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, ".", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for _, pkg := range pkgs {
+		for path, file := range pkg.Files {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			for _, decl := range file.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if !ok {
+					continue
+				}
+				checked++
+				params := 0
+				for _, field := range fn.Type.Params.List {
+					params += max(1, len(field.Names))
+				}
+				if params > maxFuncParams {
+					t.Errorf("%s: %s takes %d parameters (limit %d)", path, fn.Name.Name, params, maxFuncParams)
+				}
+				lines := fset.Position(fn.End()).Line - fset.Position(fn.Pos()).Line + 1
+				if _, exempt := lengthExempt[fn.Name.Name]; lines > maxFuncLines && !exempt {
+					t.Errorf("%s: %s is %d lines (limit %d)", path, fn.Name.Name, lines, maxFuncLines)
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no functions found: the check is not looking at the package")
+	}
+}

@@ -39,18 +39,15 @@ import (
 // scheduler's emit callback; it runs on the request goroutine, so no
 // locking.
 type streamer struct {
-	w       http.ResponseWriter
-	flusher http.Flusher
-	format  string // formatNDJSON or formatBinStream
+	q       *request // q.format is formatNDJSON or formatBinStream
+	rc      *http.ResponseController
 	started bool
-	records int
 	bytes   int
 	frame   []byte // bin-stream frame scratch, reused across records
 }
 
-func newStreamer(w http.ResponseWriter, format string) *streamer {
-	fl, _ := w.(http.Flusher)
-	return &streamer{w: w, flusher: fl, format: format}
+func newStreamer(q *request) *streamer {
+	return &streamer{q: q, rc: http.NewResponseController(q.w)}
 }
 
 // begin sends the header block before the first record: the stream content
@@ -62,23 +59,22 @@ func (st *streamer) begin() {
 	}
 	st.started = true
 	ct := ctNDJSON
-	if st.format == formatBinStream {
+	if st.q.format == formatBinStream {
 		ct = ctBinStream
 	}
-	st.w.Header().Set("Content-Type", ct)
-	st.w.Header().Set("Trailer", "X-Cache, Server-Timing")
-	st.w.WriteHeader(http.StatusOK)
+	st.q.w.Header().Set("Content-Type", ct)
+	st.q.w.Header().Set("Trailer", "X-Cache, Server-Timing")
+	st.q.w.WriteHeader(http.StatusOK)
 }
 
 // write sends one record and flushes it to the socket, so clients observe
-// records as they resolve rather than at buffer boundaries.
+// records as they resolve rather than at buffer boundaries.  A failed flush
+// means the client is gone, which the request context reports.
 func (st *streamer) write(b []byte) {
 	st.begin()
-	n, _ := st.w.Write(b)
+	n, _ := st.q.w.Write(b)
 	st.bytes += n
-	if st.flusher != nil {
-		st.flusher.Flush()
-	}
+	_ = st.rc.Flush()
 }
 
 // writeFrame sends one length-prefixed container frame.
@@ -90,8 +86,7 @@ func (st *streamer) writeFrame(container []byte) {
 // emitOutcome is the scheduler's emit callback: one record per resolved
 // seed.
 func (st *streamer) emitOutcome(o workload.RunOutcome) {
-	st.records++
-	if st.format == formatNDJSON {
+	if st.q.format == formatNDJSON {
 		st.write(MarshalBody(outcomeJSON(o)))
 	} else {
 		st.writeFrame(store.EncodeOutcome(o))
@@ -102,28 +97,28 @@ func (st *streamer) emitOutcome(o workload.RunOutcome) {
 // It begins the stream if nothing was written yet: a stream with zero records
 // before its trailer must still send the header block first, so the values
 // land as the declared trailers rather than as ordinary headers.
-func (st *streamer) setTrailers(status CacheStatus, tr *obs.Trace, total time.Duration) {
+func (st *streamer) setTrailers(status CacheStatus) time.Duration {
 	st.begin()
-	st.w.Header().Set("X-Cache", string(status))
-	st.w.Header().Set("Server-Timing", tr.ServerTiming(
-		"total;dur="+obs.FormatMillis(total),
-		`cache;desc="`+string(status)+`"`))
+	return st.q.stamp(status)
 }
 
-// fail terminates the stream: a mid-stream failure (records already on the
+// finish ends the stream and records its wire accounting and trace, exactly
+// like the buffered paths.  A mid-stream failure (records already on the
 // wire, status line long gone) appends a well-formed error record in the
 // stream's own framing; a failure before the first record is an ordinary
 // JSON error response with its real status code.
-func (st *streamer) fail(err error) {
-	if !st.started {
-		writeError(st.w, err)
-		return
-	}
-	if st.format == formatNDJSON {
+func (st *streamer) finish(status CacheStatus, err error) {
+	switch {
+	case err == nil:
+	case !st.started:
+		writeError(st.q.w, err)
+	case st.q.format == formatNDJSON:
 		st.write(MarshalBody(errorResponse{Error: err.Error()}))
-	} else {
+	default:
 		st.writeFrame(store.EncodeStreamError(err.Error()))
 	}
+	st.q.observeWire(st.bytes)
+	st.q.finish(status, err)
 }
 
 // streamTrailerLine is the NDJSON trailer envelope: the one line of a
@@ -158,64 +153,47 @@ func traceJSON(tr *obs.Trace, total time.Duration, status CacheStatus) TraceJSON
 }
 
 // streamSweep serves one sweep request in a streamed format.
-func (s *Server) streamSweep(ctx context.Context, w http.ResponseWriter, req SweepRequest, tr *obs.Trace, start time.Time, format string) {
-	st := newStreamer(w, format)
-	payload, status, err := s.sched.Sweep(ctx, req, tr, st.emitOutcome)
-	if err == nil && format == formatNDJSON {
+func (q *request) streamSweep(ctx context.Context, req SweepRequest) {
+	st := newStreamer(q)
+	payload, status, err := q.s.sched.Sweep(ctx, req, q.tr, st.emitOutcome)
+	if err == nil && q.format == formatNDJSON {
 		var rec *store.SweepRecord
 		if rec, err = store.DecodeSweepRecord(payload); err == nil {
-			total := time.Since(start)
-			st.setTrailers(status, tr, total)
+			total := st.setTrailers(status)
 			st.write(MarshalBody(streamTrailerLine{Trailer: SweepTrailerJSON{
 				Aggregate: SweepAggregateOf(rec),
-				Trace:     traceJSON(tr, total, status),
+				Trace:     traceJSON(q.tr, total, status),
 			}}))
 		}
 	} else if err == nil {
 		// The assembled sweep container is the binary trailer, byte-identical
 		// to the buffered binary body.
-		st.setTrailers(status, tr, time.Since(start))
+		st.setTrailers(status)
 		st.writeFrame(payload)
 	}
-	if err != nil {
-		st.fail(err)
-	}
-	s.finishStream("/v1/sweep", st, tr, start, status, err)
+	st.finish(status, err)
 }
 
 // streamExtract serves one extraction request as NDJSON: verdict lines, then
 // the trailer.  The pipeline tail is one indivisible computation, so the
 // lines flush together once it lands — streaming here is about incremental
 // consumption of large verdict sets, not progressive compute.
-func (s *Server) streamExtract(ctx context.Context, w http.ResponseWriter, req ExtractRequest, tr *obs.Trace, start time.Time) {
-	st := newStreamer(w, formatNDJSON)
-	payload, status, err := s.sched.Extract(ctx, req, tr)
+func (q *request) streamExtract(ctx context.Context, req ExtractRequest) {
+	st := newStreamer(q)
+	payload, status, err := q.s.sched.Extract(ctx, req, q.tr)
 	var rec *store.ExtractionRecord
 	if err == nil {
 		rec, err = store.DecodeExtractionRecord(payload)
 	}
-	if err != nil {
-		st.fail(err)
-		s.finishStream("/v1/extract", st, tr, start, status, err)
-		return
+	if err == nil {
+		for _, v := range rec.Verdicts {
+			st.write(MarshalBody(verdictJSON(v)))
+		}
+		total := st.setTrailers(status)
+		st.write(MarshalBody(streamTrailerLine{Trailer: ExtractTrailerJSON{
+			Aggregate: ExtractAggregateOf(rec),
+			Trace:     traceJSON(q.tr, total, status),
+		}}))
 	}
-	for _, v := range rec.Verdicts {
-		st.records++
-		st.write(MarshalBody(verdictJSON(v)))
-	}
-	total := time.Since(start)
-	st.setTrailers(status, tr, total)
-	st.write(MarshalBody(streamTrailerLine{Trailer: ExtractTrailerJSON{
-		Aggregate: ExtractAggregateOf(rec),
-		Trace:     traceJSON(tr, total, status),
-	}}))
-	s.finishStream("/v1/extract", st, tr, start, status, nil)
-}
-
-// finishStream records a finished stream's wire accounting and finishes its
-// trace — stage histograms, the trace-log record, and the structured
-// slow-request log, exactly like the buffered paths.
-func (s *Server) finishStream(route string, st *streamer, tr *obs.Trace, start time.Time, status CacheStatus, err error) {
-	s.observeWire(route, st.format, st.bytes)
-	s.finishRequest(route, st.format, tr, start, status, err)
+	st.finish(status, err)
 }

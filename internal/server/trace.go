@@ -1,9 +1,7 @@
 package server
 
 import (
-	"context"
 	"fmt"
-	"log/slog"
 	"net/http"
 	"strconv"
 	"strings"
@@ -34,54 +32,6 @@ func (s *Server) beginTrace(r *http.Request) *obs.Trace {
 		tr.ID = obs.NewTraceID()
 	}
 	return tr
-}
-
-// finishRequest is every sweep/extract exit path's final step: it feeds the
-// trace's stages to the duration histograms, records the finished trace in
-// the log (errors always retain), and emits the structured slow-request log.
-func (s *Server) finishRequest(route, format string, tr *obs.Trace, start time.Time, status CacheStatus, err error) {
-	total := time.Since(start)
-	for _, stage := range tr.Stages() {
-		s.metrics.stageDuration.With(stage.Name).Observe(stage.Dur.Seconds())
-	}
-	rec := &obs.TraceRecord{
-		ID:       tr.ID,
-		Parent:   tr.Parent,
-		Route:    route,
-		Format:   format,
-		Start:    start,
-		Duration: total,
-		Cache:    string(status),
-		Stages:   tr.Stages(),
-		Links:    tr.Links(),
-		Seeds:    tr.Seeds(),
-	}
-	if err != nil {
-		rec.Error = err.Error()
-		rec.Cache = ""
-	}
-	s.traces.Record(rec)
-	if s.slow > 0 && total >= s.slow {
-		attrs := []slog.Attr{
-			slog.String("trace", tr.ID.String()),
-			slog.String("route", route),
-			slog.String("format", format),
-			slog.String("cache", string(status)),
-			slog.Duration("total", total),
-			slog.Int("seeds", tr.Seeds().Requested),
-			slog.String("stages", tr.ServerTiming()),
-		}
-		if err != nil {
-			attrs = append(attrs, slog.String("error", err.Error()))
-		}
-		s.logger.LogAttrs(context.Background(), slog.LevelWarn, "slow request", attrs...)
-	}
-}
-
-// failRequest answers a failed sweep/extract request and finishes its trace.
-func (s *Server) failRequest(w http.ResponseWriter, route, format string, tr *obs.Trace, start time.Time, err error) {
-	writeError(w, err)
-	s.finishRequest(route, format, tr, start, "", err)
 }
 
 // TraceSummaryJSON is one trace as listed by /debug/traces.

@@ -77,59 +77,6 @@ func TestSerialAndParallelSweepsAreByteIdentical(t *testing.T) {
 	}
 }
 
-// TestSubsetSweepsMergeByteIdentical locks the partial-hit serving contract:
-// sweeping disjoint (even interleaved) subsets of a seed window and merging
-// the per-seed outcomes — in any source order — must reproduce the full
-// serial sweep byte for byte.
-func TestSubsetSweepsMergeByteIdentical(t *testing.T) {
-	seeds := workload.Seeds(31337, 12)
-	for _, name := range []string{"prop3.1-strong-udc", "adv-targeted-final-fd"} {
-		sc := registry.MustScenario(name)
-		serial, err := workload.Sweep(sc.Spec, seeds, sc.Eval)
-		if err != nil {
-			t.Fatalf("%s: serial sweep: %v", name, err)
-		}
-		want := outcomesJSON(t, serial)
-
-		// Interleaved subsets: evens and odds, swept independently.
-		var evens, odds []int64
-		for i, s := range seeds {
-			if i%2 == 0 {
-				evens = append(evens, s)
-			} else {
-				odds = append(odds, s)
-			}
-		}
-		runner := workload.Runner{Workers: 3}
-		a, err := runner.Sweep(sc.Spec, evens, sc.Eval)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := runner.Sweep(sc.Spec, odds, sc.Eval)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, sources := range [][][]workload.RunOutcome{
-			{a.Outcomes, b.Outcomes},
-			{b.Outcomes, a.Outcomes},
-			{b.Outcomes, a.Outcomes, b.Outcomes}, // overlapping sources are fine
-		} {
-			merged, err := workload.MergeOutcomes(seeds, sources...)
-			if err != nil {
-				t.Fatalf("%s: merge: %v", name, err)
-			}
-			got := outcomesJSON(t, workload.SweepResult{Spec: sc.Spec, Outcomes: merged})
-			if got != want {
-				t.Errorf("%s: merged subset sweeps differ from the full serial sweep", name)
-			}
-		}
-
-		if _, err := workload.MergeOutcomes(seeds, a.Outcomes); err == nil {
-			t.Errorf("%s: merge with missing seeds did not fail", name)
-		}
-	}
-}
-
 // TestRunAllMatchesSweepAll pins that the run-retaining path scores exactly
 // like the outcome-only path, and that a nil evaluator simulates without
 // scoring.

@@ -112,33 +112,6 @@ func ScoreRun(res *sim.Result, seed int64, eval Evaluator) RunOutcome {
 	return outcome
 }
 
-// MergeOutcomes assembles the outcome sequence for the requested seeds from
-// any mix of per-seed sources: cached corpus records, freshly computed
-// subsets, results joined from concurrent requests.  Sources may overlap and
-// arrive in any order — per-seed outcomes are deterministic functions of
-// (spec, seed), so the first source holding a seed is as good as any — and
-// the merged aggregate is byte-identical to one full serial sweep of the same
-// seeds.  It fails if any requested seed is covered by no source.
-func MergeOutcomes(seeds []int64, sources ...[]RunOutcome) ([]RunOutcome, error) {
-	bySeed := make(map[int64]RunOutcome, len(seeds))
-	for _, src := range sources {
-		for _, o := range src {
-			if _, ok := bySeed[o.Seed]; !ok {
-				bySeed[o.Seed] = o
-			}
-		}
-	}
-	merged := make([]RunOutcome, len(seeds))
-	for i, seed := range seeds {
-		o, ok := bySeed[seed]
-		if !ok {
-			return nil, fmt.Errorf("workload: merge is missing seed %d", seed)
-		}
-		merged[i] = o
-	}
-	return merged, nil
-}
-
 // Sweep runs the scenario for every seed, serially on one engine, and
 // evaluates each run with eval.  It is the reference implementation for
 // Runner, which distributes the same work over a pool of engines.

@@ -66,8 +66,8 @@ bench:
 # printing per-benchmark ns/op deltas (plus B/op and allocs/op movements)
 # and flagging regressions (non-zero exit with FAIL_ON_REGRESS=1).
 # REGRESS_THRESHOLD widens the default 10% growth cutoff and MIN_NS sets a
-# noise floor below which benchmarks are never flagged — the CI gate uses
-# both, because it compares snapshots recorded in different sessions.
+# noise floor below which benchmarks are never flagged — both matter when
+# the snapshots were recorded in different sessions.
 bench-compare:
 	@prev=$$(ls BENCH_*.json 2>/dev/null | sort -t_ -k2 -n | tail -2 | head -1); \
 	latest=$$(ls BENCH_*.json 2>/dev/null | sort -t_ -k2 -n | tail -1); \

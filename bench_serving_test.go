@@ -113,21 +113,6 @@ func BenchmarkCodec(b *testing.B) {
 			}
 		}
 	})
-	// decode-bin-arena is decode-bin-owned with the owning copies carved from
-	// a reused CloneArena: the allocation cliff of the owned variant (three
-	// allocations per run) amortises to zero in steady state.
-	b.Run(fmt.Sprintf("decode-bin-arena/runs=%d", len(runs)), func(b *testing.B) {
-		b.ReportAllocs()
-		arena := model.NewCloneArena()
-		for i := 0; i < b.N; i++ {
-			arena.Reset()
-			for _, data := range encoded {
-				if _, err := store.DecodeRunInto(arena, data); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
 	b.Run(fmt.Sprintf("decode-json/runs=%d", len(runs)), func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, doc := range jsonDocs {

@@ -2,8 +2,8 @@
 // catalogued scenarios and knowledge-extraction pipelines over an HTTP JSON
 // API backed by the content-addressed run-corpus store.  Identical requests
 // are answered from the cache (or coalesced while in flight), distinct
-// concurrent sweeps batch onto one shared worker-fleet pass, and every
-// response is byte-identical to a direct serial computation.
+// concurrent sweeps take turns on the shared worker fleet, one pass at a
+// time, and every response is byte-identical to a direct serial computation.
 //
 // Usage:
 //
@@ -77,21 +77,20 @@ func main() {
 }
 
 type options struct {
-	addr        string
-	storeDir    string
-	workers     int
-	batchWindow time.Duration
-	memEntries  int
-	memBytes    int64
-	stats       bool
-	pprof       bool
-	slowLog     time.Duration
-	logFormat   string
-	traceLog    int
-	rateLimit   float64
-	rateBurst   int
-	maxQueue    int
-	reqTimeout  time.Duration
+	addr       string
+	storeDir   string
+	workers    int
+	memEntries int
+	memBytes   int64
+	stats      bool
+	pprof      bool
+	slowLog    time.Duration
+	logFormat  string
+	traceLog   int
+	rateLimit  float64
+	rateBurst  int
+	maxQueue   int
+	reqTimeout time.Duration
 
 	drainTimeout time.Duration
 	fleetPeers   string
@@ -107,7 +106,6 @@ func parseOptions(args []string) (options, error) {
 	fs.StringVar(&o.addr, "addr", "127.0.0.1:8080", "listen address (port 0 picks a free port, printed on startup)")
 	fs.StringVar(&o.storeDir, "store", ".udcd-store", "run-corpus store directory (empty = memory-only, nothing persisted)")
 	fs.IntVar(&o.workers, "workers", 0, "worker-fleet size shared by all computations (0 = GOMAXPROCS)")
-	fs.DurationVar(&o.batchWindow, "batch-window", 0, "how long to collect concurrent sweep requests into one fleet pass (0 = 2ms)")
 	fs.IntVar(&o.memEntries, "mem-entries", 0, "in-memory cache entry bound (0 = 256, negative disables the memory layer)")
 	fs.Int64Var(&o.memBytes, "mem-bytes", 0, "in-memory cache byte bound (0 = 64 MiB)")
 	fs.BoolVar(&o.stats, "stats", false, "query the daemon running at -addr for its counters (full/partial/miss hits, seed traffic, store layers) and exit")
@@ -145,8 +143,7 @@ func printStats(w io.Writer, baseURL string) error {
 		sch.Requests, sch.FullHits, sch.PartialHits, sch.Misses, sch.Coalesced, sch.Errors)
 	fmt.Fprintf(w, "seeds: requested=%d cached=%d computed=%d coalesced=%d remote=%d\n",
 		sch.SeedsRequested, sch.SeedsCached, sch.SeedsComputed, sch.SeedsCoalesced, sch.SeedsRemote)
-	fmt.Fprintf(w, "fleet: jobs=%d batches=%d batchedTasks=%d putErrors=%d\n",
-		sch.Computed, sch.Batches, sch.BatchedTasks, sch.PutErrors)
+	fmt.Fprintf(w, "fleet: jobs=%d putErrors=%d\n", sch.Computed, sch.PutErrors)
 	fmt.Fprintf(w, "store: memHits=%d diskHits=%d misses=%d puts=%d corrupt=%d evictions=%d memEntries=%d memBytes=%d\n",
 		st.MemHits, st.DiskHits, st.Misses, st.Puts, st.CorruptEntries, st.Evictions, st.MemEntries, st.MemBytes)
 	fmt.Fprintf(w, "versions: engine=%d codec=%d\n", stats.EngineVersion, stats.CodecVersion)
@@ -290,7 +287,6 @@ func buildServer(o options) (*server.Server, error) {
 	return server.New(server.Config{
 		Store:          st,
 		Workers:        o.workers,
-		BatchWindow:    o.batchWindow,
 		Pprof:          o.pprof,
 		SlowRequest:    o.slowLog,
 		Logger:         logger,

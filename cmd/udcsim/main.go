@@ -23,8 +23,8 @@
 //
 // Recorded runs can be written in the compact binary container (-o run.bin,
 // -format bin|json) and decoded again (-decode run.bin); with -remote the
-// sweep is served by a udcd daemon — cached, coalesced and batched — instead
-// of simulating locally:
+// sweep is served by a udcd daemon — cached and coalesced — instead of
+// simulating locally:
 //
 //	udcsim -protocol strong -o run.bin
 //	udcsim -decode run.bin

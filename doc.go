@@ -24,8 +24,9 @@
 // deterministic fault-injection transport (internal/fleet), and the udcd
 // daemon itself — content negotiation across JSON/binary/streamed wire
 // formats, seed-granular scheduling (one slot-indexed window resolution per
-// request: corpus read, flight-table claim, local round beside remote
-// claims, join collection), queue-aware admission control,
+// request: corpus read, flight-table claim, a local fleet pass — one at a
+// time, under the scheduler's pass token — beside remote claims, join
+// collection), queue-aware admission control,
 // fault-tolerant fleet mode (sharded peers, claim RPCs, hedged reads,
 // degraded-mode local fallback, /v1/fleet), graceful drain (/readyz),
 // request-scoped tracing with span links across coalesced requests

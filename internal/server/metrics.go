@@ -93,12 +93,8 @@ func newServerMetrics(sched *scheduler, st *store.Store, traces *obs.TraceLog, f
 		"Seeds this server actually simulated.")
 	seedsCoalesced := reg.Counter("udc_scheduler_seeds_coalesced_total",
 		"Seeds joined from concurrent requests' in-flight computations.")
-	fleetJobs := reg.Counter("udc_scheduler_fleet_jobs_total",
-		"Jobs executed on the worker fleet (batched simulation passes and extraction pipeline tails).")
-	batches := reg.Counter("udc_scheduler_batches_total",
-		"Dispatcher rounds run on the worker fleet.")
-	batchedTasks := reg.Counter("udc_scheduler_batched_tasks_total",
-		"Jobs carried by dispatcher rounds; ratio to batches above 1 means concurrent requests shared fleet passes.")
+	jobs := reg.Counter("udc_scheduler_fleet_jobs_total",
+		"Jobs executed on the worker fleet, one pass each (missing-seed simulation passes and extraction pipeline tails).")
 	putErrors := reg.Counter("udc_scheduler_put_errors_total",
 		"Computed payloads that could not be persisted (results still served; a degraded store, not failing requests).")
 	indexReuses := reg.Counter("udc_scheduler_index_reuses_total",
@@ -106,7 +102,7 @@ func newServerMetrics(sched *scheduler, st *store.Store, traces *obs.TraceLog, f
 	indexedRunsReused := reg.Counter("udc_scheduler_indexed_runs_reused_total",
 		"Already-indexed source runs that index reuses skipped re-filtering and re-indexing.")
 	queueDepth := reg.Gauge("udc_scheduler_queue_depth",
-		"Fleet jobs submitted and not yet completed.")
+		"Fleet jobs waiting for the pass token or running under it.")
 	seedClaims := reg.Gauge("udc_scheduler_inflight_seed_claims",
 		"Seeds currently claimed in the seed-level flight table.")
 
@@ -193,9 +189,7 @@ func newServerMetrics(sched *scheduler, st *store.Store, traces *obs.TraceLog, f
 		seedsCached.Set(ss.SeedsCached)
 		seedsComputed.Set(ss.SeedsComputed)
 		seedsCoalesced.Set(ss.SeedsCoalesced)
-		fleetJobs.Set(ss.Computed)
-		batches.Set(ss.Batches)
-		batchedTasks.Set(ss.BatchedTasks)
+		jobs.Set(ss.Computed)
 		putErrors.Set(ss.PutErrors)
 		indexReuses.Set(ss.IndexReuses)
 		indexedRunsReused.Set(ss.IndexedRunsReused)

@@ -54,7 +54,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"udc_scheduler_seeds_cached_total",
 		"udc_scheduler_seeds_computed_total",
 		"udc_scheduler_seeds_coalesced_total",
-		"udc_scheduler_batches_total",
+		"udc_scheduler_fleet_jobs_total",
 		"udc_scheduler_queue_depth",
 		"udc_store_misses_total",
 		"udc_store_puts_total",

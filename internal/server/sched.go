@@ -80,8 +80,8 @@ type SchedulerStats struct {
 	// = SeedsRequested; seeds whose remote claim failed or was hedged into
 	// a local recompute land in SeedsComputed (they were simulated here).
 	SeedsRemote uint64 `json:"seedsRemote"`
-	// Computed counts jobs executed on the worker fleet: batched
-	// missing-seed simulation passes and extraction pipeline tails.
+	// Computed counts jobs executed on the worker fleet: missing-seed
+	// simulation passes and extraction pipeline tails.
 	Computed uint64 `json:"computed"`
 	// Errors counts requests that failed (unknown names, compute errors,
 	// admission rejections).
@@ -95,9 +95,10 @@ type SchedulerStats struct {
 	// PutErrors > 0 with Errors = 0 means a degraded store, not failing
 	// requests.
 	PutErrors uint64 `json:"putErrors"`
-	// Batches and BatchedTasks count dispatcher rounds and the jobs they
-	// carried; BatchedTasks/Batches > 1 means distinct concurrent requests
-	// shared a worker-fleet pass.
+	// Batches and BatchedTasks both count fleet passes, exactly as Computed
+	// does: every pass carries one job.  They are kept only because udcbench
+	// reads them for server.tasks_per_batch, and go with that metric in the
+	// next benchmark PR.
 	Batches      uint64 `json:"batches"`
 	BatchedTasks uint64 `json:"batchedTasks"`
 	// IndexReuses counts extraction requests whose epistemic index was
@@ -140,7 +141,7 @@ func abandoned(ctx context.Context) error {
 
 // ownerLocal reports whether a failed seed computation's error is local to
 // the request that owned the claim rather than to the computation itself: an
-// admission shed (the owner's submit drew the 429) or an abandonment (the
+// admission shed (the owner's fleet job drew the 429) or an abandonment (the
 // owner's client went away).  Neither says anything about a request that
 // merely joined the claim, so joiners re-claim and recompute such seeds.
 func ownerLocal(err error) bool {
@@ -227,30 +228,6 @@ type seedCall struct {
 	err     error
 }
 
-// fleetJob is one queued computation awaiting a dispatcher round: either a
-// missing-seed simulation task (batched with the round's other seed tasks
-// into one RunAll pass) or an extraction pipeline tail over already
-// materialised source runs (run on the same fleet after the round's
-// simulation pass).
-type fleetJob struct {
-	runs    *workload.Task
-	extract *workload.Extraction
-	// sampled holds the extraction's source runs not yet covered by exState:
-	// the full window for a fresh pipeline, only the tail seeds when a cached
-	// index prefix is being extended.
-	sampled model.System
-	// exState is the extraction's claimed index state; the tail feeds it the
-	// sampled delta via ExtendExtraction.  Always non-nil for extraction jobs.
-	exState  *workload.ExtractionState
-	done     chan struct{}
-	seedRuns []workload.SeedRun
-	exResult *workload.ExtractionResult
-	err      error
-}
-
-// maxBatch bounds the number of jobs one dispatcher round carries.
-const maxBatch = 64
-
 // maxClaimPasses bounds window.resolve's claim/join passes: the first pass plus
 // re-claims of seeds whose joined owner failed with an owner-local error
 // (shed or abandoned) that says nothing about this request.
@@ -260,14 +237,13 @@ const maxClaimPasses = 3
 // resolves into (cached seeds ∪ missing seeds): the cached side is served
 // from per-seed corpus records, the missing side is claimed in a seed-level
 // flight table — so concurrent overlapping requests each compute only the
-// seeds nobody else is computing — and funnelled through a single dispatcher
-// that batches all claims into one worker-fleet pass.  Responses assemble
-// from the union, byte-identical to a direct serial computation.
+// seeds nobody else is computing — and computed by the claiming request
+// itself in one worker-fleet pass, one pass at a time (runPass).  Responses
+// assemble from the union, byte-identical to a direct serial computation.
 type scheduler struct {
-	store       *store.Store
-	runner      workload.Runner
-	batchWindow time.Duration
-	// maxQueue is the queue-depth admission gate: when positive, a submit
+	store  *store.Store
+	runner workload.Runner
+	// maxQueue is the queue-depth admission gate: when positive, a fleet job
 	// that would raise pending past it is shed with 429 instead of queued
 	// (cache hits still serve — the gate guards compute, not reads).  Zero
 	// disables the gate; negative admits nothing (drain mode).
@@ -292,115 +268,38 @@ type scheduler struct {
 	// runs outside the lock.
 	exstates map[store.Key]*workload.ExtractionState
 	// stats is guarded by mu.  Every mutation — count(), finish(), and the
-	// few direct s.stats.X++ increments in dispatch() and Extract() — must
+	// few direct s.stats.X++ increments in account() and Extract() — must
 	// hold mu; the direct increments are legal only because their enclosing
 	// blocks already own the lock, and each is annotated at the site.  The
 	// race test TestConcurrentExtractCoalescedAccounting exercises the
 	// direct-increment paths under -race.
 	stats SchedulerStats
 
-	// pending counts fleet jobs submitted and not yet completed — the queue
-	// depth an admission controller (and the /metrics gauge) watches.
+	// pending counts fleet jobs waiting for the pass token or running under
+	// it — the queue depth an admission controller (and the /metrics gauge)
+	// watches.
 	pending atomic.Int64
 
-	fleetq chan *fleetJob
-	quit   chan struct{}
-	wg     sync.WaitGroup
+	// pass is the one-token channel a fleet job holds while it runs, so at
+	// most one fleet pass is ever active: each pass already spreads over
+	// every worker, and slot-indexed distribution makes its results identical
+	// to a dedicated serial computation.  quit fails the jobs still waiting
+	// for the token once the server is closed.
+	pass chan struct{}
+	quit chan struct{}
 }
 
-func newScheduler(st *store.Store, workers int, batchWindow time.Duration, maxQueue int) *scheduler {
-	if batchWindow <= 0 {
-		batchWindow = 2 * time.Millisecond
-	}
-	s := &scheduler{
-		store:       st,
-		runner:      workload.Runner{Workers: workers},
-		batchWindow: batchWindow,
-		maxQueue:    maxQueue,
-		inflight:    make(map[store.Key]*call),
-		seedflight:  make(map[store.Key]*seedCall),
-		sources:     make(map[string]*SourceStats),
-		exstates:    make(map[store.Key]*workload.ExtractionState),
-		fleetq:      make(chan *fleetJob),
-		quit:        make(chan struct{}),
-	}
-	s.wg.Add(1)
-	go s.dispatch()
-	return s
-}
-
-// close stops the dispatcher.  Pending jobs are completed first because
-// submitters hold references to their jobs, not to the queue.
-func (s *scheduler) close() {
-	close(s.quit)
-	s.wg.Wait()
-}
-
-// dispatch is the batcher: it blocks for one queued job, keeps draining the
-// queue for the batch window (or until the batch is full), then runs the
-// round on the shared fleet — all missing-seed tasks as a single RunAll pass,
-// extraction tails one after another (each is internally parallel across the
-// same worker count).  At most one fleet pass is ever active, and
-// slot-indexed distribution makes each task's results identical to a
-// dedicated serial computation, so the sharing is invisible in the responses.
-func (s *scheduler) dispatch() {
-	defer s.wg.Done()
-	for {
-		var first *fleetJob
-		select {
-		case first = <-s.fleetq:
-		case <-s.quit:
-			return
-		}
-		jobs := []*fleetJob{first}
-		timer := time.NewTimer(s.batchWindow)
-	drain:
-		for len(jobs) < maxBatch {
-			select {
-			case job := <-s.fleetq:
-				jobs = append(jobs, job)
-			case <-timer.C:
-				break drain
-			}
-		}
-		timer.Stop()
-
-		var runJobs []*fleetJob
-		var tails []*fleetJob
-		for _, job := range jobs {
-			if job.runs != nil {
-				runJobs = append(runJobs, job)
-			} else {
-				tails = append(tails, job)
-			}
-		}
-
-		if len(runJobs) > 0 {
-			tasks := make([]workload.Task, len(runJobs))
-			for i, job := range runJobs {
-				tasks[i] = *job.runs
-			}
-			results, err := s.runner.RunAll(tasks)
-			for i, job := range runJobs {
-				if err != nil {
-					job.err = err
-				} else {
-					job.seedRuns = results[i]
-				}
-				close(job.done)
-			}
-		}
-		for _, job := range tails {
-			job.exResult, job.err = s.runner.ExtendExtraction(*job.extract, job.exState, job.sampled)
-			close(job.done)
-		}
-
-		// Direct stats increments: legal because this block owns mu.
-		s.mu.Lock()
-		s.stats.Batches++
-		s.stats.BatchedTasks += uint64(len(jobs))
-		s.stats.Computed += uint64(len(runJobs) + len(tails))
-		s.mu.Unlock()
+func newScheduler(st *store.Store, workers, maxQueue int) *scheduler {
+	return &scheduler{
+		store:      st,
+		runner:     workload.Runner{Workers: workers},
+		maxQueue:   maxQueue,
+		inflight:   make(map[store.Key]*call),
+		seedflight: make(map[store.Key]*seedCall),
+		sources:    make(map[string]*SourceStats),
+		exstates:   make(map[store.Key]*workload.ExtractionState),
+		pass:       make(chan struct{}, 1),
+		quit:       make(chan struct{}),
 	}
 }
 
@@ -442,32 +341,34 @@ func (s *scheduler) releaseExtractionState(id store.Key, st *workload.Extraction
 	s.exstates[id] = st
 }
 
-// submit hands one job to the dispatcher and waits for its round.  pending
-// brackets the wait so the queue-depth gauge sees jobs from the moment they
-// contend for a round until their round completes — and so the admission gate
-// reads the same signal /metrics exposes.  The pre-handoff select honours the
-// request context (fleetq is unbuffered, so a job is either fully handed to a
-// round or not at all); once handed off, the round is bounded, so the wait is
-// unconditional.
-func (s *scheduler) submit(ctx context.Context, job *fleetJob) error {
+// runPass runs one fleet job — a missing-seed simulation pass or an
+// extraction pipeline tail — on the calling request's goroutine, under the
+// pass token.  pending brackets the wait and the run, so the queue-depth gauge
+// sees jobs from the moment they contend for the token until they finish — and
+// so the admission gate reads the same signal /metrics exposes.  The wait
+// honours the request context and the server's Close; once the token is held
+// the job is bounded, so it runs to completion.
+func (s *scheduler) runPass(ctx context.Context, job func() error) error {
 	n := s.pending.Add(1)
 	defer s.pending.Add(-1)
 	if s.maxQueue != 0 && (s.maxQueue < 0 || n > int64(s.maxQueue)) {
-		return overloaded(fmt.Errorf("server: compute queue full (%d pending, limit %d)", n-1, s.maxQueue), s.batchWindow+time.Second)
+		return overloaded(fmt.Errorf("server: compute queue full (%d pending, limit %d)", n-1, s.maxQueue), time.Second)
 	}
 	select {
-	case s.fleetq <- job:
+	case s.pass <- struct{}{}:
 	case <-ctx.Done():
 		return abandoned(ctx)
 	case <-s.quit:
 		return fmt.Errorf("server: scheduler shut down")
 	}
-	<-job.done
-	return job.err
+	err := job()
+	<-s.pass
+	s.count(func(st *SchedulerStats) { st.Computed++; st.Batches++; st.BatchedTasks++ })
+	return err
 }
 
 // gauges samples the scheduler's live occupancy for the /metrics endpoint:
-// fleet jobs submitted and not yet completed, and seeds currently claimed in
+// fleet jobs waiting or running, and seeds currently claimed in
 // the seed-level flight table.
 func (s *scheduler) gauges() (queueDepth, inflightSeeds int64) {
 	queueDepth = s.pending.Load()
@@ -717,9 +618,12 @@ func (s *scheduler) extractMiss(ctx context.Context, req ExtractRequest, sc regi
 			return nil, CacheMiss, err
 		}
 	}
-	job := &fleetJob{extract: ext, sampled: w.runs, exState: exState, done: make(chan struct{})}
+	var result *workload.ExtractionResult
 	tailSpan := tr.Span("compute")
-	err := s.submit(ctx, job)
+	err := s.runPass(ctx, func() (err error) {
+		result, err = s.runner.ExtendExtraction(*ext, exState, w.runs)
+		return err
+	})
 	tailSpan.End()
 	if err != nil {
 		return nil, CacheMiss, err
@@ -729,7 +633,7 @@ func (s *scheduler) extractMiss(ctx context.Context, req ExtractRequest, sc regi
 	}
 	encodeSpan := tr.Span("assemble")
 	defer encodeSpan.End()
-	payload := store.EncodeExtractionRecord(store.NewExtractionRecord(req.Adversary, sc.Stress, job.exResult))
+	payload := store.EncodeExtractionRecord(store.NewExtractionRecord(req.Adversary, sc.Stress, result))
 	// The pipeline tail always runs on a request-level miss, so cached source
 	// runs or a reused index prefix make the response partial, never a hit.
 	if counts.Cached > 0 || reused > 0 {

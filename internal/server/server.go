@@ -4,14 +4,14 @@
 // granularity into (cached seeds ∪ missing seeds): cached seeds decode from
 // per-seed corpus records, missing seeds are claimed in a seed-level flight
 // table — so concurrent overlapping requests share work instead of
-// duplicating it — and computed in one batched pass of the shared worker
-// fleet.  Responses assemble from the union (X-Cache: hit | partial | miss),
-// extraction pipelines reuse cached per-seed source runs for their simulate
-// stage, and every response is byte-identical to a direct serial
-// workload.Sweep / Runner.Extract call.  window.go holds that resolution
-// (one slot-indexed window value per request, its stages as methods);
-// request.go holds the shared ingress (admit) and the per-request value that
-// every response is stamped, counted and traced through.
+// duplicating it — and computed by the request that claimed them, in one pass
+// of the shared worker fleet at a time.  Responses assemble from the union
+// (X-Cache: hit | partial | miss), extraction pipelines reuse cached per-seed
+// source runs for their simulate stage, and every response is byte-identical
+// to a direct serial workload.Sweep / Runner.Extract call.  window.go holds
+// that resolution (one slot-indexed window value per request, its stages as
+// methods); request.go holds the shared ingress (admit) and the per-request
+// value that every response is stamped, counted and traced through.
 //
 // Endpoints:
 //
@@ -70,9 +70,6 @@ type Config struct {
 	// Workers is the worker-fleet size (0 = GOMAXPROCS), shared by all
 	// computations.
 	Workers int
-	// BatchWindow is how long the dispatcher keeps collecting concurrent
-	// sweep requests into one worker-fleet pass (0 = 2ms).
-	BatchWindow time.Duration
 	// Pprof mounts net/http/pprof's profiling handlers under /debug/pprof/.
 	// Off by default: profiles expose internals, so the operator opts in.
 	Pprof bool
@@ -144,7 +141,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		store:      st,
-		sched:      newScheduler(st, cfg.Workers, cfg.BatchWindow, cfg.MaxQueue),
+		sched:      newScheduler(st, cfg.Workers, cfg.MaxQueue),
 		mux:        http.NewServeMux(),
 		traces:     obs.NewTraceLog(cfg.TraceCapacity, cfg.SlowRequest),
 		reqTimeout: cfg.RequestTimeout,
@@ -237,8 +234,9 @@ func (s *Server) Store() *store.Store { return s.store }
 // SchedulerStats returns a snapshot of the scheduler's counters.
 func (s *Server) SchedulerStats() SchedulerStats { return s.sched.Stats() }
 
-// Close stops the scheduler's dispatcher.  In-flight requests complete first.
-func (s *Server) Close() { s.sched.close() }
+// Close fails the fleet jobs still waiting for the pass token; the one running
+// completes, as does everything served from the corpus.  Call it once.
+func (s *Server) Close() { close(s.sched.quit) }
 
 // BeginDrain flips the server into drain mode: /readyz turns 503, corpus
 // routes stop admitting new work (503 + Retry-After), and in-flight requests

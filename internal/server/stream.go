@@ -12,7 +12,7 @@ import (
 
 // Streamed responses.  A streamed sweep emits one record per seed as the
 // scheduler's flight table resolves it — cached seeds flush immediately,
-// computed seeds flush as their fleet batch lands — then a trailer record
+// computed seeds flush as their fleet pass lands — then a trailer record
 // with the aggregate, so a 10k-seed window renders progressively instead of
 // buffering.  Records arrive in resolution order, not seed order (each is
 // self-describing via its seed field); the buffered body remains the

@@ -30,8 +30,8 @@ const (
 // missing) and runs the stages in order: readCorpus decodes cached seeds from
 // per-seed records; claim registers the rest in the flight table — atomically,
 // so no two requests compute the same seed — joining any already in flight;
-// computeOwned simulates this request's claims (computeLocal: one dispatcher
-// round, written back as per-seed records; launchClaims / collectClaims: fleet
+// computeOwned simulates this request's claims (computeLocal: one fleet pass,
+// written back as per-seed records; launchClaims / collectClaims: fleet
 // peers' claim RPCs, with hedge and fallback); collectJoins gathers what
 // concurrent requests computed; account tallies the result.
 //
@@ -69,7 +69,7 @@ type window struct {
 	// "persist" and the final tally under "assemble".
 	tr *obs.Trace
 	// emit, when non-nil, observes every outcome as its slot settles — cached
-	// seeds during the corpus read, computed and remote seeds when their round
+	// seeds during the corpus read, computed and remote seeds when their pass
 	// or claim lands, joined seeds as their owners publish them; it is how
 	// streamed responses flush progressively.
 	emit func(workload.RunOutcome)
@@ -96,7 +96,7 @@ type join struct {
 // those claims do not inherit this request's failure.
 //
 // The loop exists for the joiners: a joined owner can fail with an error that
-// is local to it (its submit was shed by the admission gate, or its client
+// is local to it (its fleet job was shed by the admission gate, or its client
 // disconnected and its context expired), which says nothing about this
 // request.  Those slots stay open and the next pass re-claims them — an owner
 // deregisters its flight entries before publishing failure, so the retry
@@ -104,7 +104,7 @@ type join struct {
 // joins a fresh owner.  Passes are bounded; an owner-local error that survives
 // them is re-tagged by coalesceUpstream so the joiner's client is answered
 // with a retryable 503 rather than a status it never earned.  This request's
-// own submit errors propagate unmodified.
+// own runPass errors propagate unmodified.
 func (w *window) resolve() (obs.SeedCounts, error) {
 	n := len(w.seeds)
 	w.keys = store.SeedKeys(w.source, w.adversary, w.seeds)
@@ -262,8 +262,8 @@ func (w *window) claim() (owned []int, joins []join) {
 }
 
 // computeOwned simulates the claimed slots — remote-owned scenario seeds via
-// their peers' claim RPCs, launched first so they overlap the local round, the
-// rest in one local dispatcher round — and publishes every one of them
+// their peers' claim RPCs, launched first so they overlap the local pass, the
+// rest in one local fleet pass — and publishes every one of them
 // (outcome or failure) to any requests that joined.  Failed, suspect or slow
 // peers degrade to local recompute (see the fleet commentary in fleet.go), so
 // the resolution is identical either way.
@@ -284,10 +284,10 @@ func (w *window) computeOwned(owned []int) error {
 	return err
 }
 
-// computeLocal simulates idxs in one dispatcher round, persists them as
-// per-seed records and settles them.  It serves the local partition, the
-// hedge, and degraded-mode fallback alike; a failed round releases the slots
-// with the failure.
+// computeLocal simulates idxs in one fleet pass of its own (runPass), persists
+// them as per-seed records and settles them.  It serves the local partition,
+// the hedge, and degraded-mode fallback alike; a failed pass releases the
+// slots with the failure.
 func (w *window) computeLocal(idxs []int) error {
 	if len(idxs) == 0 {
 		return nil
@@ -296,12 +296,15 @@ func (w *window) computeLocal(idxs []int) error {
 	for j, i := range idxs {
 		seeds[j] = w.seeds[i]
 	}
-	job := &fleetJob{
-		runs: &workload.Task{Spec: w.spec, Seeds: seeds, Eval: w.eval},
-		done: make(chan struct{}),
-	}
+	var seedRuns []workload.SeedRun
 	computeSpan := w.tr.Span("compute")
-	err := w.s.submit(w.ctx, job)
+	err := w.s.runPass(w.ctx, func() error {
+		runs, err := w.s.runner.RunAll([]workload.Task{{Spec: w.spec, Seeds: seeds, Eval: w.eval}})
+		if err == nil {
+			seedRuns = runs[0]
+		}
+		return err
+	})
 	computeSpan.End()
 	if err != nil {
 		w.release(idxs, err)
@@ -313,9 +316,9 @@ func (w *window) computeLocal(idxs []int) error {
 	for j, i := range idxs {
 		putKeys[j] = w.keys[i]
 		if w.needRuns {
-			putPayloads[j] = store.EncodeSeedRecord(store.NewSeedRecord(job.seedRuns[j], w.eval != nil))
+			putPayloads[j] = store.EncodeSeedRecord(store.NewSeedRecord(seedRuns[j], w.eval != nil))
 		} else {
-			putPayloads[j] = store.EncodeOutcome(job.seedRuns[j].Outcome)
+			putPayloads[j] = store.EncodeOutcome(seedRuns[j].Outcome)
 		}
 	}
 	if failed, _ := w.s.store.PutMulti(putKeys, putPayloads); failed > 0 {
@@ -323,13 +326,13 @@ func (w *window) computeLocal(idxs []int) error {
 	}
 	persistSpan.End()
 	for j, i := range idxs {
-		w.settle(i, seedComputed, job.seedRuns[j].Outcome, job.seedRuns[j].Run)
+		w.settle(i, seedComputed, seedRuns[j].Outcome, seedRuns[j].Run)
 	}
 	return nil
 }
 
 // recompute is degraded mode for slots a peer did not answer: one more local
-// round, or — once this request has already failed — their release with that
+// pass, or — once this request has already failed — their release with that
 // failure.
 func (w *window) recompute(idxs []int, err error) error {
 	if err != nil {
@@ -381,7 +384,7 @@ func (w *window) launchClaims(groups map[string][]int) chan claimResult {
 // every still-missing seed is hedged with a local recompute, at which point
 // the loop exits without waiting for the slow peer — outcomes are
 // deterministic, so either side's answer is the same bytes.  err is the local
-// round's verdict so far.
+// pass's verdict so far.
 func (w *window) collectClaims(groups map[string][]int, claims chan claimResult, err error) error {
 	health := w.s.fleet.health
 	var hedgeC <-chan time.Time
@@ -429,7 +432,7 @@ func (w *window) collectClaims(groups map[string][]int, claims chan claimResult,
 
 // collectJoins gathers the slots concurrent requests computed for us; err is
 // this pass's verdict so far, and a failed pass collects nothing.  The wait is
-// compute time: someone's fleet round is producing these seeds.  An expired
+// compute time: someone's fleet pass is producing these seeds.  An expired
 // request context stops waiting — the owners' computations are unaffected,
 // this request just stops consuming them (a joined call is published by its
 // owner, never by us).  retry reports that a slot was left open for the next

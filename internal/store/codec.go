@@ -550,30 +550,13 @@ func EncodeRun(run *model.Run) []byte {
 // decoding goes through the shared decoder pool, so repeated calls reuse warm
 // buffers and intern message kinds.
 func DecodeRun(data []byte) (*model.Run, error) {
-	return DecodeRunInto(nil, data)
-}
-
-// DecodeRunInto is DecodeRun with the owning copy carved from arena instead
-// of freshly allocated, so a loop that decodes batches and resets the arena
-// between them amortises the clone allocations away.  A nil arena falls back
-// to CompactClone.
-func DecodeRunInto(arena *model.CloneArena, data []byte) (*model.Run, error) {
 	d := Decoders.Get()
 	defer Decoders.Put(d)
 	run, err := d.DecodeRun(data)
 	if err != nil {
 		return nil, err
 	}
-	return cloneRun(arena, run), nil
-}
-
-// cloneRun takes an owning copy of a transient run, through the arena when
-// one is supplied.
-func cloneRun(arena *model.CloneArena, run *model.Run) *model.Run {
-	if arena != nil {
-		return arena.Clone(run)
-	}
-	return run.CompactClone()
+	return run.CompactClone(), nil
 }
 
 // EncodeSystem serialises an ordered sequence of recorded runs.
@@ -586,16 +569,9 @@ func EncodeSystem(runs model.System) []byte {
 	return seal(KindSystem, w.buf)
 }
 
-// DecodeSystem deserialises a sequence encoded by EncodeSystem.  The runs
-// share one internal arena's slabs, so an N-run system costs a few chunk
-// allocations instead of 3N clone allocations.
+// DecodeSystem deserialises a sequence encoded by EncodeSystem; every run is
+// an independent compact copy.
 func DecodeSystem(data []byte) (model.System, error) {
-	return DecodeSystemInto(model.NewCloneArena(), data)
-}
-
-// DecodeSystemInto is DecodeSystem with the owning copies carved from arena;
-// the runs stay valid until the arena is Reset.
-func DecodeSystemInto(arena *model.CloneArena, data []byte) (model.System, error) {
 	payload, err := unseal(data, KindSystem)
 	if err != nil {
 		return nil, err
@@ -612,7 +588,7 @@ func DecodeSystemInto(arena *model.CloneArena, data []byte) (model.System, error
 		// The transient run aliases d's buffers, which the next iteration
 		// reuses, so each element is compacted into owned storage here.
 		if transient := r.runInto(d); transient != nil {
-			runs[i] = cloneRun(arena, transient)
+			runs[i] = transient.CompactClone()
 		}
 	}
 	if err := r.done(); err != nil {

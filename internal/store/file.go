@@ -107,17 +107,6 @@ func (t *Transcoder) ReadRunFile(path, format string) (*model.Run, error) {
 	return readRunFile(path, format, t.dec)
 }
 
-// TranscodeRunFile converts one recorded run file to dstFormat at dst: one
-// decode into reusable buffers, one encode, no intermediate copy of the
-// events.
-func (t *Transcoder) TranscodeRunFile(src, srcFormat, dst, dstFormat string) error {
-	run, err := t.ReadRunFile(src, srcFormat)
-	if err != nil {
-		return err
-	}
-	return WriteRunFile(dst, dstFormat, run)
-}
-
 // WriteSystemFile writes an ordered sequence of recorded runs to path: the
 // binary System container, or an indented JSON array of runs.
 func WriteSystemFile(path, format string, runs model.System) error {

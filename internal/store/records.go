@@ -134,13 +134,8 @@ func EncodeSeedRecord(rec *SeedRecord) []byte {
 
 // DecodeSeedRecord deserialises a record encoded by EncodeSeedRecord,
 // validating the embedded run's structural invariants like DecodeRun does.
+// The record and its run are independent copies.
 func DecodeSeedRecord(data []byte) (*SeedRecord, error) {
-	return DecodeSeedRecordInto(nil, data)
-}
-
-// DecodeSeedRecordInto is DecodeSeedRecord with the owning run copy carved
-// from arena (nil falls back to a fresh CompactClone).
-func DecodeSeedRecordInto(arena *model.CloneArena, data []byte) (*SeedRecord, error) {
 	d := Decoders.Get()
 	defer Decoders.Put(d)
 	transient, err := d.DecodeSeedRecord(data)
@@ -149,7 +144,7 @@ func DecodeSeedRecordInto(arena *model.CloneArena, data []byte) (*SeedRecord, er
 	}
 	rec := new(SeedRecord)
 	*rec = *transient
-	rec.Run = cloneRun(arena, transient.Run)
+	rec.Run = transient.Run.CompactClone()
 	return rec, nil
 }
 

@@ -263,3 +263,43 @@ func TestSweepAllMatchesPerTaskSweeps(t *testing.T) {
 		}
 	}
 }
+
+// TestPooledEnginesRecordIdenticalRuns is the engine free list's row of the
+// contract: Runner passes borrow their engines from one package-level pool, so
+// a pass inherits engines that last ran whatever the previous pass ran.  A
+// scenario recorded right after the pooled engines ran a different spec with a
+// different N must hash exactly as on a fresh engine — in both directions, and
+// for every worker count (one worker runs inline, more race for the pool).
+func TestPooledEnginesRecordIdenticalRuns(t *testing.T) {
+	a, b := registry.MustScenario("consensus-majority").Spec, registry.MustScenario("prop4.1-tuseful-udc").Spec
+	if a.N == b.N {
+		t.Fatalf("the two scenarios must differ in N (both %d): pick another pair", a.N)
+	}
+	seeds := workload.Seeds(31, 5)
+	fresh := func(spec workload.Spec) []string {
+		digests := make([]string, len(seeds))
+		for i, seed := range seeds {
+			res, err := workload.Execute(spec, seed)
+			if err != nil {
+				t.Fatalf("fresh execute: %v", err)
+			}
+			digests[i] = runDigest(t, res.Run)
+		}
+		return digests
+	}
+	want := map[string][]string{a.Name: fresh(a), b.Name: fresh(b)}
+	for _, workers := range []int{1, 2, 4} {
+		runner := workload.Runner{Workers: workers}
+		for _, spec := range []workload.Spec{a, b, a, b} {
+			runs, err := runner.RunAll([]workload.Task{{Spec: spec, Seeds: seeds}})
+			if err != nil {
+				t.Fatalf("%s (%d workers): %v", spec.Name, workers, err)
+			}
+			for i, sr := range runs[0] {
+				if got := runDigest(t, sr.Run); got != want[spec.Name][i] {
+					t.Errorf("%s seed %d (%d workers): run on a pooled engine differs from a fresh engine's", spec.Name, seeds[i], workers)
+				}
+			}
+		}
+	}
+}

@@ -119,23 +119,12 @@ func (r Runner) Extract(e Extraction) (*ExtractionResult, error) {
 		return nil, err
 	}
 
-	// Simulate: one source run per seed, each written to its seed's slot by a
-	// pool of workers owning one engine each (the workload.Runner recipe).
-	seeds := Seeds(e.BaseSeed, e.Runs)
-	sampled := make(model.System, len(seeds))
-	errs := make([]error, len(seeds))
-	r.eachWithEngine(len(seeds), func(eng *sim.Engine, i int) {
-		res, err := ExecuteWith(eng, e.Source, seeds[i])
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		sampled[i] = res.Run
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	// Simulate: one source run per seed, each kept in its seed's slot (the
+	// Runner's fan-out loop, unscored).
+	sampled := make(model.System, e.Runs)
+	source := []Task{{Spec: e.Source, Seeds: Seeds(e.BaseSeed, e.Runs)}}
+	if err := r.simulate(source, func(_, i int, res *sim.Result) { sampled[i] = res.Run }); err != nil {
+		return nil, err
 	}
 	return r.ExtractFromRuns(e, sampled)
 }

@@ -4,9 +4,8 @@ import "sync/atomic"
 
 // FleetMetrics are live gauges over the worker fleet, sampled by the serving
 // layer's /metrics endpoint.  They are package-level because every Runner in
-// a process shares the same CPUs: the daemon's dispatcher funnels all
-// computation through one fleet pass at a time, so process-wide occupancy is
-// the number an operator wants.  The per-seed cost is three uncontended
+// a process shares the same CPUs: the daemon's pass token admits one fleet
+// pass at a time, so process-wide occupancy is the number an operator wants.  The per-seed cost is three uncontended
 // atomic adds against a simulation that runs for milliseconds.
 type FleetMetrics struct {
 	// InflightSeeds is the number of (task, seed) simulation jobs admitted to

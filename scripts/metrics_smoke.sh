@@ -52,7 +52,7 @@ for family in \
     udc_scheduler_seeds_cached_total \
     udc_scheduler_seeds_computed_total \
     udc_scheduler_seeds_coalesced_total \
-    udc_scheduler_batches_total \
+    udc_scheduler_fleet_jobs_total \
     udc_scheduler_queue_depth \
     udc_store_hits_total \
     udc_store_misses_total \

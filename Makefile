@@ -1,7 +1,7 @@
 GO ?= go
 BENCHTIME ?= 10x
 
-.PHONY: all build test race vet fmt-check smoke daemon-smoke metrics-smoke fleet-smoke bench-smoke bench bench-compare
+.PHONY: all build test race vet fmt-check smoke daemon-smoke metrics-smoke fleet-smoke bench-smoke bench-ab bench bench-compare
 
 all: build test
 
@@ -51,6 +51,20 @@ fleet-smoke:
 bench-smoke:
 	cd benchmarks/udcbench && $(GO) vet ./... && $(GO) test ./...
 	bash benchmarks/run.sh -smoke
+
+# bench-ab is the same-session interleaved A/B a performance claim rests on
+# (benchmarks/README.md, choosing-metrics §8): BASE is cloned under a temp
+# dir with the *current* benchmarks/ copied over it, then PAIRS pairs of
+# untraced udcbench runs alternate which side goes first, every run is
+# printed, and udcbench -compare judges the two sets.  WORKLOAD=all runs all
+# six (≈ 4 min a pair); METRIC picks the per-pair table's column.
+#   make bench-ab BASE=HEAD~1 WORKLOAD=extract-offline PAIRS=10
+BASE ?= HEAD~1
+WORKLOAD ?= extract-offline
+PAIRS ?= 10
+SEED ?= 1
+bench-ab:
+	./scripts/bench_ab.sh $(BASE) $(WORKLOAD) $(PAIRS) $(SEED)
 
 # bench runs the Table 1 benchmark, the adversary sweep, the
 # knowledge-extraction benchmark and the serving-layer benchmarks (codec,

@@ -245,9 +245,10 @@ func BenchmarkTheorem43Extraction(b *testing.B) {
 
 // BenchmarkExtraction tracks the knowledge-extraction hot path on the
 // standing kx-* sample shape (n=7, 64 runs): building the interned epistemic
-// index, the two knowledge-based run transforms over it (serial, so the
-// recorded trajectory tracks the per-run cost), and the full parallel
-// pipeline.  `make bench` records it to BENCH_<n>.json alongside the sweeps.
+// index (serial, then one process per worker — the pair shows the fan-out
+// Runner.Extract gets), the two knowledge-based run transforms over it
+// (serial, so the recorded trajectory tracks the per-run cost), and the full
+// parallel pipeline with its B/op.  `make bench` records it to BENCH_<n>.json alongside the sweeps.
 func BenchmarkExtraction(b *testing.B) {
 	perfect := registry.MustExtraction("kx-perfect").Extraction
 	tuseful := registry.MustExtraction("kx-tuseful").Extraction
@@ -256,6 +257,15 @@ func BenchmarkExtraction(b *testing.B) {
 	b.Run("index/n=7/runs=64", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			sys := epistemic.NewSystem(runs)
+			if sys.Size() != len(runs) {
+				b.Fatalf("index dropped runs")
+			}
+		}
+	})
+	b.Run("index-parallel/n=7/runs=64", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sys := &epistemic.System{}
+			sys.AddParallel(0, runs)
 			if sys.Size() != len(runs) {
 				b.Fatalf("index dropped runs")
 			}
@@ -311,6 +321,7 @@ func BenchmarkExtraction(b *testing.B) {
 		ext  workload.Extraction
 	}{{"pipeline/kx-perfect", perfect}, {"pipeline/kx-tuseful", tuseful}} {
 		b.Run(bench.name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				res, err := workload.Runner{}.Extract(bench.ext)
 				if err != nil {

@@ -6,8 +6,10 @@
 // asynchronous crash-failure simulator with fair-lossy channels built around
 // a reusable engine (internal/sim), every failure-detector class the paper
 // uses (internal/fd), the UDC/nUDC protocols and the knowledge-based
-// failure-detector simulations of Theorems 3.6 and 4.3 (internal/core), an
-// epistemic model checker for the paper's logic (internal/epistemic), the
+// failure-detector simulations of Theorems 3.6 and 4.3, each transformed run
+// built into one exact-size slab (internal/core), an epistemic model checker
+// for the paper's logic whose interned class index builds one process per
+// worker, identically for any worker count (internal/epistemic), the
 // Chandra-Toueg consensus baselines (internal/consensus), a registry of named
 // protocols, oracles and scenarios (internal/registry), a parallel sweep
 // runner with deterministic aggregates (internal/workload), the Table 1

@@ -60,9 +60,10 @@ func Initiations(broadcasts []Broadcast) []sim.Initiation {
 // Deliveries returns the messages delivered by process p, in delivery order.
 func Deliveries(r *model.Run, p model.ProcID) []MessageID {
 	var out []MessageID
-	for _, te := range r.Events[p] {
-		if te.Event.Kind == model.EventDo {
-			out = append(out, IDFor(te.Event.Action))
+	evs := r.Events[p]
+	for i := range evs {
+		if e := &evs[i].Event; e.Kind == model.EventDo {
+			out = append(out, IDFor(e.Action))
 		}
 	}
 	return out
@@ -84,9 +85,10 @@ func Check(r *model.Run) []model.Violation {
 	// At-most-once delivery.
 	for p := model.ProcID(0); int(p) < r.N; p++ {
 		seen := make(map[model.ActionID]int)
-		for _, te := range r.Events[p] {
-			if te.Event.Kind == model.EventDo {
-				seen[te.Event.Action]++
+		evs := r.Events[p]
+		for i := range evs {
+			if e := &evs[i].Event; e.Kind == model.EventDo {
+				seen[e.Action]++
 			}
 		}
 		for a, c := range seen {

@@ -29,13 +29,15 @@ func CheckConsensus(r *model.Run, proposals map[model.ProcID]int) []model.Violat
 	decisions := make(map[model.ProcID]int)
 	for p := model.ProcID(0); int(p) < r.N; p++ {
 		count := 0
-		for _, te := range r.Events[p] {
-			if te.Event.Kind != model.EventDo {
+		evs := r.Events[p]
+		for i := range evs {
+			e := &evs[i].Event
+			if e.Kind != model.EventDo {
 				continue
 			}
 			count++
 			if count == 1 {
-				decisions[p] = te.Event.Action.Seq
+				decisions[p] = e.Action.Seq
 			}
 		}
 		if count > 1 {

@@ -61,14 +61,23 @@ func (t Transformer) SimulateTUsefulDetector(sys *epistemic.System) model.System
 	return t.transform(sys, func(ri int, p model.ProcID) processReporter {
 		run := sys.RunAt(ri)
 		scan := sys.Scan(p, ri)
+		// prefix is |r_p(next)| for the last next asked about: the walk is
+		// monotone in m, so it advances like the Scan cursor beside it (and,
+		// like it, restarts from the front should time ever move backwards).
+		evs, prefix := run.Events[p], 0
 		return func(m int) model.SuspectReport {
 			// P3' indexes the subset by the length of r_p(m+1).
 			next := m + 1
 			if next > run.Horizon {
 				next = run.Horizon
 			}
-			l := run.PrefixLen(p, next) % subsetCount
-			group := model.ProcSet(l)
+			if prefix > 0 && evs[prefix-1].Time > next {
+				prefix = 0
+			}
+			for prefix < len(evs) && evs[prefix].Time <= next {
+				prefix++
+			}
+			group := model.ProcSet(prefix % subsetCount)
 			return model.SuspectReport{
 				Generalized: true,
 				Group:       group,
@@ -106,15 +115,41 @@ func SimulateTUsefulDetector(sys *epistemic.System) model.System {
 // time 2m (dropping r's own failure-detector events), and at every odd time
 // 2m+1 a suspect' event computed by the process's reporter is inserted for
 // every process that has not crashed by m.
+//
+// f(r)'s size is known before it is built — each process keeps its
+// non-detector events and gains one report per time it is alive — so the
+// histories are spans of one exact-size slab (the RunArena.Build layout:
+// three allocations per run, no slot zeroed that is not then filled).  The
+// spans start empty and fill through Run.Append, which keeps the R2/R4 checks
+// on the path; they are capacity-clipped, so an input run the count
+// underestimates (one Validate would reject) regrows a span instead of
+// running into its neighbour.
 func transformRun(sys *epistemic.System, ri int, forProc func(ri int, p model.ProcID) processReporter) *model.Run {
 	r := sys.RunAt(ri)
-	capHint := 0
-	for p := range r.Events {
-		if hint := len(r.Events[p]) + r.Horizon + 1; hint > capHint {
-			capHint = hint
+	sizes := make([]int, r.N)
+	total := 0
+	for p := range sizes {
+		evs := r.Events[p]
+		alive := r.Horizon + 1
+		if crashTime, crashed := r.CrashTime(model.ProcID(p)); crashed && crashTime < alive {
+			alive = crashTime
 		}
+		kept := 0
+		for i := range evs {
+			if evs[i].Event.Kind != model.EventSuspect {
+				kept++
+			}
+		}
+		sizes[p] = kept + alive
+		total += sizes[p]
 	}
-	out := model.NewRunCap(r.N, capHint)
+	slab := make([]model.TimedEvent, 0, total)
+	out := &model.Run{N: r.N, Events: make([][]model.TimedEvent, r.N)}
+	off := 0
+	for p, size := range sizes {
+		out.Events[p] = slab[off : off : off+size]
+		off += size
+	}
 	for p := model.ProcID(0); int(p) < r.N; p++ {
 		crashTime, crashed := r.CrashTime(p)
 		report := forProc(ri, p)
@@ -123,7 +158,7 @@ func transformRun(sys *epistemic.System, ri int, forProc func(ri int, p model.Pr
 		for m := 0; m <= r.Horizon; m++ {
 			// Copy the original events of time m to time 2m.
 			for evIdx < len(evs) && evs[evIdx].Time == m {
-				e := evs[evIdx].Event
+				e := &evs[evIdx].Event
 				evIdx++
 				if e.Kind == model.EventSuspect {
 					continue
@@ -131,7 +166,7 @@ func transformRun(sys *epistemic.System, ri int, forProc func(ri int, p model.Pr
 				// Errors are impossible here by construction (times are
 				// monotone and crash stays last); they would only indicate a
 				// corrupted input run, which Validate would already flag.
-				_ = out.Append(p, 2*m, e)
+				_ = out.Append(p, 2*m, *e)
 			}
 			// Insert the simulated detector report at time 2m+1, unless the
 			// process has already crashed (histories do not extend past a

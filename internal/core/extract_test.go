@@ -246,3 +246,92 @@ func TestTransformerParallelMatchesSerial(t *testing.T) {
 		}
 	}
 }
+
+// TestTransformFillsOneExactSlabPerRun pins the shape of f(r): every
+// history is filled to its capacity (the run was sized before it was built,
+// so no event slot is allocated and zeroed that is not then written), and a
+// transform allocates a fixed number of objects per run and per process —
+// nothing per event, however long the histories are.
+func TestTransformFillsOneExactSlabPerRun(t *testing.T) {
+	spec := workload.Spec{
+		Name:          "transform-allocation",
+		N:             5,
+		MaxSteps:      300,
+		TickEvery:     2,
+		SuspectEvery:  3,
+		Network:       sim.FairLossyNetwork(0.25),
+		Oracle:        fd.StrongOracle{FalseSuspicionRate: 0.3, Seed: 17},
+		Protocol:      core.NewStrongFDUDC,
+		Actions:       6,
+		LastInitTime:  200,
+		MaxFailures:   2,
+		ExactFailures: true,
+		CrashEnd:      80,
+	}
+	runs, sys := buildUDCSystem(t, spec, workload.Seeds(800, 8))
+	for name, transform := range map[string]func(*epistemic.System) model.System{
+		"perfect":  core.SimulatePerfectDetector,
+		"t-useful": core.SimulateTUsefulDetector,
+	} {
+		events := 0
+		for i, r := range transform(sys) {
+			for p, evs := range r.Events {
+				if len(evs) != cap(evs) {
+					t.Errorf("%s: run %d process %d fills %d of %d event slots", name, i, p, len(evs), cap(evs))
+				}
+				events += len(evs)
+			}
+		}
+		// Per transform: the result and the pool's closures.  Per run: the
+		// run, its span table, the slab and the size table.  Per process: the
+		// reporter and the cursors it captures.
+		limit := float64(4 + len(runs)*(4+3*spec.N))
+		if allocs := testing.AllocsPerRun(5, func() { transform(sys) }); allocs > limit {
+			t.Errorf("%s: %.0f allocations for %d runs of %d events, want at most %.0f", name, allocs, len(runs), events, limit)
+		}
+	}
+}
+
+// TestTUsefulSubsetIndexFollowsPrefixLength pins the subset enumeration of P3'
+// against its definition: the report at time 2m+1 names the subset indexed by
+// |r_p(m+1)|, which the transform tracks with a cursor instead of searching
+// for at every step.
+func TestTUsefulSubsetIndexFollowsPrefixLength(t *testing.T) {
+	spec := workload.Spec{
+		Name:          "tuseful-subset-index",
+		N:             4,
+		MaxSteps:      250,
+		TickEvery:     2,
+		SuspectEvery:  3,
+		Network:       sim.FairLossyNetwork(0.2),
+		Oracle:        fd.FaultySetOracle{},
+		Protocol:      core.NewTUsefulUDC(2),
+		Actions:       5,
+		LastInitTime:  150,
+		MaxFailures:   2,
+		ExactFailures: true,
+		CrashEnd:      60,
+	}
+	runs, sys := buildUDCSystem(t, spec, workload.Seeds(40, 6))
+	for i, xform := range core.SimulateTUsefulDetector(sys) {
+		orig := runs[i]
+		for p := model.ProcID(0); int(p) < orig.N; p++ {
+			reports := 0
+			for j := range xform.Events[p] {
+				te := &xform.Events[p][j]
+				if te.Event.Kind != model.EventSuspect {
+					continue
+				}
+				reports++
+				next := min((te.Time-1)/2+1, orig.Horizon)
+				want := model.ProcSet(orig.PrefixLen(p, next) % (1 << orig.N))
+				if got := te.Event.Report.Group; got != want {
+					t.Fatalf("run %d process %d time %d: group %s, want %s", i, p, te.Time, got, want)
+				}
+			}
+			if reports == 0 {
+				t.Fatalf("run %d process %d: no simulated reports", i, p)
+			}
+		}
+	}
+}

@@ -71,7 +71,9 @@ func CheckPerformanceKnowledge(sys *epistemic.System) ([]PerformanceKnowledge, [
 		r := sys.RunAt(ri)
 		correct := r.Correct()
 		for p := model.ProcID(0); int(p) < r.N; p++ {
-			for _, te := range r.Events[p] {
+			evs := r.Events[p]
+			for i := range evs {
+				te := &evs[i]
 				if te.Event.Kind != model.EventDo || te.Event.Action.IsZero() {
 					continue
 				}

@@ -3,6 +3,7 @@ package epistemic_test
 import (
 	"math/rand"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/epistemic"
 	"repro/internal/model"
@@ -77,7 +78,9 @@ func syntheticSystem(t *testing.T, count int, firstSeed int64) model.System {
 }
 
 // requireSameSystem asserts the two indexes agree at every (process, point):
-// identical ClassIDs, keys and crash knowledge, plus identical stats.
+// identical ClassIDs, keys and crash knowledge — through the class-based
+// queries over the full set and the point-based ones over a group that varies
+// from point to point — plus identical stats.
 func requireSameSystem(t *testing.T, got, want *epistemic.System) {
 	t.Helper()
 	if g, w := got.Stats(), want.Stats(); g != w {
@@ -101,6 +104,13 @@ func requireSameSystem(t *testing.T, got, want *epistemic.System) {
 				if g, w := got.MaxKnownCrashedInClass(p, gc, all), want.MaxKnownCrashedInClass(p, wc, all); g != w {
 					t.Fatalf("p=%d %+v: max-known-crashed %d, want %d", p, pt, g, w)
 				}
+				if g, w := got.KnownCrashed(p, pt), want.KnownCrashed(p, pt); g != w {
+					t.Fatalf("p=%d %+v: KnownCrashed %s, want %s", p, pt, g, w)
+				}
+				group := model.ProcSet(1 + (31*ri+m)%int(all))
+				if g, w := got.MaxKnownCrashedIn(p, pt, group), want.MaxKnownCrashedIn(p, pt, group); g != w {
+					t.Fatalf("p=%d %+v: MaxKnownCrashedIn %s = %d, want %d", p, pt, group, g, w)
+				}
 			}
 		}
 	}
@@ -120,6 +130,37 @@ func TestAddMatchesFullRebuild(t *testing.T) {
 			prev = end
 		}
 		requireSameSystem(t, sys, full)
+	}
+}
+
+// TestQuickAddParallelMatchesSerialBuild is ROADMAP item 4's differential
+// property for the index: over random run sets, cut at random points and fed
+// to AddParallel with a random worker count per call, the grown system equals
+// the serial one-shot NewSystem — the process-parallel build may not move a
+// single ClassID.  Run it under -race: the workers share the System.
+func TestQuickAddParallelMatchesSerialBuild(t *testing.T) {
+	property := func(firstSeed uint16, count uint8, cuts []uint8, workers []uint8) bool {
+		runs := syntheticSystem(t, 2+int(count%13), int64(firstSeed))
+		sys := &epistemic.System{}
+		prev := 0
+		for i := 0; prev < len(runs); i++ {
+			end := len(runs)
+			if i < len(cuts) {
+				// A cut may be empty: AddParallel of no runs is a no-op.
+				end = prev + int(cuts[i])%(len(runs)-prev+1)
+			}
+			w := 0
+			if i < len(workers) {
+				w = int(workers[i] % 9)
+			}
+			sys.AddParallel(w, runs[prev:end])
+			prev = end
+		}
+		requireSameSystem(t, sys, epistemic.NewSystem(runs))
+		return true
+	}
+	if err := quick.Check(property, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"strconv"
 
 	"repro/internal/model"
+	"repro/internal/pool"
 )
 
 // Point identifies a point (run, time) of a System.
@@ -137,8 +138,18 @@ func NewSystem(runs model.System) *System {
 // already-indexed runs is revisited.  All runs must have the system's number
 // of processes.  ClassIDs held by callers remain valid; class crash
 // knowledge (KnownCrashed, MaxKnownCrashedIn) is maintained online as the
-// new intervals register.
+// new intervals register.  Add is AddParallel with one worker.
 func (sys *System) Add(runs model.System) {
+	sys.AddParallel(1, runs)
+}
+
+// AddParallel is Add over a pool of worker goroutines, one process per job
+// (workers as in pool.Workers: zero or negative means GOMAXPROCS).  A
+// process's class table, boundary sequences and intern map are touched by no
+// other process's build, and each build walks the new runs in order, so
+// ClassIDs are assigned exactly as the one-worker form assigns them: the
+// index is identical, class for class, for any worker count.
+func (sys *System) AddParallel(workers int, runs model.System) {
 	if len(runs) == 0 {
 		return
 	}
@@ -148,35 +159,56 @@ func (sys *System) Add(runs model.System) {
 		sys.classes = make([][]localClass, n)
 		sys.seqs = make([][]boundarySeq, n)
 		sys.interns = make([]map[classKey]ClassID, n)
-		for p := 0; p < n; p++ {
-			sys.interns[p] = make(map[classKey]ClassID)
-		}
 	}
 	base := len(sys.runs)
 	sys.runs = append(sys.runs, runs...)
-	for p := 0; p < sys.n; p++ {
-		sys.seqs[p] = append(sys.seqs[p], make([]boundarySeq, len(runs))...)
-	}
+	crashes := make([][]crashStep, len(runs))
 	for k, r := range runs {
-		ri := base + k
-		crashes := crashSchedule(r)
-		for p := model.ProcID(0); int(p) < sys.n; p++ {
-			sys.indexProcess(ri, r, p, sys.interns[p], crashes)
+		crashes[k] = crashSchedule(r)
+	}
+	pool.Each(workers, sys.n, func(p int) {
+		sys.indexRuns(model.ProcID(p), base, runs, crashes)
+	})
+}
+
+// indexRuns extends process p's index with the new runs, which take the run
+// indices from base on.  It counts the runs' boundaries first, which bounds
+// everything the build appends to: the boundary sequences are carved from two
+// exact-size slabs, the class table grows at most once (by a quarter at
+// least, so a long series of small Adds still copies it O(1) times per
+// class), and a first build's intern map is made at its final size.
+func (sys *System) indexRuns(p model.ProcID, base int, runs model.System, crashes [][]crashStep) {
+	counts := make([]int, len(runs))
+	total := 0
+	for k, r := range runs {
+		counts[k] = boundaryCount(r.Events[p])
+		total += counts[k]
+	}
+	if sys.interns[p] == nil {
+		sys.interns[p] = make(map[classKey]ClassID, total)
+	}
+	// Every boundary interns one class, new or not.
+	if need, have := len(sys.classes[p])+total, cap(sys.classes[p]); need > have {
+		if grown := have + have/4; need < grown {
+			need = grown
 		}
+		sys.classes[p] = append(make([]localClass, 0, need), sys.classes[p]...)
+	}
+	sys.seqs[p] = append(sys.seqs[p], make([]boundarySeq, len(runs))...)
+	starts := make([]int32, 0, total)
+	classes := make([]ClassID, 0, total)
+	off := 0
+	for k, r := range runs {
+		end := off + counts[k]
+		seq := boundarySeq{starts: starts[off:off:end], classes: classes[off:off:end]}
+		sys.indexProcess(base+k, r, p, seq, crashes[k])
+		off = end
 	}
 }
 
-// indexProcess builds the boundary sequence and local classes for one process
-// in one run.
-func (sys *System) indexProcess(ri int, r *model.Run, p model.ProcID, intern map[classKey]ClassID, crashes []crashStep) {
-	evs := r.Events[p]
-	hash := model.IdentityHashSeed
-	var lastHash uint64
-	count := int32(0)
-
-	// One boundary per distinct positive event time, plus the initial class:
-	// counting them first sizes the sequence exactly, so the walk below never
-	// regrows it.
+// boundaryCount returns the number of classes a history passes through: the
+// initial one plus one per distinct positive event time.
+func boundaryCount(evs []model.TimedEvent) int {
 	boundaries, prev := 1, 0
 	for i := range evs {
 		if t := evs[i].Time; t != prev {
@@ -184,6 +216,17 @@ func (sys *System) indexProcess(ri int, r *model.Run, p model.ProcID, intern map
 			prev = t
 		}
 	}
+	return boundaries
+}
+
+// indexProcess builds the boundary sequence and local classes for one process
+// in one run, into seq: empty, with room for the history's boundaryCount.
+func (sys *System) indexProcess(ri int, r *model.Run, p model.ProcID, seq boundarySeq, crashes []crashStep) {
+	evs := r.Events[p]
+	intern := sys.interns[p]
+	hash := model.IdentityHashSeed
+	var lastHash uint64
+	count := int32(0)
 
 	// Events at time 0 are part of the initial observable state, so fold them
 	// before interning the class in force at time 0 (interning earlier would
@@ -195,10 +238,8 @@ func (sys *System) indexProcess(ri int, r *model.Run, p model.ProcID, intern map
 		count++
 		i++
 	}
-	seq := boundarySeq{
-		starts:  append(make([]int32, 0, boundaries), 0),
-		classes: append(make([]ClassID, 0, boundaries), sys.internClass(p, intern, classKey{hash: hash, length: count, lastHash: lastHash})),
-	}
+	seq.starts = append(seq.starts, 0)
+	seq.classes = append(seq.classes, sys.internClass(p, intern, classKey{hash: hash, length: count, lastHash: lastHash}))
 
 	for i < len(evs) {
 		t := evs[i].Time

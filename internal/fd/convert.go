@@ -118,13 +118,14 @@ func CumulativeRun(r *model.Run) *model.Run {
 	out := r.Clone()
 	for p := range out.Events {
 		acc := model.EmptySet()
-		for i, te := range out.Events[p] {
-			if te.Event.Kind != model.EventSuspect || te.Event.Report.Generalized {
+		evs := out.Events[p]
+		for i := range evs {
+			e := &evs[i].Event
+			if e.Kind != model.EventSuspect || e.Report.Generalized {
 				continue
 			}
-			acc = acc.Union(te.Event.Report.Suspects)
-			te.Event.Report.Suspects = acc
-			out.Events[p][i] = te
+			acc = acc.Union(e.Report.Suspects)
+			e.Report.Suspects = acc
 		}
 	}
 	return out
@@ -140,23 +141,18 @@ func PerfectFromGeneralizedRun(r *model.Run) *model.Run {
 	out := r.Clone()
 	for p := range out.Events {
 		acc := model.EmptySet()
-		rewritten := make([]model.TimedEvent, 0, len(out.Events[p]))
-		for _, te := range out.Events[p] {
-			if te.Event.Kind != model.EventSuspect {
-				rewritten = append(rewritten, te)
-				continue
-			}
-			rep := te.Event.Report
-			switch {
-			case !rep.Generalized:
-				rewritten = append(rewritten, te)
-			case rep.MinFaulty == rep.Group.Count() && rep.MinFaulty > 0:
+		evs := out.Events[p]
+		rewritten := make([]model.TimedEvent, 0, len(evs))
+		for i := range evs {
+			if rep := &evs[i].Event.Report; evs[i].Event.Kind == model.EventSuspect && rep.Generalized {
+				if rep.MinFaulty != rep.Group.Count() || rep.MinFaulty == 0 {
+					// Uninformative for a perfect detector; drop.
+					continue
+				}
 				acc = acc.Union(rep.Group)
-				te.Event.Report = model.SuspectReport{Suspects: acc}
-				rewritten = append(rewritten, te)
-			default:
-				// Uninformative for a perfect detector; drop.
+				*rep = model.SuspectReport{Suspects: acc}
 			}
+			rewritten = append(rewritten, evs[i])
 		}
 		out.Events[p] = rewritten
 	}

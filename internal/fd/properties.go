@@ -22,14 +22,42 @@ type reportEvent struct {
 	isStandard bool
 }
 
-// reportTimeline returns p's failure-detector events in order.
+// newReportEvent reads one failure-detector event in place.
+func newReportEvent(r *model.Run, te *model.TimedEvent) reportEvent {
+	re := reportEvent{time: te.Time, report: te.Event.Report}
+	re.suspects, re.isStandard = te.Event.Report.StandardSuspects(r.N)
+	return re
+}
+
+// finalReport returns p's last failure-detector event, if it has one: what
+// the "from the final report onwards" checks read, found from the history's
+// end without building the timeline.
+func finalReport(r *model.Run, p model.ProcID) (reportEvent, bool) {
+	evs := r.Events[p]
+	for i := len(evs) - 1; i >= 0; i-- {
+		if evs[i].Event.Kind == model.EventSuspect {
+			return newReportEvent(r, &evs[i]), true
+		}
+	}
+	return reportEvent{}, false
+}
+
+// reportTimeline returns p's failure-detector events in order.  It counts
+// them first, so the timeline is one exact-size allocation however long the
+// history is: a transformed run of Theorems 3.6/4.3 carries one report per
+// process per original time step.
 func reportTimeline(r *model.Run, p model.ProcID) []reportEvent {
-	var out []reportEvent
-	for _, te := range r.Events[p] {
-		if te.Event.Kind == model.EventSuspect {
-			re := reportEvent{time: te.Time, report: te.Event.Report}
-			re.suspects, re.isStandard = te.Event.Report.StandardSuspects(r.N)
-			out = append(out, re)
+	evs := r.Events[p]
+	reports := 0
+	for i := range evs {
+		if evs[i].Event.Kind == model.EventSuspect {
+			reports++
+		}
+	}
+	out := make([]reportEvent, 0, reports)
+	for i := range evs {
+		if evs[i].Event.Kind == model.EventSuspect {
+			out = append(out, newReportEvent(r, &evs[i]))
 		}
 	}
 	return out
@@ -45,8 +73,8 @@ func CheckStrongAccuracy(r *model.Run) []model.Violation {
 			if !re.isStandard {
 				continue
 			}
-			for _, q := range re.suspects.Members() {
-				if !r.CrashedBy(q, re.time) {
+			for q := model.ProcID(0); int(q) < r.N; q++ {
+				if re.suspects.Has(q) && !r.CrashedBy(q, re.time) {
 					out = append(out, model.Violationf("strong-accuracy",
 						"process %d suspected %d at time %d but %d had not crashed", p, q, re.time, q))
 				}
@@ -89,13 +117,12 @@ func CheckStrongCompleteness(r *model.Run) []model.Violation {
 		return nil
 	}
 	for _, p := range r.Correct().Members() {
-		tl := reportTimeline(r, p)
-		if len(tl) == 0 {
+		last, ok := finalReport(r, p)
+		if !ok {
 			out = append(out, model.Violationf("strong-completeness",
 				"correct process %d never received a failure-detector report", p))
 			continue
 		}
-		last := tl[len(tl)-1]
 		for _, q := range faulty.Members() {
 			if !last.isStandard || !last.suspects.Has(q) {
 				out = append(out, model.Violationf("strong-completeness",
@@ -118,12 +145,7 @@ func CheckWeakCompleteness(r *model.Run) []model.Violation {
 	for _, q := range r.Faulty().Members() {
 		found := false
 		for _, p := range correct.Members() {
-			tl := reportTimeline(r, p)
-			if len(tl) == 0 {
-				continue
-			}
-			last := tl[len(tl)-1]
-			if last.isStandard && last.suspects.Has(q) {
+			if last, ok := finalReport(r, p); ok && last.isStandard && last.suspects.Has(q) {
 				found = true
 				break
 			}
@@ -214,8 +236,8 @@ func CheckGeneralizedStrongAccuracy(r *model.Run) []model.Violation {
 				continue
 			}
 			crashed := 0
-			for _, q := range re.report.Group.Members() {
-				if r.CrashedBy(q, re.time) {
+			for q := model.ProcID(0); int(q) < r.N; q++ {
+				if re.report.Group.Has(q) && r.CrashedBy(q, re.time) {
 					crashed++
 				}
 			}

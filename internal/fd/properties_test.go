@@ -254,3 +254,36 @@ func TestCheckTUsefulWithTrivialDetectorShape(t *testing.T) {
 		t.Fatalf("size-2 groups with k=0 must not be 3-useful")
 	}
 }
+
+// TestCheckPerfectAllocatesOneTimelinePerProcess bounds what a check of a
+// long, clean history allocates: the accuracy check one exact-size timeline
+// per process that has reports, the completeness check (which reads each
+// final report in place) the correct-process list and one faulty list per
+// correct process — nothing per report, however many there are.
+func TestCheckPerfectAllocatesOneTimelinePerProcess(t *testing.T) {
+	const (
+		n       = 5
+		crashAt = 7
+		horizon = 400
+	)
+	b := newRunBuilder(t, n).crash(n-1, crashAt)
+	for p := model.ProcID(0); p < n-1; p++ {
+		for m := 0; m <= horizon; m++ {
+			if m < crashAt {
+				b.report(p, m)
+			} else {
+				b.report(p, m, n-1)
+			}
+		}
+	}
+	r := b.done(horizon)
+	if vs := CheckPerfect(r); len(vs) > 0 {
+		t.Fatalf("the hand-built detector is perfect, got %v", vs[0])
+	}
+	correct := r.Correct().Count()
+	allocs := testing.AllocsPerRun(20, func() { CheckPerfect(r) })
+	if limit := float64(correct + 1 + correct); allocs > limit {
+		t.Fatalf("CheckPerfect allocated %.0f objects over %d reports, want at most %.0f (%d timelines, %d process lists)",
+			allocs, correct*(horizon+1), limit, correct, 1+correct)
+	}
+}

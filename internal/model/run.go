@@ -58,7 +58,7 @@ func (r *Run) Append(p ProcID, t int, e Event) error {
 	}
 	evs := r.Events[p]
 	if len(evs) > 0 {
-		last := evs[len(evs)-1]
+		last := &evs[len(evs)-1]
 		if t < last.Time {
 			return fmt.Errorf("append: time %d before last event time %d at process %d", t, last.Time, p)
 		}
@@ -103,8 +103,8 @@ func (r *Run) PrefixLen(p ProcID, m int) int {
 func (r *Run) FinalHistory(p ProcID) History {
 	evs := r.Events[p]
 	h := make(History, len(evs))
-	for i, te := range evs {
-		h[i] = te.Event
+	for i := range evs {
+		h[i] = evs[i].Event
 	}
 	return h
 }
@@ -173,9 +173,9 @@ func (r *Run) SuspectsAt(p ProcID, m int) ProcSet {
 // was.
 func (r *Run) InitTime(a ActionID) (int, bool) {
 	evs := r.Events[a.Initiator]
-	for _, te := range evs {
-		if te.Event.Kind == EventInit && te.Event.Action == a {
-			return te.Time, true
+	for i := range evs {
+		if e := &evs[i].Event; e.Kind == EventInit && e.Action == a {
+			return evs[i].Time, true
 		}
 	}
 	return 0, false
@@ -184,9 +184,9 @@ func (r *Run) InitTime(a ActionID) (int, bool) {
 // DoTime returns the time at which process p performed action a, if it did.
 func (r *Run) DoTime(p ProcID, a ActionID) (int, bool) {
 	evs := r.Events[p]
-	for _, te := range evs {
-		if te.Event.Kind == EventDo && te.Event.Action == a {
-			return te.Time, true
+	for i := range evs {
+		if e := &evs[i].Event; e.Kind == EventDo && e.Action == a {
+			return evs[i].Time, true
 		}
 	}
 	return 0, false
@@ -197,9 +197,10 @@ func (r *Run) DoTime(p ProcID, a ActionID) (int, bool) {
 func (r *Run) InitiatedActions() []ActionID {
 	var out []ActionID
 	for p := ProcID(0); int(p) < r.N; p++ {
-		for _, te := range r.Events[p] {
-			if te.Event.Kind == EventInit {
-				out = append(out, te.Event.Action)
+		evs := r.Events[p]
+		for i := range evs {
+			if e := &evs[i].Event; e.Kind == EventInit {
+				out = append(out, e.Action)
 			}
 		}
 	}
@@ -219,9 +220,10 @@ func (r *Run) InitiatedActions() []ActionID {
 func (r *Run) Decisions() map[ProcID]ActionID {
 	out := make(map[ProcID]ActionID)
 	for p := ProcID(0); int(p) < r.N; p++ {
-		for _, te := range r.Events[p] {
-			if te.Event.Kind == EventDo {
-				out[p] = te.Event.Action
+		evs := r.Events[p]
+		for i := range evs {
+			if e := &evs[i].Event; e.Kind == EventDo {
+				out[p] = e.Action
 				break
 			}
 		}
@@ -243,8 +245,8 @@ func (r *Run) EventCount() int {
 func (r *Run) CountKind(k EventKind) int {
 	total := 0
 	for _, evs := range r.Events {
-		for _, te := range evs {
-			if te.Event.Kind == k {
+		for i := range evs {
+			if evs[i].Event.Kind == k {
 				total++
 			}
 		}

@@ -54,7 +54,9 @@ func checkR2(r *Run) []Violation {
 	var out []Violation
 	for p := ProcID(0); int(p) < r.N; p++ {
 		prev := -1
-		for i, te := range r.Events[p] {
+		evs := r.Events[p]
+		for i := range evs {
+			te := &evs[i]
 			if te.Time < prev {
 				out = append(out, Violationf("R2", "process %d event %d at time %d precedes time %d", p, i, te.Time, prev))
 			}
@@ -79,14 +81,18 @@ func checkR3(r *Run) []Violation {
 	var out []Violation
 	for q := ProcID(0); int(q) < r.N; q++ {
 		recvCount := make(map[channelMsg]int)
-		for _, te := range r.Events[q] {
+		recvs := r.Events[q]
+		for i := range recvs {
+			te := &recvs[i]
 			if te.Event.Kind != EventRecv {
 				continue
 			}
 			cm := channelMsg{from: te.Event.Peer, to: q, key: te.Event.Msg.Key()}
 			recvCount[cm]++
 			sends := 0
-			for _, se := range r.Events[te.Event.Peer] {
+			sent := r.Events[te.Event.Peer]
+			for j := range sent {
+				se := &sent[j]
 				if se.Time > te.Time {
 					break
 				}
@@ -110,8 +116,8 @@ func checkR4(r *Run) []Violation {
 	var out []Violation
 	for p := ProcID(0); int(p) < r.N; p++ {
 		evs := r.Events[p]
-		for i, te := range evs {
-			if te.Event.Kind == EventCrash && i != len(evs)-1 {
+		for i := range evs {
+			if evs[i].Event.Kind == EventCrash && i != len(evs)-1 {
 				out = append(out, Violationf("R4", "process %d has crash at position %d of %d", p, i, len(evs)))
 			}
 		}
@@ -126,7 +132,9 @@ func checkR5(r *Run, threshold int) []Violation {
 	sendCount := make(map[channelMsg]int)
 	recvSeen := make(map[channelMsg]bool)
 	for p := ProcID(0); int(p) < r.N; p++ {
-		for _, te := range r.Events[p] {
+		evs := r.Events[p]
+		for i := range evs {
+			te := &evs[i]
 			switch te.Event.Kind {
 			case EventSend:
 				cm := channelMsg{from: p, to: te.Event.Peer, key: te.Event.Msg.Key()}

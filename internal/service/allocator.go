@@ -52,11 +52,13 @@ func BuildState(r *model.Run, p model.ProcID, requests []Request, capacity int) 
 		byAction[ActionFor(req)] = req
 	}
 	var applied []Request
-	for _, te := range r.Events[p] {
-		if te.Event.Kind != model.EventDo {
+	evs := r.Events[p]
+	for i := range evs {
+		e := &evs[i].Event
+		if e.Kind != model.EventDo {
 			continue
 		}
-		if req, ok := byAction[te.Event.Action]; ok {
+		if req, ok := byAction[e.Action]; ok {
 			applied = append(applied, req)
 		}
 	}
@@ -122,11 +124,12 @@ func CheckConvergence(r *model.Run, requests []Request, capacity int) []model.Vi
 		appliedByCorrect[ActionFor(req)] = true
 	}
 	for p := model.ProcID(0); int(p) < r.N; p++ {
-		for _, te := range r.Events[p] {
-			if te.Event.Kind != model.EventDo {
+		evs := r.Events[p]
+		for i := range evs {
+			if evs[i].Event.Kind != model.EventDo {
 				continue
 			}
-			a := te.Event.Action
+			a := evs[i].Event.Action
 			if !known[a] {
 				out = append(out, model.Violationf("service-unknown-request",
 					"replica %d applied %v which no client submitted", p, a))

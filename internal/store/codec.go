@@ -328,7 +328,7 @@ func (r *reader) action() model.ActionID {
 	return model.ActionID{Initiator: model.ProcID(r.svarint()), Seq: r.int()}
 }
 
-func (w *writer) message(m model.Message) {
+func (w *writer) message(m *model.Message) {
 	var mask uint64
 	if m.Kind != "" {
 		mask |= 1 << 0
@@ -417,7 +417,7 @@ func (r *reader) messageInto(m *model.Message) {
 	m.KnownInits = mask&(1<<8) != 0
 }
 
-func (w *writer) report(rep model.SuspectReport) {
+func (w *writer) report(rep *model.SuspectReport) {
 	var mask uint64
 	if rep.Suspects != 0 {
 		mask |= 1 << 0
@@ -471,7 +471,7 @@ func (r *reader) reportInto(rep *model.SuspectReport) {
 	}
 }
 
-func (w *writer) event(e model.Event) {
+func (w *writer) event(e *model.Event) {
 	var mask uint64
 	if e.Peer != 0 {
 		mask |= 1 << 0
@@ -493,13 +493,13 @@ func (w *writer) event(e model.Event) {
 		w.svarint(int64(e.Peer))
 	}
 	if hasMsg {
-		w.message(e.Msg)
+		w.message(&e.Msg)
 	}
 	if mask&(1<<2) != 0 {
 		w.action(e.Action)
 	}
 	if hasReport {
-		w.report(e.Report)
+		w.report(&e.Report)
 	}
 }
 
@@ -528,9 +528,9 @@ func (w *writer) run(r *model.Run) {
 	w.int(r.Horizon)
 	for _, evs := range r.Events {
 		w.uvarint(uint64(len(evs)))
-		for _, te := range evs {
-			w.int(te.Time)
-			w.event(te.Event)
+		for i := range evs {
+			w.int(evs[i].Time)
+			w.event(&evs[i].Event)
 		}
 	}
 }

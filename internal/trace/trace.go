@@ -53,17 +53,18 @@ func ValidateStructure(run *model.Run) error {
 	}
 	for p, evs := range run.Events {
 		last := 0
-		for i, te := range evs {
-			if te.Time < 0 {
-				return fmt.Errorf("decode run: process %d event %d has negative time %d", p, i, te.Time)
+		for i := range evs {
+			t := evs[i].Time
+			if t < 0 {
+				return fmt.Errorf("decode run: process %d event %d has negative time %d", p, i, t)
 			}
-			if te.Time < last {
-				return fmt.Errorf("decode run: process %d event times not monotone: %d after %d (R2)", p, te.Time, last)
+			if t < last {
+				return fmt.Errorf("decode run: process %d event times not monotone: %d after %d (R2)", p, t, last)
 			}
-			if te.Time > run.Horizon {
-				return fmt.Errorf("decode run: process %d event %d at time %d exceeds horizon %d", p, i, te.Time, run.Horizon)
+			if t > run.Horizon {
+				return fmt.Errorf("decode run: process %d event %d at time %d exceeds horizon %d", p, i, t, run.Horizon)
 			}
-			last = te.Time
+			last = t
 		}
 	}
 	return nil
@@ -98,9 +99,9 @@ func (c *Counts) add(k model.EventKind) {
 // Count returns aggregate event counts for the whole run.
 func Count(r *model.Run) Counts {
 	var c Counts
-	for p := range r.Events {
-		for _, te := range r.Events[p] {
-			c.add(te.Event.Kind)
+	for _, evs := range r.Events {
+		for i := range evs {
+			c.add(evs[i].Event.Kind)
 		}
 	}
 	return c
@@ -109,9 +110,9 @@ func Count(r *model.Run) Counts {
 // CountByProcess returns per-process event counts.
 func CountByProcess(r *model.Run) []Counts {
 	out := make([]Counts, r.N)
-	for p := range r.Events {
-		for _, te := range r.Events[p] {
-			out[p].add(te.Event.Kind)
+	for p, evs := range r.Events {
+		for i := range evs {
+			out[p].add(evs[i].Event.Kind)
 		}
 	}
 	return out
@@ -148,8 +149,9 @@ func Summary(r *model.Run) string {
 // Timeline renders process p's history as one line per event, for debugging.
 func Timeline(r *model.Run, p model.ProcID) string {
 	var b strings.Builder
-	for _, te := range r.Events[p] {
-		fmt.Fprintf(&b, "%5d  %s\n", te.Time, te.Event)
+	evs := r.Events[p]
+	for i := range evs {
+		fmt.Fprintf(&b, "%5d  %s\n", evs[i].Time, evs[i].Event)
 	}
 	return b.String()
 }

@@ -107,10 +107,11 @@ func (e Extraction) evaluator() (Evaluator, error) {
 }
 
 // Extract executes the pipeline over the runner's worker pool: the simulate,
-// transform and property-check stages distribute work at run granularity with
-// slot-indexed results, and the filter and index stages are deterministic
-// folds in seed order, so the result is byte-identical to a single-worker
-// execution.
+// filter, transform and property-check stages distribute work at run
+// granularity with slot-indexed results, the index stage at process
+// granularity (each process's build walks the kept runs in seed order), and
+// the fold between them stays in seed order, so the result is byte-identical
+// to a single-worker execution.
 func (r Runner) Extract(e Extraction) (*ExtractionResult, error) {
 	if e.Runs <= 0 {
 		return nil, fmt.Errorf("extraction %q: Runs must be positive", e.Name)
@@ -202,10 +203,9 @@ func (r Runner) ExtendExtraction(e Extraction, st *ExtractionState, delta model.
 		st.KeptSeeds = append(st.KeptSeeds, seeds[i])
 	}
 	if st.System == nil {
-		st.System = epistemic.NewSystem(kept)
-	} else {
-		st.System.Add(kept)
+		st.System = &epistemic.System{}
 	}
+	st.System.AddParallel(r.Workers, kept)
 	st.Indexed = e.Runs
 
 	result := &ExtractionResult{

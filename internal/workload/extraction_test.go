@@ -5,8 +5,10 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/registry"
+	"repro/internal/store"
 	"repro/internal/workload"
 )
 
@@ -115,5 +117,35 @@ func TestExtractionRejectsBadSpecs(t *testing.T) {
 	ext.Mode = workload.ExtractionMode("nonsense")
 	if _, err := (workload.Runner{}).Extract(ext); err == nil {
 		t.Fatalf("expected an error for an unknown mode")
+	}
+}
+
+// TestQuickExtractMatchesSerialAcrossWorkerCounts is ROADMAP item 4's
+// differential property for the pipeline, whose every stage now fans out:
+// for a random catalogued pipeline, base seed, sample size and worker count,
+// Runner{Workers: w}.Extract delivers the bytes Runner{Workers: 1}.Extract
+// does — the extraction record the serving layer stores, and the transformed
+// runs the record leaves out.  Run it under -race.
+func TestQuickExtractMatchesSerialAcrossWorkerCounts(t *testing.T) {
+	scenarios := []string{"kx-perfect", "kx-tuseful", "kx-perfect-cascade"}
+	bytesOf := func(res *workload.ExtractionResult) (record, simulated [32]byte) {
+		return sha256.Sum256(store.EncodeExtractionRecord(store.NewExtractionRecord("", false, res))),
+			sha256.Sum256(store.EncodeSystem(res.Simulated))
+	}
+	property := func(scenario, runs, workers uint8, baseSeed uint32) bool {
+		ext := registry.MustExtraction(scenarios[int(scenario)%len(scenarios)]).Extraction
+		ext.Runs, ext.BaseSeed = 2+int(runs%6), int64(baseSeed)
+		serial, errSerial := workload.Runner{Workers: 1}.Extract(ext)
+		parallel, errParallel := workload.Runner{Workers: 2 + int(workers%7)}.Extract(ext)
+		if errSerial != nil || errParallel != nil {
+			// A sample with no UDC-satisfying run fails the same way on both.
+			return errSerial != nil && errParallel != nil && errSerial.Error() == errParallel.Error()
+		}
+		wantRecord, wantSimulated := bytesOf(serial)
+		gotRecord, gotSimulated := bytesOf(parallel)
+		return gotRecord == wantRecord && gotSimulated == wantSimulated
+	}
+	if err := quick.Check(property, &quick.Config{MaxCount: 12}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -12,7 +12,9 @@
 // worker, identically for any worker count (internal/epistemic), the
 // Chandra-Toueg consensus baselines (internal/consensus), a registry of named
 // protocols, oracles and scenarios (internal/registry), a parallel sweep
-// runner with deterministic aggregates (internal/workload), the Table 1
+// runner with deterministic aggregates, whose sweeps score each run borrowed
+// from the engine that recorded it and build a run only for callers that keep
+// one (internal/workload), the Table 1
 // reproduction harness (internal/table1), a dependency-free observability
 // layer — Prometheus-format metrics, an exposition parser, the Server-Timing
 // stage tracer, W3C traceparent identities with a tail-sampling trace log,

@@ -11,6 +11,12 @@ import "fmt"
 // per-event allocation once the slabs have grown to the workload's high-water
 // mark.
 //
+// A recorded run leaves the arena one of two ways.  Build hands the caller a
+// Run of its own; View lends one whose grouped slab and span table belong to
+// the arena and are kept across Resets, so it is valid only until the arena's
+// next Reset and costs no allocation once they have grown — the ending for a
+// caller that scores a run and drops it.
+//
 // An arena enforces the same per-process invariants as Run.Append — monotone
 // times (R2) and crash finality (R4) — so a Run built from it is always
 // structurally valid.  Arenas are not safe for concurrent use.
@@ -26,8 +32,13 @@ type RunArena struct {
 	counts   []int32
 	lastTime []int32
 	crashed  []bool
-	// cursors is Build's regrouping scratch.
+	// cursors is group's regrouping scratch.
 	cursors []int32
+	// view, viewSlab and viewSpans are the run View lends out and the grouped
+	// slab and span table behind it.
+	view      Run
+	viewSlab  []TimedEvent
+	viewSpans [][]TimedEvent
 }
 
 // NewRunArena returns an empty arena ready for Reset.
@@ -71,32 +82,47 @@ func (a *RunArena) N() int { return a.n }
 // Len returns the number of events recorded since the last Reset.
 func (a *RunArena) Len() int { return len(a.events) }
 
-// Append records that event e occurred at process p at global time t, under
-// the same invariants as Run.Append.
-func (a *RunArena) Append(p ProcID, t int, e Event) error {
+// Record reserves the next event of process p at global time t, under the same
+// invariants as Run.Append, and returns it zeroed but for Kind: the caller
+// fills in Peer, Msg, Action or Report in place, so an event is written once,
+// where it will live.  The pointer is valid until the next Record or Reset.  A
+// refused record leaves the arena as it was.
+func (a *RunArena) Record(p ProcID, t int, kind EventKind) (*Event, error) {
 	if int(p) < 0 || int(p) >= a.n {
-		return fmt.Errorf("append: process %d out of range [0,%d)", p, a.n)
+		return nil, fmt.Errorf("record: process %d out of range [0,%d)", p, a.n)
 	}
 	if t < 0 {
-		return fmt.Errorf("append: negative time %d", t)
+		return nil, fmt.Errorf("record: negative time %d", t)
 	}
 	if a.counts[p] > 0 {
 		if t < int(a.lastTime[p]) {
-			return fmt.Errorf("append: time %d before last event time %d at process %d", t, a.lastTime[p], p)
+			return nil, fmt.Errorf("record: time %d before last event time %d at process %d", t, a.lastTime[p], p)
 		}
 		if a.crashed[p] {
-			return fmt.Errorf("append: process %d already crashed (R4)", p)
+			return nil, fmt.Errorf("record: process %d already crashed (R4)", p)
 		}
 	}
 	a.procs = append(a.procs, p)
-	a.events = append(a.events, TimedEvent{Time: t, Event: e})
+	// Extend the slab in place and clear the slot there: append(events,
+	// TimedEvent{Time: t}) builds the 176-byte value on the stack and copies
+	// it in.
+	i := len(a.events)
+	if i < cap(a.events) {
+		a.events = a.events[:i+1]
+		a.events[i] = TimedEvent{}
+	} else {
+		a.events = append(a.events, TimedEvent{})
+	}
+	te := &a.events[i]
+	te.Time = t
+	te.Event.Kind = kind
 	a.counts[p]++
 	a.lastTime[p] = int32(t)
-	a.crashed[p] = e.Kind == EventCrash
+	a.crashed[p] = kind == EventCrash
 	if t > a.horizon {
 		a.horizon = t
 	}
-	return nil
+	return &te.Event, nil
 }
 
 // SetHorizon extends the horizon of the run under construction to at least t.
@@ -122,9 +148,27 @@ func (a *RunArena) Build() *Run {
 	return &Run{N: a.n, Horizon: a.horizon, Events: events}
 }
 
-// group performs the counting-sort pass shared by Build: slab receives the
-// events grouped by process (stable, so per-process time order is preserved),
-// and events[p] becomes the p'th span.
+// View regroups the recorded events exactly as Build does, but into the
+// arena's own grouped slab and span table, and returns a Run that borrows
+// them: it is valid until the arena's next Reset and must not be retained or
+// appended to.  The slab follows the recording slabs' capacity, so once those
+// have reached the workload's high-water mark View allocates nothing.
+func (a *RunArena) View() *Run {
+	if cap(a.viewSlab) < len(a.events) {
+		a.viewSlab = make([]TimedEvent, cap(a.events))
+	}
+	if cap(a.viewSpans) < a.n {
+		a.viewSpans = make([][]TimedEvent, a.n)
+	}
+	a.viewSpans = a.viewSpans[:a.n]
+	a.group(a.viewSlab[:len(a.events)], a.viewSpans)
+	a.view = Run{N: a.n, Horizon: a.horizon, Events: a.viewSpans}
+	return &a.view
+}
+
+// group performs the counting-sort pass shared by Build and View: slab
+// receives the events grouped by process (stable, so per-process time order is
+// preserved), and events[p] becomes the p'th span.
 func (a *RunArena) group(slab []TimedEvent, events [][]TimedEvent) {
 	off := int32(0)
 	for p := 0; p < a.n; p++ {

@@ -5,88 +5,155 @@ import (
 	"testing"
 )
 
-// buildBoth appends the same (proc, time, event) sequence to a fresh Run and
-// through an arena, returning both.
-func buildBoth(t *testing.T, n int, appends []struct {
+// timedAppend is one (process, time, event) step of a fixture.
+type timedAppend struct {
 	p  ProcID
 	tm int
 	e  Event
-}) (*Run, *Run) {
-	t.Helper()
-	direct := NewRunCap(n, 4)
-	arena := NewRunArena()
-	arena.Reset(n, 4)
-	for _, a := range appends {
-		if err := direct.Append(a.p, a.tm, a.e); err != nil {
-			t.Fatalf("direct append: %v", err)
-		}
-		if err := arena.Append(a.p, a.tm, a.e); err != nil {
-			t.Fatalf("arena append: %v", err)
-		}
-	}
-	return direct, arena.Build()
 }
 
-func TestArenaBuildMatchesRunAppend(t *testing.T) {
-	appends := []struct {
-		p  ProcID
-		tm int
-		e  Event
-	}{
+// arenaFixtures are the recorded sequences the Build and View tests share: a
+// run touching every event kind, one with an empty history in the middle, and
+// an empty run.
+var arenaFixtures = []struct {
+	n       int
+	appends []timedAppend
+}{
+	{3, []timedAppend{
 		{0, 0, Event{Kind: EventInit, Action: Action(0, 0)}},
 		{1, 1, Event{Kind: EventRecv, Peer: 0, Msg: Message{Kind: "alpha", Round: 1}}},
 		{0, 1, Event{Kind: EventSend, Peer: 1, Msg: Message{Kind: "alpha", Round: 1}}},
 		{2, 2, Event{Kind: EventCrash}},
 		{0, 3, Event{Kind: EventDo, Action: Action(0, 0)}},
 		{1, 3, Event{Kind: EventSuspect, Report: SuspectReport{Suspects: Singleton(2)}}},
+	}},
+	{3, []timedAppend{
+		{2, 1, Event{Kind: EventInit, Action: Action(2, 0)}},
+		{0, 1, Event{Kind: EventCrash}},
+		{2, 4, Event{Kind: EventDo, Action: Action(2, 0)}},
+	}},
+	{2, nil},
+}
+
+// record drives Record the way the simulator does: reserve the event, then
+// fill it in place.
+func record(a *RunArena, p ProcID, tm int, e Event) error {
+	ev, err := a.Record(p, tm, e.Kind)
+	if err != nil {
+		return err
 	}
-	direct, built := buildBoth(t, 3, appends)
-	if !reflect.DeepEqual(direct, built) {
-		t.Fatalf("arena build differs from direct appends:\n%+v\nvs\n%+v", direct, built)
+	*ev = e
+	return nil
+}
+
+// recordBoth appends the same sequence to a fresh Run and into arena (after a
+// Reset), returning the direct run.
+func recordBoth(t *testing.T, arena *RunArena, n int, appends []timedAppend) *Run {
+	t.Helper()
+	direct := NewRunCap(n, 4)
+	arena.Reset(n, 4)
+	for _, a := range appends {
+		if err := direct.Append(a.p, a.tm, a.e); err != nil {
+			t.Fatalf("direct append: %v", err)
+		}
+		if err := record(arena, a.p, a.tm, a.e); err != nil {
+			t.Fatalf("arena record: %v", err)
+		}
+	}
+	return direct
+}
+
+func TestArenaBuildMatchesRunAppend(t *testing.T) {
+	for i, fx := range arenaFixtures {
+		arena := NewRunArena()
+		direct := recordBoth(t, arena, fx.n, fx.appends)
+		if built := arena.Build(); !reflect.DeepEqual(direct, built) {
+			t.Fatalf("fixture %d: arena build differs from direct appends:\n%+v\nvs\n%+v", i, direct, built)
+		}
+	}
+}
+
+// TestArenaViewMatchesBuild is the borrowed run's contract: View yields the
+// run Build does, event for event, on one arena reused across the fixtures; a
+// later Reset+View reuses the grouped slab without allocating; and a Build
+// taken before it is unaffected.
+func TestArenaViewMatchesBuild(t *testing.T) {
+	arena := NewRunArena()
+	var owned []*Run
+	var want []*Run
+	for i, fx := range arenaFixtures {
+		direct := recordBoth(t, arena, fx.n, fx.appends)
+		built, view := arena.Build(), arena.View()
+		if !reflect.DeepEqual(built, view) || !reflect.DeepEqual(direct, view) {
+			t.Fatalf("fixture %d: view differs from build:\n%+v\nvs\n%+v", i, view, built)
+		}
+		owned, want = append(owned, built), append(want, direct)
+	}
+	fx := arenaFixtures[0]
+	allocs := testing.AllocsPerRun(20, func() {
+		arena.Reset(fx.n, 4)
+		for _, a := range fx.appends {
+			if err := record(arena, a.p, a.tm, a.e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if arena.View().EventCount() != len(fx.appends) {
+			t.Fatal("view lost events")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a warmed Reset+record+View allocated %.1f times, want 0", allocs)
+	}
+	for i := range owned {
+		if !reflect.DeepEqual(owned[i], want[i]) {
+			t.Fatalf("fixture %d: a Build was changed by the arena's later Reset+View", i)
+		}
 	}
 }
 
 func TestArenaEnforcesRunInvariants(t *testing.T) {
 	a := NewRunArena()
 	a.Reset(2, 0)
-	if err := a.Append(5, 1, Event{Kind: EventInit}); err == nil {
-		t.Fatal("out-of-range process accepted")
+	refused := func(what string, p ProcID, tm int, kind EventKind) {
+		t.Helper()
+		before := a.Len()
+		if ev, err := a.Record(p, tm, kind); err == nil || ev != nil {
+			t.Fatalf("%s accepted", what)
+		}
+		if a.Len() != before {
+			t.Fatalf("%s: refused record grew the slab from %d to %d events", what, before, a.Len())
+		}
 	}
-	if err := a.Append(0, -1, Event{Kind: EventInit}); err == nil {
-		t.Fatal("negative time accepted")
-	}
-	if err := a.Append(0, 3, Event{Kind: EventInit}); err != nil {
+	refused("out-of-range process", 5, 1, EventInit)
+	refused("negative time", 0, -1, EventInit)
+	if _, err := a.Record(0, 3, EventInit); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Append(0, 2, Event{Kind: EventInit}); err == nil {
-		t.Fatal("non-monotone time accepted (R2)")
-	}
-	if err := a.Append(0, 4, Event{Kind: EventCrash}); err != nil {
+	refused("non-monotone time (R2)", 0, 2, EventInit)
+	if _, err := a.Record(0, 4, EventCrash); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Append(0, 5, Event{Kind: EventInit}); err == nil {
-		t.Fatal("append after crash accepted (R4)")
-	}
+	refused("event after crash (R4)", 0, 5, EventInit)
 	// The other process is unaffected by p0's crash.
-	if err := a.Append(1, 1, Event{Kind: EventInit}); err != nil {
-		t.Fatal(err)
+	if ev, err := a.Record(1, 1, EventInit); err != nil || ev.Kind != EventInit || a.Len() != 3 {
+		t.Fatalf("record at the other process: %v, %+v, %d events", err, ev, a.Len())
 	}
 }
 
 func TestArenaResetIsolatesRuns(t *testing.T) {
 	a := NewRunArena()
 	a.Reset(2, 0)
-	if err := a.Append(0, 1, Event{Kind: EventCrash}); err != nil {
+	if err := record(a, 0, 1, Event{Kind: EventCrash}); err != nil {
 		t.Fatal(err)
 	}
 	a.SetHorizon(10)
 	first := a.Build()
 
 	a.Reset(2, 0)
-	if err := a.Append(0, 2, Event{Kind: EventInit}); err != nil {
+	if err := record(a, 0, 2, Event{Kind: EventInit}); err != nil {
 		t.Fatalf("crash state leaked across Reset: %v", err)
 	}
-	if err := a.Append(1, 0, Event{Kind: EventInit}); err != nil {
+	if err := record(a, 1, 0, Event{Kind: EventInit}); err != nil {
 		t.Fatal(err)
 	}
 	second := a.Build()
@@ -106,7 +173,7 @@ func TestArenaSpansAreCapacityClipped(t *testing.T) {
 		p  ProcID
 		tm int
 	}{{0, 1}, {1, 1}, {0, 2}} {
-		if err := a.Append(app.p, app.tm, Event{Kind: EventInit}); err != nil {
+		if err := record(a, app.p, app.tm, Event{Kind: EventInit}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -124,7 +191,7 @@ func TestArenaBuildAllocsConstant(t *testing.T) {
 	record := func(events int) {
 		a.Reset(2, 0)
 		for i := 0; i < events; i++ {
-			if err := a.Append(ProcID(i%2), i/2, Event{Kind: EventInit}); err != nil {
+			if err := record(a, ProcID(i%2), i/2, Event{Kind: EventInit}); err != nil {
 				t.Fatal(err)
 			}
 		}

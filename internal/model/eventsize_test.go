@@ -14,10 +14,14 @@ import (
 // TestTimedEventSize pins the size of a recorded event.  Every history is a
 // []TimedEvent, so this is the stride of every scan over a run and the unit
 // every run slab is allocated, zeroed and GC-scanned in (the slabs hold a
-// pointer: Message.Kind).  Growing it grows sweep-offline's one slab per run
-// and extract-offline's two in proportion, and moves every `sim.ns_per_event`
-// and `alloc_kb_per_seed` baseline with it; a field added here needs that
-// measurement beside it.
+// pointer: Message.Kind).  Sweeps allocate no slab per run — they score a
+// view of the engine's arena — but three kinds of slab scale with it: every
+// owned run (RunArena.Build: extraction sources, RunAll,
+// Execute), every f(r) the transform builds (extract-offline allocates both
+// per seed), and the recording slab plus the grouped view slab each pooled
+// engine retains at its high-water mark.  Growing it also moves every
+// `sim.ns_per_event` and `alloc_kb_per_seed` baseline; a field added here
+// needs that measurement beside it.
 func TestTimedEventSize(t *testing.T) {
 	if got := unsafe.Sizeof(TimedEvent{}); got != 176 {
 		t.Fatalf("unsafe.Sizeof(TimedEvent{}) = %d, want 176", got)
@@ -83,5 +87,91 @@ func TestNoByValueEventRanges(t *testing.T) {
 	}
 	if files == 0 {
 		t.Fatal("no files found: the check is not looking at internal/")
+	}
+}
+
+// byValueAllowed names the functions under internal/sim that may take a
+// model.Message by value, as "Type.Method", with why: they are the
+// protocol-facing interfaces, which hand a protocol a message of its own and
+// do not change with the recording path.
+var byValueAllowed = map[string]string{
+	"Context.Send":          "protocol-facing interface",
+	"Context.Broadcast":     "protocol-facing interface",
+	"Protocol.OnMessage":    "protocol-facing interface",
+	"procContext.Send":      "implements Context",
+	"procContext.Broadcast": "implements Context",
+}
+
+// TestSimRecordsEventsInPlace keeps the simulator's recording path free of
+// by-value events: an event is reserved in the arena (RunArena.Record) and
+// filled where it will live, and a message in flight is written in its bucket
+// slot.  A model.Event{...} literal or a model.Event / model.Message parameter
+// in non-test internal/sim code is a 160- or 128-byte copy per event per call
+// level, which was a quarter of sweep CPU.  Syntactic, like the check above.
+func TestSimRecordsEventsInPlace(t *testing.T) {
+	isModel := func(e ast.Expr, names ...string) string {
+		sel, ok := e.(*ast.SelectorExpr)
+		if !ok {
+			return ""
+		}
+		if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "model" {
+			return ""
+		}
+		for _, name := range names {
+			if sel.Sel.Name == name {
+				return name
+			}
+		}
+		return ""
+	}
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, "../sim", func(fi fs.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	checkParams := func(owner string, name *ast.Ident, fn *ast.FuncType) {
+		checked++
+		for _, field := range fn.Params.List {
+			typ := isModel(field.Type, "Event", "Message")
+			if typ != "" && byValueAllowed[owner+name.Name] == "" {
+				t.Errorf("%s: %s%s takes a model.%s by value; pass a pointer, or reserve the event with record and fill it in place",
+					fset.Position(field.Pos()), owner, name.Name, typ)
+			}
+		}
+	}
+	for _, pkg := range pkgs {
+		for _, file := range pkg.Files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.FuncDecl:
+					owner := ""
+					if n.Recv != nil {
+						recv := n.Recv.List[0].Type
+						if star, ok := recv.(*ast.StarExpr); ok {
+							recv = star.X
+						}
+						owner = recv.(*ast.Ident).Name + "."
+					}
+					checkParams(owner, n.Name, n.Type)
+				case *ast.TypeSpec:
+					if iface, ok := n.Type.(*ast.InterfaceType); ok {
+						for _, m := range iface.Methods.List {
+							if fn, ok := m.Type.(*ast.FuncType); ok {
+								checkParams(n.Name.Name+".", m.Names[0], fn)
+							}
+						}
+					}
+				case *ast.CompositeLit:
+					if isModel(n.Type, "Event") != "" {
+						t.Errorf("%s: model.Event literal; reserve the event with record and fill it in place", fset.Position(n.Pos()))
+					}
+				}
+				return true
+			})
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no functions found: the check is not looking at internal/sim")
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -554,6 +555,88 @@ func TestSweepStoresOutcomesExtractStoresRuns(t *testing.T) {
 	}
 	if ss := srv2.SchedulerStats(); ss.SeedsCached != 6+window/2 || ss.SeedsComputed != 2 {
 		t.Fatalf("restarted sub-window seed stats: %+v", ss)
+	}
+}
+
+// TestColdSweepAndClaimBuildNoRuns is the scenario namespace's side of the
+// same split: a cold /v1/sweep and a cold /v1/claim answer the bytes of the
+// serial reference while keeping outcomes only, so their fleet pass scores each
+// run in its engine's arena and no run is ever built.  The yardstick is what
+// the request allocates per seed: one owned run of this scenario is a slab of
+// several hundred KiB, and the whole request — pass, outcome records, store
+// writes, response — stays under 128 KiB a seed once the pooled engines are
+// warm.  Every try is a fresh, never-seen window (so it is a miss); the best
+// of a few is taken because the first warms the engines and sync.Pool may drop
+// one between passes.
+func TestColdSweepAndClaimBuildNoRuns(t *testing.T) {
+	const scenario, window, bound = "prop3.1-strong-udc", 48, 128 << 10
+	// One worker, so a pass depends on one pooled engine surviving, not on
+	// GOMAXPROCS of them.
+	st, err := store.Open("", store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := server.New(server.Config{Store: st, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() { ts.Close(); srv.Close() })
+	ask := map[string]func(req server.SweepRequest) []byte{
+		"sweep": func(req server.SweepRequest) []byte {
+			status, header, body := get(t, fmt.Sprintf("%s/v1/sweep?scenario=%s&seeds=%d&seedBase=%d", ts.URL, req.Scenario, req.Seeds, req.SeedBase))
+			if status != http.StatusOK || header.Get("X-Cache") != "miss" {
+				t.Fatalf("sweep: HTTP %d X-Cache %q, want a 200 miss", status, header.Get("X-Cache"))
+			}
+			return body
+		},
+		"claim": func(req server.SweepRequest) []byte {
+			payload := server.MarshalBody(map[string]any{"scenario": req.Scenario, "seeds": workload.Seeds(req.SeedBase, req.Seeds)})
+			resp, err := http.Post(ts.URL+"/v1/claim", "application/json", bytes.NewReader(payload))
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "miss" {
+				t.Fatalf("claim: HTTP %d X-Cache %q, read error %v, want a 200 miss", resp.StatusCode, resp.Header.Get("X-Cache"), err)
+			}
+			rec, err := store.DecodeSweepRecord(raw)
+			if err != nil {
+				t.Fatalf("claim response is not a sweep-record container: %v", err)
+			}
+			// A claim names seeds, not a window; label the record as the
+			// sweep of the same window so the two render alike.
+			rec.Scenario, rec.Check, rec.SeedBase = req.Scenario, registry.MustScenario(req.Scenario).Check, req.SeedBase
+			return server.MarshalBody(server.SweepResponseOf(rec))
+		},
+	}
+	// The references come first: a serial sweep builds its runs, and the GC
+	// cycles that costs would empty the engine pool between two tries.
+	const tries = 6
+	var requests []server.SweepRequest
+	var goldens [][]byte
+	for i := 0; i < 2*tries; i++ {
+		req := server.SweepRequest{Scenario: scenario, Seeds: window, SeedBase: 1_000_003 + int64(i)*7919*window}
+		requests, goldens = append(requests, req), append(goldens, goldenSweepBody(t, req))
+	}
+	for r, route := range []string{"sweep", "claim"} {
+		best := uint64(1 << 62)
+		for try := 0; try < tries && best > bound; try++ {
+			i := r*tries + try
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			body := ask[route](requests[i])
+			runtime.ReadMemStats(&after)
+			if !bytes.Equal(body, goldens[i]) {
+				t.Fatalf("cold %s body differs from direct serial sweep:\n%s\nvs\n%s", route, body, goldens[i])
+			}
+			best = min(best, (after.TotalAlloc-before.TotalAlloc)/window)
+		}
+		t.Logf("cold %s: %.1f KiB allocated per seed", route, float64(best)/1024)
+		if best > bound {
+			t.Errorf("a cold %s allocates %d bytes per seed, want <= %d: its fleet pass is building runs", route, best, bound)
+		}
 	}
 }
 

@@ -287,7 +287,11 @@ func (w *window) computeOwned(owned []int) error {
 // computeLocal simulates idxs in one fleet pass of its own (runPass), persists
 // them as per-seed records and settles them.  It serves the local partition,
 // the hedge, and degraded-mode fallback alike; a failed pass releases the
-// slots with the failure.
+// slots with the failure.  Which Runner stage runs the pass is the request's
+// need to retain: an extraction source keeps its runs (RunAll, one owned slab
+// per seed, persisted as KindSeed), while every /v1/sweep miss and /v1/claim
+// keeps outcomes only, so SweepAll scores each run where its engine recorded
+// it and no run is ever built.
 func (w *window) computeLocal(idxs []int) error {
 	if len(idxs) == 0 {
 		return nil
@@ -296,12 +300,22 @@ func (w *window) computeLocal(idxs []int) error {
 	for j, i := range idxs {
 		seeds[j] = w.seeds[i]
 	}
-	var seedRuns []workload.SeedRun
+	tasks := []workload.Task{{Spec: w.spec, Seeds: seeds, Eval: w.eval}}
+	seedRuns := make([]workload.SeedRun, len(idxs))
 	computeSpan := w.tr.Span("compute")
 	err := w.s.runPass(w.ctx, func() error {
-		runs, err := w.s.runner.RunAll([]workload.Task{{Spec: w.spec, Seeds: seeds, Eval: w.eval}})
+		if w.needRuns {
+			runs, err := w.s.runner.RunAll(tasks)
+			if err == nil {
+				seedRuns = runs[0]
+			}
+			return err
+		}
+		results, err := w.s.runner.SweepAll(tasks)
 		if err == nil {
-			seedRuns = runs[0]
+			for j, out := range results[0].Outcomes {
+				seedRuns[j].Outcome = out
+			}
 		}
 		return err
 	})

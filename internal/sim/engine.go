@@ -17,14 +17,16 @@ const EngineVersion = 1
 
 // Engine executes simulations.  One Engine can run many configurations in
 // sequence, reusing its internal buffers (network buckets, intern tables,
-// per-process harnesses, schedule slices and the event arena) between runs;
-// only the recorded model.Run of each result is freshly allocated — regrouped
-// out of the arena in a constant number of allocations — so results remain
-// valid after the Engine moves on and the inner recording loop allocates
-// nothing once the arena has grown to the workload's high-water mark.  An
-// Engine is not safe for concurrent use; parallel sweeps give each worker its
-// own Engine.  For the same Config, every Engine produces an identical
-// recorded run regardless of what it ran before.
+// per-process harnesses, schedule slices and the event arena) between runs,
+// so the inner recording loop allocates nothing once the arena has grown to
+// the workload's high-water mark.  Run returns a result the caller owns: its
+// model.Run is freshly allocated — regrouped out of the arena in a constant
+// number of allocations — and stays valid after the Engine moves on.
+// RunBorrowed returns a result that lives in the Engine, valid only until that
+// Engine's next run, and allocates nothing for it.  An Engine is not safe for
+// concurrent use; parallel sweeps give each worker its own Engine.  For the
+// same Config, every Engine produces an identical recorded run regardless of
+// what it ran before and of which ending returned it.
 type Engine struct {
 	// Reused across runs.
 	net      network
@@ -35,6 +37,10 @@ type Engine struct {
 	initsBuf []Initiation
 	crashBuf []CrashEvent
 	arena    model.RunArena
+	// borrowed is the result RunBorrowed lends out; sink is where record
+	// points its caller once a run has failed.
+	borrowed Result
+	sink     model.Event
 	// Per-run state.
 	cfg   Config
 	rng   *rand.Rand
@@ -50,10 +56,33 @@ func NewEngine() *Engine {
 
 // Run executes one simulation described by cfg and returns the recorded run
 // and statistics.  It may be called repeatedly; identical configurations yield
-// identical results regardless of what the engine ran before.
+// identical results regardless of what the engine ran before.  The result
+// belongs to the caller: Build regroups the arena into a fresh Run, which
+// survives the engine's later runs.
 func (e *Engine) Run(cfg Config) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := e.simulate(cfg); err != nil {
 		return nil, err
+	}
+	return &Result{Run: e.arena.Build(), Stats: e.stats}, nil
+}
+
+// RunBorrowed is Run for a caller that reads the result and drops it before
+// the engine runs again (a sweep scoring one seed): the same recorded run,
+// event for event, but the Result and its Run live in the engine and are
+// overwritten by its next Run or RunBorrowed.
+func (e *Engine) RunBorrowed(cfg Config) (*Result, error) {
+	if err := e.simulate(cfg); err != nil {
+		return nil, err
+	}
+	e.borrowed = Result{Run: e.arena.View(), Stats: e.stats}
+	return &e.borrowed, nil
+}
+
+// simulate is the recording loop behind both endings: it leaves the run of
+// cfg in the arena and its counters in e.stats.
+func (e *Engine) simulate(cfg Config) error {
+	if err := cfg.Validate(); err != nil {
+		return err
 	}
 	if cfg.TickEvery <= 0 {
 		cfg.TickEvery = 1
@@ -90,7 +119,7 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 		pr.crashed = false
 		pr.proto = cfg.Protocol(pr.id, cfg.N)
 		if pr.proto == nil {
-			return nil, fmt.Errorf("sim: protocol factory returned nil for process %d", i)
+			return fmt.Errorf("sim: protocol factory returned nil for process %d", i)
 		}
 		pr.ctx = procContext{e: e, p: pr}
 	}
@@ -122,14 +151,12 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 		}
 		e.step(inits[i0:ii], crashes[c0:ci])
 		if e.err != nil {
-			return nil, fmt.Errorf("sim: step %d: %w", e.now, e.err)
+			return fmt.Errorf("sim: step %d: %w", e.now, e.err)
 		}
 	}
 	e.arena.SetHorizon(cfg.MaxSteps)
 	e.stats.Steps = cfg.MaxSteps
-	// Build regroups the arena into a fresh Run, so the result belongs to the
-	// caller and survives the engine's next Reset.
-	return &Result{Run: e.arena.Build(), Stats: e.stats}, nil
+	return nil
 }
 
 // buildSchedule sorts the workload and the (deduplicated) failure pattern into
@@ -174,16 +201,21 @@ func (e *Engine) internAction(a model.ActionID) int {
 	return int(idx)
 }
 
-// record appends an event to the run arena, capturing the first append error.
-func (e *Engine) record(p model.ProcID, ev model.Event) {
+// record reserves an event of the given kind at process p in the run arena and
+// returns it for the caller to fill in place.  The first refused record is
+// captured in e.err; from then on callers are handed the sink event, so they
+// need no error branch of their own.
+func (e *Engine) record(p model.ProcID, kind model.EventKind) *model.Event {
 	if e.err != nil {
-		return
+		return &e.sink
 	}
-	if err := e.arena.Append(p, e.now, ev); err != nil {
+	ev, err := e.arena.Record(p, e.now, kind)
+	if err != nil {
 		e.err = err
-		return
+		return &e.sink
 	}
 	e.stats.LastEventTime = e.now
+	return ev
 }
 
 // step advances the simulation by one global time unit.
@@ -196,7 +228,7 @@ func (e *Engine) step(inits []Initiation, crashes []CrashEvent) {
 		}
 		pr.crashed = true
 		e.stats.CrashEvents++
-		e.record(cr.Proc, model.Event{Kind: model.EventCrash})
+		e.record(cr.Proc, model.EventCrash)
 	}
 
 	// 2. Workload initiations.
@@ -206,19 +238,23 @@ func (e *Engine) step(inits []Initiation, crashes []CrashEvent) {
 			continue
 		}
 		e.stats.InitEvents++
-		e.record(in.Proc, model.Event{Kind: model.EventInit, Action: in.Action})
+		e.record(in.Proc, model.EventInit).Action = in.Action
 		pr.proto.OnInitiate(&pr.ctx, in.Action)
 	}
 
 	// 3. Message deliveries due now.
-	for _, pm := range e.net.due(e.now) {
+	due := e.net.due(e.now)
+	for i := range due {
+		pm := &due[i]
 		pr := &e.procs[pm.to]
 		if pr.crashed {
 			e.stats.MessagesToCrashed++
 			continue
 		}
 		e.stats.MessagesDelivered++
-		e.record(pm.to, model.Event{Kind: model.EventRecv, Peer: pm.from, Msg: pm.msg})
+		ev := e.record(pm.to, model.EventRecv)
+		ev.Peer = pm.from
+		ev.Msg = pm.msg
 		pr.proto.OnMessage(&pr.ctx, pm.from, pm.msg)
 	}
 
@@ -234,7 +270,7 @@ func (e *Engine) step(inits []Initiation, crashes []CrashEvent) {
 				continue
 			}
 			e.stats.SuspectEvents++
-			e.record(pr.id, model.Event{Kind: model.EventSuspect, Report: rep})
+			e.record(pr.id, model.EventSuspect).Report = rep
 			pr.proto.OnSuspect(&pr.ctx, rep)
 		}
 	}

@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/fd"
@@ -11,8 +12,8 @@ import (
 
 // TestEngineReuseMatchesFreshEngines runs a mix of configurations (different
 // sizes, networks and oracles) twice — once on fresh engines, once
-// interleaved on a single reused engine — and requires identical recorded
-// runs and statistics.
+// interleaved on a single reused engine, alternating the owning and the
+// borrowed ending — and requires identical recorded runs and statistics.
 func TestEngineReuseMatchesFreshEngines(t *testing.T) {
 	configs := []sim.Config{
 		baseConfig(),
@@ -44,9 +45,13 @@ func TestEngineReuseMatchesFreshEngines(t *testing.T) {
 	}
 
 	eng := sim.NewEngine()
-	for round := 0; round < 2; round++ {
+	for round := 0; round < 4; round++ {
+		run := eng.Run
+		if round%2 == 1 {
+			run = eng.RunBorrowed
+		}
 		for i, cfg := range configs {
-			res, err := eng.Run(cfg)
+			res, err := run(cfg)
 			if err != nil {
 				t.Fatalf("round %d reused run %d: %v", round, i, err)
 			}
@@ -108,6 +113,53 @@ func TestEngineResultsOutliveEngine(t *testing.T) {
 	}
 	if !reflect.DeepEqual(first.Run, snapshot) {
 		t.Fatalf("first result mutated by the engine's second run")
+	}
+}
+
+// TestBorrowedResultLivesInEngine pins the borrowed ending's lifetime: the
+// result is the engine's own, so the next run overwrites it in place, and a
+// warmed RunBorrowed pays for no slab — a hundredth of what Run allocates for
+// the same configuration.
+func TestBorrowedResultLivesInEngine(t *testing.T) {
+	eng := sim.NewEngine()
+	cfg := baseConfig()
+	cfg.MaxSteps = 800
+	first, err := eng.RunBorrowed(cfg)
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	cfg2 := cfg
+	cfg2.Seed = 77
+	want, err := sim.Run(cfg2)
+	if err != nil {
+		t.Fatalf("reference run: %v", err)
+	}
+	second, err := eng.RunBorrowed(cfg2)
+	if err != nil {
+		t.Fatalf("second run: %v", err)
+	}
+	if first != second || first.Run != second.Run {
+		t.Fatalf("two borrowed results of one engine are distinct values: the ending allocates")
+	}
+	if !reflect.DeepEqual(first.Run, want.Run) || first.Stats != want.Stats {
+		t.Fatalf("the borrowed result does not hold the engine's latest run")
+	}
+
+	bytesPerRun := func(run func(sim.Config) (*sim.Result, error)) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 8; i++ {
+			if _, err := run(cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / 8
+	}
+	owned, borrowed := bytesPerRun(eng.Run), bytesPerRun(eng.RunBorrowed)
+	t.Logf("owned %d B/run, borrowed %d B/run", owned, borrowed)
+	if borrowed*100 > owned {
+		t.Fatalf("a warmed RunBorrowed allocates %d bytes against Run's %d: it is building a slab", borrowed, owned)
 	}
 }
 

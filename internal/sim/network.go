@@ -23,7 +23,7 @@ type msgIdentity struct {
 	round, phase, value, aux int
 }
 
-func identityOf(m model.Message) msgIdentity {
+func identityOf(m *model.Message) msgIdentity {
 	return msgIdentity{kind: m.Kind, action: m.Action, round: m.Round, phase: m.Phase, value: m.Value, aux: m.Aux}
 }
 
@@ -97,7 +97,7 @@ func (nw *network) fairnessBound() int {
 }
 
 // internMsg returns the stable small-integer identity of msg.
-func (nw *network) internMsg(msg model.Message) int32 {
+func (nw *network) internMsg(msg *model.Message) int32 {
 	id := identityOf(msg)
 	k, ok := nw.intern[id]
 	if !ok {
@@ -110,8 +110,9 @@ func (nw *network) internMsg(msg model.Message) int32 {
 // send enqueues a message sent at time now, applying the loss model and the
 // channel shaper, if any.  The shaper's verdict composes with the base model:
 // drops from either source share the fairness accounting, extra delay adds to
-// the base delay draw, and duplicates are enqueued as additional copies.
-func (nw *network) send(now int, from, to model.ProcID, msg model.Message) {
+// the base delay draw, and duplicates are enqueued as additional copies.  msg
+// is read, not retained.
+func (nw *network) send(now int, from, to model.ProcID, msg *model.Message) {
 	nw.stats.MessagesSent++
 	key := channelKey{from: from, to: to, msg: nw.internMsg(msg)}
 	var verdict adversary.Verdict
@@ -147,14 +148,26 @@ func (nw *network) send(now int, from, to model.ProcID, msg model.Message) {
 }
 
 // enqueue places one copy of a message into the delivery ring, drawing its
-// base delay and adding the shaper's extra delay.
-func (nw *network) enqueue(now int, from, to model.ProcID, msg model.Message, extraDelay int) {
+// base delay and adding the shaper's extra delay.  The pendingMessage is
+// written in its bucket slot (appending a literal would build it on the stack
+// and copy it in).
+func (nw *network) enqueue(now int, from, to model.ProcID, msg *model.Message, extraDelay int) {
 	delay := 1 + extraDelay
 	if nw.cfg.MaxDelay > 0 {
 		delay += nw.rng.Intn(nw.cfg.MaxDelay + 1)
 	}
 	slot := (now + delay) % len(nw.buckets)
-	nw.buckets[slot] = append(nw.buckets[slot], pendingMessage{from: from, to: to, msg: msg})
+	bucket := nw.buckets[slot]
+	i := len(bucket)
+	if i < cap(bucket) {
+		bucket = bucket[:i+1]
+	} else {
+		bucket = append(bucket, pendingMessage{})
+	}
+	nw.buckets[slot] = bucket
+	pm := &bucket[i]
+	pm.from, pm.to = from, to
+	pm.msg = *msg
 }
 
 // due returns the messages to deliver at time now, in deterministic send

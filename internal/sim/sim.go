@@ -107,8 +107,10 @@ func (c *procContext) Send(to model.ProcID, msg model.Message) {
 	if c.p.crashed || int(to) < 0 || int(to) >= c.e.cfg.N || to == c.p.id {
 		return
 	}
-	c.e.record(c.p.id, model.Event{Kind: model.EventSend, Peer: to, Msg: msg})
-	c.e.net.send(c.e.now, c.p.id, to, msg)
+	ev := c.e.record(c.p.id, model.EventSend)
+	ev.Peer = to
+	ev.Msg = msg
+	c.e.net.send(c.e.now, c.p.id, to, &msg)
 }
 
 // Broadcast implements Context.
@@ -134,7 +136,7 @@ func (c *procContext) Do(a model.ActionID) {
 	}
 	c.p.done[idx] = c.e.epoch
 	c.e.stats.DoEvents++
-	c.e.record(c.p.id, model.Event{Kind: model.EventDo, Action: a})
+	c.e.record(c.p.id, model.EventDo).Action = a
 }
 
 // HasDone implements Context.

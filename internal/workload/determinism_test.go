@@ -7,10 +7,12 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/model"
 	"repro/internal/registry"
 	"repro/internal/sim"
+	"repro/internal/store"
 	"repro/internal/workload"
 )
 
@@ -77,44 +79,90 @@ func TestSerialAndParallelSweepsAreByteIdentical(t *testing.T) {
 	}
 }
 
-// TestRunAllMatchesSweepAll pins that the run-retaining path scores exactly
-// like the outcome-only path, and that a nil evaluator simulates without
-// scoring.
+// TestRunAllMatchesSweepAll pins that the run-retaining path (owned runs)
+// scores exactly like the outcome-only path (borrowed runs), for a scored task
+// and for Task's documented simulate-only form, a nil evaluator (ScoreRun
+// answers it with the seed and the counters on both paths).
 func TestRunAllMatchesSweepAll(t *testing.T) {
 	sc := registry.MustScenario("adv-targeted-final-fd")
 	seeds := workload.Seeds(99, 6)
-	tasks := []workload.Task{{Spec: sc.Spec, Seeds: seeds, Eval: sc.Eval}}
 	runner := workload.Runner{Workers: 4}
-	swept, err := runner.SweepAll(tasks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ran, err := runner.RunAll(tasks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	outcomes := make([]workload.RunOutcome, len(ran[0]))
-	for i, sr := range ran[0] {
-		if sr.Run == nil {
-			t.Fatalf("seed %d: no run retained", seeds[i])
+	var digests [][]string
+	for _, row := range []struct {
+		name string
+		eval workload.Evaluator
+	}{
+		{"scored", sc.Eval},
+		{"nil evaluator", nil},
+	} {
+		tasks := []workload.Task{{Spec: sc.Spec, Seeds: seeds, Eval: row.eval}}
+		swept, err := runner.SweepAll(tasks)
+		if err != nil {
+			t.Fatalf("%s: SweepAll: %v", row.name, err)
 		}
-		outcomes[i] = sr.Outcome
-	}
-	if got, want := outcomesJSON(t, workload.SweepResult{Outcomes: outcomes}), outcomesJSON(t, swept[0]); got != want {
-		t.Fatalf("RunAll outcomes differ from SweepAll outcomes")
-	}
-
-	unscored, err := runner.RunAll([]workload.Task{{Spec: sc.Spec, Seeds: seeds[:2]}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, sr := range unscored[0] {
-		if sr.Outcome.Violations != nil || sr.Outcome.LatencyActions != 0 {
-			t.Fatalf("unscored seed %d carries outcome fields: %+v", seeds[i], sr.Outcome)
+		ran, err := runner.RunAll(tasks)
+		if err != nil {
+			t.Fatalf("%s: RunAll: %v", row.name, err)
 		}
-		if runDigest(t, sr.Run) != runDigest(t, ran[0][i].Run) {
+		outcomes := make([]workload.RunOutcome, len(ran[0]))
+		rowDigests := make([]string, len(ran[0]))
+		for i, sr := range ran[0] {
+			if sr.Run == nil {
+				t.Fatalf("%s: seed %d: no run retained", row.name, seeds[i])
+			}
+			outcomes[i], rowDigests[i] = sr.Outcome, runDigest(t, sr.Run)
+			if row.eval == nil && (sr.Outcome.Violations != nil || sr.Outcome.LatencyActions != 0) {
+				t.Fatalf("unscored seed %d carries outcome fields: %+v", seeds[i], sr.Outcome)
+			}
+			if sr.Outcome.Seed != seeds[i] || sr.Outcome.Stats.Steps == 0 {
+				t.Fatalf("%s: seed %d: outcome lacks its seed or counters: %+v", row.name, seeds[i], sr.Outcome)
+			}
+		}
+		if got, want := outcomesJSON(t, workload.SweepResult{Outcomes: outcomes}), outcomesJSON(t, swept[0]); got != want {
+			t.Fatalf("%s: RunAll outcomes differ from SweepAll outcomes", row.name)
+		}
+		digests = append(digests, rowDigests)
+	}
+	for i := range seeds {
+		if digests[0][i] != digests[1][i] {
 			t.Fatalf("unscored run %d differs from scored run of the same seed", i)
 		}
+	}
+}
+
+// TestQuickBorrowedOwnedAndSerialSweepsAgree is the borrowed run's
+// differential property: for a random catalogued scenario, seed set and worker
+// count in {1, 2, 4}, SweepAll (each run scored where its engine recorded it,
+// then overwritten by that worker's next seed), RunAll (owned runs) and the
+// serial Sweep reference deliver the same outcomes — compared as the bytes of
+// the sweep record the serving layer stores.  Run it under -race: a worker
+// reading a run another seed is being recorded into would show here.
+func TestQuickBorrowedOwnedAndSerialSweepsAgree(t *testing.T) {
+	catalog := registry.Scenarios()
+	record := func(outcomes []workload.RunOutcome) string {
+		return string(store.EncodeSweepRecord(&store.SweepRecord{Outcomes: outcomes}))
+	}
+	property := func(scenario, count, workers uint8, baseSeed uint32) bool {
+		sc := catalog[int(scenario)%len(catalog)]
+		seeds := workload.Seeds(int64(baseSeed), 1+int(count%9))
+		tasks := []workload.Task{{Spec: sc.Spec, Seeds: seeds, Eval: sc.Eval}}
+		runner := workload.Runner{Workers: 1 << (workers % 3)}
+		serial, errSerial := workload.Sweep(sc.Spec, seeds, sc.Eval)
+		swept, errSwept := runner.SweepAll(tasks)
+		ran, errRan := runner.RunAll(tasks)
+		if errSerial != nil || errSwept != nil || errRan != nil {
+			t.Logf("%s: serial %v, SweepAll %v, RunAll %v", sc.Name, errSerial, errSwept, errRan)
+			return false
+		}
+		owned := make([]workload.RunOutcome, len(seeds))
+		for i, sr := range ran[0] {
+			owned[i] = sr.Outcome
+		}
+		want := record(serial.Outcomes)
+		return record(swept[0].Outcomes) == want && record(owned) == want
+	}
+	if err := quick.Check(property, &quick.Config{MaxCount: 24}); err != nil {
+		t.Fatal(err)
 	}
 }
 

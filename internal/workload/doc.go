@@ -10,4 +10,13 @@
 // spec over a seed list and reports the fraction of runs on which a
 // caller-supplied property checker found no violations, together with message
 // and latency statistics.
+//
+// Runner is the parallel form, and its stages differ in what happens to a
+// recorded run.  Sweep and SweepAll score each run where its engine recorded
+// it — borrowed (sim.Engine.RunBorrowed), valid until that worker's next seed
+// — and keep the outcome only, so a sweep allocates no run at all.  RunAll and
+// Extract keep their runs, so each seed gets an owned one (sim.Engine.Run, a
+// fresh slab per seed), as do Execute, ExecuteWith and the serial Sweep.
+// Outcomes are identical whichever way the run was held: all of them funnel
+// through ScoreRun.
 package workload

@@ -124,7 +124,7 @@ func (r Runner) Extract(e Extraction) (*ExtractionResult, error) {
 	// Runner's fan-out loop, unscored).
 	sampled := make(model.System, e.Runs)
 	source := []Task{{Spec: e.Source, Seeds: Seeds(e.BaseSeed, e.Runs)}}
-	if err := r.simulate(source, func(_, i int, res *sim.Result) { sampled[i] = res.Run }); err != nil {
+	if err := r.simulate(source, (*sim.Engine).Run, func(_, i int, res *sim.Result) { sampled[i] = res.Run }); err != nil {
 		return nil, err
 	}
 	return r.ExtractFromRuns(e, sampled)

@@ -86,11 +86,14 @@ func (r Runner) eachWithEngine(n int, fn func(eng *sim.Engine, i int)) {
 // simulate is the one fan-out loop behind SweepAll, RunAll and Extract: every
 // task's (spec, seed) pairs distribute over the worker pool, and each finished
 // simulation is handed to keep with its (task, slot) position — from a worker
-// goroutine, so keep writes to that slot and nothing else.  What keep does not
-// retain is garbage as soon as it returns.  On failure simulate returns the
-// error of the earliest (task, seed) pair, matching the serial path's
-// first-error semantics.
-func (r Runner) simulate(tasks []Task, keep func(task, slot int, res *sim.Result)) error {
+// goroutine, so keep writes to that slot and nothing else.  run is the engine
+// ending the caller needs: (*sim.Engine).Run when keep retains the recorded
+// run, (*sim.Engine).RunBorrowed when it reads the result and drops it — then
+// the result is the worker engine's own and is overwritten by that worker's
+// next seed, so keep must not let it (or its Run) outlive the call.  On
+// failure simulate returns the error of the earliest (task, seed) pair,
+// matching the serial path's first-error semantics.
+func (r Runner) simulate(tasks []Task, run engineRun, keep func(task, slot int, res *sim.Result)) error {
 	type job struct{ task, slot int }
 	var jobs []job
 	for ti, t := range tasks {
@@ -102,7 +105,7 @@ func (r Runner) simulate(tasks []Task, keep func(task, slot int, res *sim.Result
 	r.eachWithEngine(len(jobs), func(eng *sim.Engine, i int) {
 		j := jobs[i]
 		t := &tasks[j.task]
-		res, err := ExecuteWith(eng, t.Spec, t.Seeds[j.slot])
+		res, err := execute(eng, run, t.Spec, t.Seeds[j.slot])
 		if err != nil {
 			errs[i] = err
 			return
@@ -129,15 +132,16 @@ func (r Runner) Sweep(spec Spec, seeds []int64, eval Evaluator) (SweepResult, er
 
 // SweepAll runs every task's (spec, seed) pairs over the worker pool and
 // returns one SweepResult per task, with outcomes in seed order.  Each run is
-// dropped as soon as it is scored.  On failure it returns the error of the
-// earliest (task, seed) pair, matching the serial path's first-error
-// semantics.
+// scored where its engine recorded it — borrowed, never built — and dropped;
+// an outcome holds counters and violation strings, nothing of the run.  On
+// failure it returns the error of the earliest (task, seed) pair, matching the
+// serial path's first-error semantics.
 func (r Runner) SweepAll(tasks []Task) ([]SweepResult, error) {
 	results := make([]SweepResult, len(tasks))
 	for ti, t := range tasks {
 		results[ti] = SweepResult{Spec: t.Spec, Outcomes: make([]RunOutcome, len(t.Seeds))}
 	}
-	err := r.simulate(tasks, func(ti, si int, res *sim.Result) {
+	err := r.simulate(tasks, (*sim.Engine).RunBorrowed, func(ti, si int, res *sim.Result) {
 		t := &tasks[ti]
 		results[ti].Outcomes[si] = ScoreRun(res, t.Seeds[si], t.Eval)
 	})
@@ -148,25 +152,21 @@ func (r Runner) SweepAll(tasks []Task) ([]SweepResult, error) {
 }
 
 // RunAll is SweepAll with the recorded runs retained: every task's (spec,
-// seed) pairs distribute over one worker pool, each seed's SeedRun lands in
-// its slot, and tasks with a nil evaluator are simulated but not scored.  It
-// is the serving layer's workhorse — the retained runs become per-seed corpus
-// records — and its outcomes are byte-identical to SweepAll's (both funnel
-// through ScoreRun).
+// seed) pairs distribute over one worker pool, each seed's SeedRun — an owned
+// run, one fresh slab per seed — lands in its slot, and tasks with a nil
+// evaluator are simulated but not scored.  It is for callers that keep the
+// runs (an extraction source, whose runs become per-seed corpus records); a
+// caller that wants outcomes only pays for the slabs with nothing to show for
+// them and should call SweepAll, whose outcomes are byte-identical (both
+// funnel through ScoreRun).
 func (r Runner) RunAll(tasks []Task) ([][]SeedRun, error) {
 	runs := make([][]SeedRun, len(tasks))
 	for ti, t := range tasks {
 		runs[ti] = make([]SeedRun, len(t.Seeds))
 	}
-	err := r.simulate(tasks, func(ti, si int, res *sim.Result) {
+	err := r.simulate(tasks, (*sim.Engine).Run, func(ti, si int, res *sim.Result) {
 		t := &tasks[ti]
-		sr := SeedRun{Run: res.Run}
-		if t.Eval != nil {
-			sr.Outcome = ScoreRun(res, t.Seeds[si], t.Eval)
-		} else {
-			sr.Outcome = RunOutcome{Seed: t.Seeds[si], Stats: res.Stats}
-		}
-		runs[ti][si] = sr
+		runs[ti][si] = SeedRun{Outcome: ScoreRun(res, t.Seeds[si], t.Eval), Run: res.Run}
 	})
 	if err != nil {
 		return nil, err

@@ -142,8 +142,19 @@ func Execute(spec Spec, seed int64) (*sim.Result, error) {
 // engine's prior runs, so sweeps over many (spec, seed) pairs can share one
 // engine per worker.
 func ExecuteWith(eng *sim.Engine, spec Spec, seed int64) (*sim.Result, error) {
-	cfg := BuildConfig(spec, seed)
-	res, err := eng.Run(cfg)
+	return execute(eng, (*sim.Engine).Run, spec, seed)
+}
+
+// engineRun is one of sim.Engine's two endings as a method expression:
+// (*sim.Engine).Run, whose result the caller owns, or
+// (*sim.Engine).RunBorrowed, whose result is valid until the engine's next
+// run.  Which one is the caller's need to retain, not an option.
+type engineRun func(*sim.Engine, sim.Config) (*sim.Result, error)
+
+// execute builds the scenario's configuration for one seed and runs it on eng
+// through the given ending.
+func execute(eng *sim.Engine, run engineRun, spec Spec, seed int64) (*sim.Result, error) {
+	res, err := run(eng, BuildConfig(spec, seed))
 	if err != nil {
 		return nil, fmt.Errorf("scenario %q seed %d: %w", spec.Name, seed, err)
 	}

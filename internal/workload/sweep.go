@@ -9,6 +9,8 @@ import (
 )
 
 // Evaluator checks a property on a recorded run and returns its violations.
+// It must not retain r or alias it in what it returns: SweepAll hands it a run
+// borrowed from the engine, overwritten by that engine's next seed.
 type Evaluator func(r *model.Run) []model.Violation
 
 // UDCEvaluator checks the uniform specification (DC1-DC3) on all initiated
@@ -100,9 +102,15 @@ func (s SweepResult) String() string {
 
 // ScoreRun scores one recorded run.  The serial and parallel sweeps — and the
 // benchmark harness — all share it, so per-seed outcomes are identical by
-// construction everywhere.
+// construction everywhere.  A nil evaluator is Task's simulate-only: the
+// outcome carries the seed and the counters, and no pass over the run is made.
+// The outcome retains nothing of res, so res may be a borrowed result.
 func ScoreRun(res *sim.Result, seed int64, eval Evaluator) RunOutcome {
-	outcome := RunOutcome{Seed: seed, Stats: res.Stats, Violations: eval(res.Run)}
+	outcome := RunOutcome{Seed: seed, Stats: res.Stats}
+	if eval == nil {
+		return outcome
+	}
+	outcome.Violations = eval(res.Run)
 	for _, a := range res.Run.InitiatedActions() {
 		if lat, complete := core.CoordinationLatency(res.Run, a); complete {
 			outcome.LatencySum += lat

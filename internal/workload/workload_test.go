@@ -201,39 +201,37 @@ func TestExecutePropagatesErrors(t *testing.T) {
 	}
 }
 
-// TestRunnerSweepReusesEngines pins the engine free list: once a pass has
-// warmed the pooled engines, the next Runner.Sweep of the same task must not
-// pay the warm-up again.  The yardstick is the serial workload.Sweep, which
-// keeps building its own fresh engine: measured on baseSpec, one seed, it
-// allocates 15.2 MiB, and so did Runner.Sweep while every pass built fresh
-// engines; on a pooled engine Runner.Sweep allocates 2.4 MiB (0.16 of it).
-// The bar sits at 0.5.  sync.Pool may drop an engine between two passes (two
-// GC cycles, a goroutine that moved off the P holding it, and under -race one
+// TestRunnerSweepReusesEngines pins what a warmed Runner.Sweep allocates per
+// seed, which is two contracts at once.  The engine free list: a pass borrows
+// the engines an earlier pass warmed, instead of growing fresh ones (a fresh
+// engine costs about 15 MiB on baseSpec before its first seed is done, 240
+// KiB a seed over this sweep).  And the borrowed run: SweepAll scores each run
+// in its engine's arena, so no per-seed slab is built (one owned run of
+// baseSpec is a slab of about 1.9 MiB, which is what this sweep allocated per
+// seed while SweepAll built its runs).  What remains is the seed's protocol
+// instances, its Config and its outcome — 14 KiB measured; the bar sits at
+// 64.  sync.Pool may drop an engine between two passes (two GC
+// cycles, a goroutine that moved off the P holding it, and under -race one
 // Put in four by design), so the best of a few tries is taken.
 func TestRunnerSweepReusesEngines(t *testing.T) {
-	spec, seeds := baseSpec(), workload.Seeds(5, 1)
-	allocated := func(sweep func() error) uint64 {
+	spec, seeds := baseSpec(), workload.Seeds(5, 64)
+	const bound = 64 << 10 // bytes per seed
+	perSeed := func() uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		if err := sweep(); err != nil {
+		if _, err := (workload.Runner{Workers: 1}).Sweep(spec, seeds, workload.UDCEvaluator); err != nil {
 			t.Fatalf("sweep: %v", err)
 		}
 		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc
+		return (after.TotalAlloc - before.TotalAlloc) / uint64(len(seeds))
 	}
-	serial := func() error { _, err := workload.Sweep(spec, seeds, workload.UDCEvaluator); return err }
-	pooled := func() error {
-		_, err := workload.Runner{Workers: 1}.Sweep(spec, seeds, workload.UDCEvaluator)
-		return err
+	perSeed() // warm-up
+	best := perSeed()
+	for try := 1; try < 8 && best > bound; try++ {
+		best = min(best, perSeed())
 	}
-	fresh := allocated(serial)
-	allocated(pooled) // warm-up
-	best := allocated(pooled)
-	for try := 1; try < 8 && best*2 > fresh; try++ {
-		best = min(best, allocated(pooled))
-	}
-	t.Logf("fresh engine: %d KiB, pooled engine: %d KiB (%.2f)", fresh/1024, best/1024, float64(best)/float64(fresh))
-	if best*2 > fresh {
-		t.Fatalf("a warmed Runner.Sweep allocates %d bytes against %d on a fresh engine: the pass is not reusing pooled engines", best, fresh)
+	t.Logf("warmed Runner.Sweep: %.1f KiB per seed", float64(best)/1024)
+	if best > bound {
+		t.Fatalf("a warmed %d-seed Runner.Sweep allocates %d bytes per seed, want <= %d: the pass is building runs or not reusing pooled engines", len(seeds), best, bound)
 	}
 }

@@ -1,6 +1,8 @@
 package fd
 
 import (
+	"math/bits"
+
 	"repro/internal/model"
 )
 
@@ -35,12 +37,17 @@ type Oracle interface {
 // crashedSet returns the set of processes that have crashed by time now.
 func crashedSet(gt GroundTruth, now int) model.ProcSet {
 	var s model.ProcSet
-	for _, q := range gt.Faulty().Members() {
-		if gt.CrashedBy(q, now) {
+	for f := gt.Faulty(); f != 0; f &= f - 1 {
+		if q := lowest(f); gt.CrashedBy(q, now) {
 			s = s.Add(q)
 		}
 	}
 	return s
+}
+
+// lowest returns the lowest-numbered member of the non-empty set s.
+func lowest(s model.ProcSet) model.ProcID {
+	return model.ProcID(bits.TrailingZeros64(uint64(s)))
 }
 
 // shieldedProcess returns the lowest-numbered correct process of the run, the

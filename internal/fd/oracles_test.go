@@ -153,6 +153,41 @@ func TestWeakOracleAllFaultyIsVacuous(t *testing.T) {
 	}
 }
 
+// TestWeakOracleMatchesMemberListing pins the bit-walking Report to the
+// member-list definition of the monitor assignment (q's monitor is the
+// (q mod |correct|)'th correct process), over every failure pattern of up to
+// six processes, with crash times spread so some faulty processes have not
+// crashed yet.
+func TestWeakOracleMatchesMemberListing(t *testing.T) {
+	reference := func(p model.ProcID, now int, gt GroundTruth) model.ProcSet {
+		correct := model.FullSet(gt.N()).Diff(gt.Faulty()).Members()
+		var suspects model.ProcSet
+		for _, q := range gt.Faulty().Members() {
+			if len(correct) > 0 && gt.CrashedBy(q, now) && correct[int(q)%len(correct)] == p {
+				suspects = suspects.Add(q)
+			}
+		}
+		return suspects
+	}
+	for n := 1; n <= 6; n++ {
+		for faulty := model.ProcSet(0); faulty <= model.FullSet(n); faulty++ {
+			crash := map[model.ProcID]int{}
+			for _, q := range faulty.Members() {
+				crash[q] = int(q) * 3
+			}
+			gt := newFakeTruth(n, crash)
+			for p := model.ProcID(0); int(p) < n; p++ {
+				for _, now := range []int{0, 7, 100} {
+					rep, ok := WeakOracle{}.Report(p, now, gt)
+					if want := reference(p, now, gt); !ok || rep.Suspects != want {
+						t.Fatalf("n=%d faulty=%v p=%d now=%d: got %v, want %v", n, faulty, p, now, rep.Suspects, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestImpermanentStrongOracleAlternates(t *testing.T) {
 	gt := newFakeTruth(3, map[model.ProcID]int{2: 1})
 	oracle := ImpermanentStrongOracle{Window: 5}

@@ -74,19 +74,21 @@ func (WeakOracle) Name() string { return "weak" }
 
 // Report implements Oracle.
 func (WeakOracle) Report(p model.ProcID, now int, gt GroundTruth) (model.SuspectReport, bool) {
-	correct := model.FullSet(gt.N()).Diff(gt.Faulty()).Members()
-	if len(correct) == 0 {
+	correct := model.FullSet(gt.N()).Diff(gt.Faulty())
+	k := correct.Count()
+	if k == 0 {
 		// All processes fail in this run; weak completeness is vacuous.
 		return model.SuspectReport{}, true
 	}
+	// q's monitor is the correct process of rank q mod k, so p monitors the
+	// faulty processes q with q mod k equal to p's rank among the correct.
 	var suspects model.ProcSet
-	for _, q := range gt.Faulty().Members() {
-		if !gt.CrashedBy(q, now) {
-			continue
-		}
-		monitor := correct[int(q)%len(correct)]
-		if monitor == p {
-			suspects = suspects.Add(q)
+	if correct.Has(p) {
+		rank := correct.Intersect(model.FullSet(int(p))).Count()
+		for s := crashedSet(gt, now); s != 0; s &= s - 1 {
+			if q := lowest(s); int(q)%k == rank {
+				suspects = suspects.Add(q)
+			}
 		}
 	}
 	return model.SuspectReport{Suspects: suspects}, true

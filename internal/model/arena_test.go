@@ -75,8 +75,8 @@ func TestArenaBuildMatchesRunAppend(t *testing.T) {
 
 // TestArenaViewMatchesBuild is the borrowed run's contract: View yields the
 // run Build does, event for event, on one arena reused across the fixtures; a
-// later Reset+View reuses the grouped slab without allocating; and a Build
-// taken before it is unaffected.
+// later Reset+record+View reuses the histories without allocating; and a
+// Build taken before it is unaffected.
 func TestArenaViewMatchesBuild(t *testing.T) {
 	arena := NewRunArena()
 	var owned []*Run
@@ -107,6 +107,38 @@ func TestArenaViewMatchesBuild(t *testing.T) {
 	for i := range owned {
 		if !reflect.DeepEqual(owned[i], want[i]) {
 			t.Fatalf("fixture %d: a Build was changed by the arena's later Reset+View", i)
+		}
+	}
+}
+
+// TestArenaViewLendsHistories pins what View lends: its spans are the arena's
+// own histories, so the events Record handed out are the events the view
+// holds, and nothing is copied; Build's spans are a copy, capacity-clipped.
+func TestArenaViewLendsHistories(t *testing.T) {
+	a := NewRunArena()
+	a.Reset(2, 8) // room for four events a process: no record reallocates
+	var recorded []*Event
+	for _, app := range []struct {
+		p  ProcID
+		tm int
+	}{{0, 1}, {1, 2}, {0, 3}} {
+		ev, err := a.Record(app.p, app.tm, EventInit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recorded = append(recorded, ev)
+	}
+	view := a.View()
+	if &view.Events[0][0].Event != recorded[0] || &view.Events[1][0].Event != recorded[1] || &view.Events[0][1].Event != recorded[2] {
+		t.Fatal("View copied the histories instead of lending them")
+	}
+	built := a.Build()
+	if &built.Events[0][0].Event == recorded[0] {
+		t.Fatal("Build shares the arena's histories")
+	}
+	for p, evs := range built.Events {
+		if cap(evs) != len(evs) {
+			t.Fatalf("Build's span %d has capacity %d beyond its %d events", p, cap(evs), len(evs))
 		}
 	}
 }

@@ -18,8 +18,8 @@ import (
 // view of the engine's arena — but three kinds of slab scale with it: every
 // owned run (RunArena.Build: extraction sources, RunAll,
 // Execute), every f(r) the transform builds (extract-offline allocates both
-// per seed), and the recording slab plus the grouped view slab each pooled
-// engine retains at its high-water mark.  Growing it also moves every
+// per seed), and the per-process histories each idle engine keeps at its
+// high-water mark.  Growing it also moves every
 // `sim.ns_per_event` and `alloc_kb_per_seed` baseline; a field added here
 // needs that measurement beside it.
 func TestTimedEventSize(t *testing.T) {

@@ -566,8 +566,7 @@ func TestSweepStoresOutcomesExtractStoresRuns(t *testing.T) {
 // several hundred KiB, and the whole request — pass, outcome records, store
 // writes, response — stays under 128 KiB a seed once the pooled engines are
 // warm.  Every try is a fresh, never-seen window (so it is a miss); the best
-// of a few is taken because the first warms the engines and sync.Pool may drop
-// one between passes.
+// of a few is taken because the first warms the engines.
 func TestColdSweepAndClaimBuildNoRuns(t *testing.T) {
 	const scenario, window, bound = "prop3.1-strong-udc", 48, 128 << 10
 	// One worker, so a pass depends on one pooled engine surviving, not on
@@ -611,8 +610,8 @@ func TestColdSweepAndClaimBuildNoRuns(t *testing.T) {
 			return server.MarshalBody(server.SweepResponseOf(rec))
 		},
 	}
-	// The references come first: a serial sweep builds its runs, and the GC
-	// cycles that costs would empty the engine pool between two tries.
+	// The references come first: a serial sweep builds its runs, which no
+	// try should count.
 	const tries = 6
 	var requests []server.SweepRequest
 	var goldens [][]byte

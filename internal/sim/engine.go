@@ -16,23 +16,24 @@ import (
 const EngineVersion = 1
 
 // Engine executes simulations.  One Engine can run many configurations in
-// sequence, reusing its internal buffers (network buckets, intern tables,
-// per-process harnesses, schedule slices and the event arena) between runs,
-// so the inner recording loop allocates nothing once the arena has grown to
-// the workload's high-water mark.  Run returns a result the caller owns: its
-// model.Run is freshly allocated — regrouped out of the arena in a constant
-// number of allocations — and stays valid after the Engine moves on.
-// RunBorrowed returns a result that lives in the Engine, valid only until that
-// Engine's next run, and allocates nothing for it.  An Engine is not safe for
-// concurrent use; parallel sweeps give each worker its own Engine.  For the
-// same Config, every Engine produces an identical recorded run regardless of
-// what it ran before and of which ending returned it.
+// sequence, reusing its internal buffers (its random source, network buckets
+// and per-channel drop lists, per-process harnesses, schedule slices and the
+// event arena) between runs, so the inner recording loop allocates nothing
+// once they have grown to the workload's high-water mark.  Run returns a
+// result the caller owns: its model.Run is freshly allocated — copied out of
+// the arena in a constant number of allocations — and stays valid after the
+// Engine moves on.  RunBorrowed returns a result that lives in the Engine,
+// valid only until that Engine's next run, and allocates nothing for it.  An
+// Engine is not safe for concurrent use; parallel sweeps give each worker its
+// own Engine.  For the same Config, every Engine produces an identical
+// recorded run regardless of what it ran before and of which ending returned
+// it.
 type Engine struct {
 	// Reused across runs.
 	net      network
 	gt       groundTruth
 	procs    []procRuntime
-	actions  map[model.ActionID]int32
+	actions  []model.ActionID // this run's actions, in order of first Do
 	epoch    uint32
 	initsBuf []Initiation
 	crashBuf []CrashEvent
@@ -43,7 +44,7 @@ type Engine struct {
 	sink     model.Event
 	// Per-run state.
 	cfg   Config
-	rng   *rand.Rand
+	rng   *rand.Rand // reseeded by each run
 	now   int
 	stats Stats
 	err   error
@@ -51,13 +52,13 @@ type Engine struct {
 
 // NewEngine returns an empty engine ready to run configurations.
 func NewEngine() *Engine {
-	return &Engine{actions: make(map[model.ActionID]int32, 64)}
+	return &Engine{rng: rand.New(rand.NewSource(0))}
 }
 
 // Run executes one simulation described by cfg and returns the recorded run
 // and statistics.  It may be called repeatedly; identical configurations yield
 // identical results regardless of what the engine ran before.  The result
-// belongs to the caller: Build regroups the arena into a fresh Run, which
+// belongs to the caller: Build copies the arena into a fresh Run, which
 // survives the engine's later runs.
 func (e *Engine) Run(cfg Config) (*Result, error) {
 	if err := e.simulate(cfg); err != nil {
@@ -92,10 +93,11 @@ func (e *Engine) simulate(cfg Config) error {
 	}
 
 	e.cfg = cfg
-	e.rng = rand.New(rand.NewSource(cfg.Seed))
+	e.rng.Seed(cfg.Seed)
 	e.now = 0
 	e.stats = Stats{}
 	e.err = nil
+	e.actions = e.actions[:0]
 	e.epoch++
 	if e.epoch == 0 { // epoch wrapped: stale done stamps could collide
 		for i := range e.procs {
@@ -191,14 +193,14 @@ func (e *Engine) buildSchedule(cfg Config) ([]Initiation, []CrashEvent) {
 	return inits, crashes
 }
 
-// internAction returns the stable small-integer index of action a.
-func (e *Engine) internAction(a model.ActionID) int {
-	idx, ok := e.actions[a]
-	if !ok {
-		idx = int32(len(e.actions))
-		e.actions[a] = idx
+// actionIndex returns a's index in this run's action list, or the list's
+// length if a has not been performed yet.
+func (e *Engine) actionIndex(a model.ActionID) int {
+	i := 0
+	for i < len(e.actions) && e.actions[i] != a {
+		i++
 	}
-	return int(idx)
+	return i
 }
 
 // record reserves an event of the given kind at process p in the run arena and

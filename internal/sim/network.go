@@ -13,25 +13,19 @@ type pendingMessage struct {
 	msg      model.Message
 }
 
-// msgIdentity is the comparable projection of a Message that defines "the same
-// message" for fairness condition R5.  It mirrors Message.Key() field for
-// field but avoids building a string on every send; identities are interned to
-// small integers so fairness accounting never hashes strings in the hot path.
+// msgIdentity is the fixed-width projection of a Message that defines "the
+// same message" for fairness condition R5.  It mirrors Message.Key() field for
+// field, with the kind string replaced by its index in the run's kind table.
 type msgIdentity struct {
-	kind                     string
+	kind                     int32
 	action                   model.ActionID
 	round, phase, value, aux int
 }
 
-func identityOf(m *model.Message) msgIdentity {
-	return msgIdentity{kind: m.Kind, action: m.Action, round: m.Round, phase: m.Phase, value: m.Value, aux: m.Aux}
-}
-
-// channelKey identifies "the same message on the same channel" for fairness
-// accounting (condition R5), using the interned message identity.
-type channelKey struct {
-	from, to model.ProcID
-	msg      int32
+// dropEntry counts the consecutive drops of one message on one channel.
+type dropEntry struct {
+	id    msgIdentity
+	count int
 }
 
 // network implements reliable and fair-lossy channels.  In-flight messages
@@ -39,14 +33,21 @@ type channelKey struct {
 // modulo the ring size.  Delivery delays are bounded by
 // MaxDelay+MaxExtraDelay+1 steps (the extra-delay term is zero without a
 // channel shaper), so a ring of MaxDelay+MaxExtraDelay+2 buckets guarantees
-// each bucket is fully drained before it is reused; the per-bucket slices and
-// the intern table are retained across runs by the owning Engine.
+// each bucket is fully drained before it is reused.
+//
+// Fairness (R5) is counted per channel: drops[from*n+to] lists the messages
+// whose last copy on that channel was dropped, with their consecutive-drop
+// counts.  A message absent from the list has count 0, so a delivered copy
+// removes its entry, and an undropped send on a channel with an empty list
+// touches nothing.  msgIdentity's kind indexes kinds, the run's few distinct
+// kind strings.  The owning Engine keeps buckets, lists and kinds across runs.
 type network struct {
 	cfg     NetworkConfig
 	rng     *rand.Rand
 	buckets [][]pendingMessage // ring keyed by deliverAt % len(buckets)
-	intern  map[msgIdentity]int32
-	drops   map[channelKey]int // consecutive drops per channel/message
+	n       int
+	drops   [][]dropEntry // indexed by from*n+to
+	kinds   []string
 	stats   *Stats
 	// Channel shaping (nil shaper means none).  shaperMax caps the extra
 	// delay a verdict may add, and link carries the run dimensions every
@@ -78,14 +79,16 @@ func (nw *network) reset(cfg Config, rng *rand.Rand, stats *Stats) {
 	for i := range nw.buckets {
 		nw.buckets[i] = nw.buckets[i][:0]
 	}
-	if nw.intern == nil {
-		nw.intern = make(map[msgIdentity]int32, 64)
+	nw.n = cfg.N
+	if len(nw.drops) < cfg.N*cfg.N {
+		grown := make([][]dropEntry, cfg.N*cfg.N)
+		copy(grown, nw.drops)
+		nw.drops = grown
 	}
-	if nw.drops == nil {
-		nw.drops = make(map[channelKey]int, 64)
-	} else {
-		clear(nw.drops)
+	for i := range nw.drops {
+		nw.drops[i] = nw.drops[i][:0]
 	}
+	nw.kinds = nw.kinds[:0]
 }
 
 // fairnessBound returns the effective consecutive-drop cap.
@@ -96,15 +99,17 @@ func (nw *network) fairnessBound() int {
 	return nw.cfg.FairnessBound
 }
 
-// internMsg returns the stable small-integer identity of msg.
-func (nw *network) internMsg(msg *model.Message) int32 {
-	id := identityOf(msg)
-	k, ok := nw.intern[id]
-	if !ok {
-		k = int32(len(nw.intern))
-		nw.intern[id] = k
+// identityOf returns msg's fixed-width identity, adding its kind to the run's
+// kind table on first sight.
+func (nw *network) identityOf(msg *model.Message) msgIdentity {
+	k := 0
+	for k < len(nw.kinds) && nw.kinds[k] != msg.Kind {
+		k++
 	}
-	return k
+	if k == len(nw.kinds) {
+		nw.kinds = append(nw.kinds, msg.Kind)
+	}
+	return msgIdentity{kind: int32(k), action: msg.Action, round: msg.Round, phase: msg.Phase, value: msg.Value, aux: msg.Aux}
 }
 
 // send enqueues a message sent at time now, applying the loss model and the
@@ -114,7 +119,6 @@ func (nw *network) internMsg(msg *model.Message) int32 {
 // is read, not retained.
 func (nw *network) send(now int, from, to model.ProcID, msg *model.Message) {
 	nw.stats.MessagesSent++
-	key := channelKey{from: from, to: to, msg: nw.internMsg(msg)}
 	var verdict adversary.Verdict
 	if nw.shaper != nil {
 		nw.link.Now, nw.link.From, nw.link.To = now, from, to
@@ -131,15 +135,33 @@ func (nw *network) send(now int, from, to model.ProcID, msg *model.Message) {
 			drop = true
 		}
 	}
-	if drop {
-		if nw.drops[key]+1 < nw.fairnessBound() {
-			nw.drops[key]++
+	ch := int(from)*nw.n + int(to)
+	if list := nw.drops[ch]; drop || len(list) > 0 {
+		id := nw.identityOf(msg)
+		i := 0
+		for i < len(list) && list[i].id != id {
+			i++
+		}
+		count := 0
+		if i < len(list) {
+			count = list[i].count
+		}
+		if drop && count+1 < nw.fairnessBound() {
+			if i == len(list) {
+				list = append(list, dropEntry{id: id})
+			}
+			list[i].count++
+			nw.drops[ch] = list
 			nw.stats.MessagesDropped++
 			return
 		}
-		// The fairness bound forces this copy through.
+		// Delivered, or forced through by the fairness bound: the count
+		// returns to 0, so an entry goes.
+		if i < len(list) {
+			list[i] = list[len(list)-1]
+			nw.drops[ch] = list[:len(list)-1]
+		}
 	}
-	nw.drops[key] = 0
 	nw.enqueue(now, from, to, msg, verdict.ExtraDelay)
 	for i := 0; i < verdict.Duplicates; i++ {
 		nw.stats.MessagesDuplicated++

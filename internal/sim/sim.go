@@ -71,10 +71,9 @@ func (g *groundTruth) CrashTime(q model.ProcID) (int, bool) {
 func (g *groundTruth) Faulty() model.ProcSet { return g.faulty }
 
 // procRuntime is the per-process harness around a Protocol instance.  The
-// performed-action set is an epoch-stamped slice indexed by the engine's
-// interned action index: done[i] == engine.epoch means the action with index i
-// has been performed this run, so resetting between runs is a single epoch
-// increment rather than a map allocation.
+// performed-action set is an epoch-stamped slice indexed like the engine's
+// action list: done[i] == engine.epoch means the action with index i has been
+// performed this run, so resetting between runs is a single epoch increment.
 type procRuntime struct {
 	id      model.ProcID
 	proto   Protocol
@@ -127,8 +126,10 @@ func (c *procContext) Do(a model.ActionID) {
 	if c.p.crashed {
 		return
 	}
-	idx := c.e.internAction(a)
-	if idx < len(c.p.done) && c.p.done[idx] == c.e.epoch {
+	idx := c.e.actionIndex(a)
+	if idx == len(c.e.actions) {
+		c.e.actions = append(c.e.actions, a)
+	} else if idx < len(c.p.done) && c.p.done[idx] == c.e.epoch {
 		return
 	}
 	for idx >= len(c.p.done) {
@@ -141,6 +142,6 @@ func (c *procContext) Do(a model.ActionID) {
 
 // HasDone implements Context.
 func (c *procContext) HasDone(a model.ActionID) bool {
-	idx, ok := c.e.actions[a]
-	return ok && int(idx) < len(c.p.done) && c.p.done[idx] == c.e.epoch
+	idx := c.e.actionIndex(a)
+	return idx < len(c.p.done) && c.p.done[idx] == c.e.epoch
 }

@@ -318,6 +318,8 @@ func TestSweepAllMatchesPerTaskSweeps(t *testing.T) {
 // scenario recorded right after the pooled engines ran a different spec with a
 // different N must hash exactly as on a fresh engine — in both directions, and
 // for every worker count (one worker runs inline, more race for the pool).
+// Two sequences of passes run at once, so passes also borrow and return
+// engines concurrently.
 func TestPooledEnginesRecordIdenticalRuns(t *testing.T) {
 	a, b := registry.MustScenario("consensus-majority").Spec, registry.MustScenario("prop4.1-tuseful-udc").Spec
 	if a.N == b.N {
@@ -338,14 +340,30 @@ func TestPooledEnginesRecordIdenticalRuns(t *testing.T) {
 	want := map[string][]string{a.Name: fresh(a), b.Name: fresh(b)}
 	for _, workers := range []int{1, 2, 4} {
 		runner := workload.Runner{Workers: workers}
-		for _, spec := range []workload.Spec{a, b, a, b} {
-			runs, err := runner.RunAll([]workload.Task{{Spec: spec, Seeds: seeds}})
-			if err != nil {
-				t.Fatalf("%s (%d workers): %v", spec.Name, workers, err)
-			}
-			for i, sr := range runs[0] {
-				if got := runDigest(t, sr.Run); got != want[spec.Name][i] {
-					t.Errorf("%s seed %d (%d workers): run on a pooled engine differs from a fresh engine's", spec.Name, seeds[i], workers)
+		orders := [][]workload.Spec{{a, b, a, b}, {b, a, b, a}}
+		got := make([][][]workload.SeedRun, len(orders))
+		var wg sync.WaitGroup
+		for o, order := range orders {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for _, spec := range order {
+					runs, err := runner.RunAll([]workload.Task{{Spec: spec, Seeds: seeds}})
+					if err != nil {
+						t.Errorf("%s (%d workers): %v", spec.Name, workers, err)
+						return
+					}
+					got[o] = append(got[o], runs[0])
+				}
+			}()
+		}
+		wg.Wait()
+		for o, order := range orders {
+			for p, runs := range got[o] {
+				for i := range runs {
+					if runDigest(t, runs[i].Run) != want[order[p].Name][i] {
+						t.Errorf("%s seed %d (%d workers): run on a pooled engine differs from a fresh engine's", order[p].Name, seeds[i], workers)
+					}
 				}
 			}
 		}

@@ -18,5 +18,8 @@
 // Extract keep their runs, so each seed gets an owned one (sim.Engine.Run, a
 // fresh slab per seed), as do Execute, ExecuteWith and the serial Sweep.
 // Outcomes are identical whichever way the run was held: all of them funnel
-// through ScoreRun.
+// through ScoreRun.  Runner's workers borrow their engines from a package free
+// list that keeps them, buffers grown, across passes and garbage collections,
+// so a warm pass's seed allocates little beyond its protocol instances, its
+// Config and its outcome.
 package workload

@@ -38,6 +38,15 @@ func TestRecordedRunsMatchGoldenDigests(t *testing.T) {
 		{"crossover-quorum", 1, "ee3a1c22b6437f19f2f2a5c987bbce670beb38205e1cf26514b9a210aab6ebf2"},
 		{"crossover-quorum", 77, "4d9ef738d8e769702d3129a417265bbcc89f395442467879742105b6039a2df2"},
 		{"crossover-quorum", 4242, "729ea0867df3e7c7dc9486e54cbec74fdfb070141c00b378dc93919aa62576e2"},
+		// Recorded by the map-based fairness accounting, before the
+		// per-channel drop lists: shaper drops and duplicates, and many
+		// message identities per channel.
+		{"adv-burst-loss-strong-udc", 1, "a209b35f3b4af1fc917163dbfe4e2f5f728d9bfcbd0a75020dd29735c7c6db8a"},
+		{"adv-burst-loss-strong-udc", 77, "a00dab17f0bb90f95860dbb98d84e60fad874545034dccf5a3727570f6706d0b"},
+		{"adv-burst-loss-strong-udc", 4242, "7c385e3058aecd7c3830bc82232dc93b1b6ca127cd031ee1d5fb7ebc15838ab7"},
+		{"adv-targeted-consensus", 1, "742bb108b1ca5338cd1103f337bd7651698e2840bf3b0077517172f1862cae65"},
+		{"adv-targeted-consensus", 77, "43fadd35998bd71a64f6ae8564e7040510aef804261c41afc8966f19b566894b"},
+		{"adv-targeted-consensus", 4242, "09513f99369b5a5e999a849c947306b931ba1195d011d399f94e0a3f193d4842"},
 	}
 	for _, g := range golden {
 		spec := registry.MustScenario(g.scenario).Spec

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"runtime"
 	"sync"
 
 	"repro/internal/model"
@@ -42,12 +43,17 @@ func (r Runner) each(n int, fn func(i int)) {
 	pool.Each(r.Workers, n, fn)
 }
 
-// engines is the free list eachWithEngine draws on (the store.Decoders
-// pattern): an engine's arenas, network buckets and intern tables grow to its
-// workload's high-water mark, so passes hand their engines on instead of
-// re-growing fresh ones — in a daemon or a many-scenario sweep, thousands of
-// times.
-var engines = sync.Pool{New: func() any { return sim.NewEngine() }}
+// engines is the free list eachWithEngine draws on, a stack so a pass borrows
+// the engines the last pass warmed.  Engines are kept for their grown buffers,
+// which a sync.Pool would drop within two GCs.  A pass holds one engine per
+// worker, Runner defaults to GOMAXPROCS workers and a daemon runs one pass at a
+// time, so maxIdle, four passes' worth, keeps every steady-state borrow warm
+// (in-process fleet peers included); a surplus engine is left to the GC.
+var engines = struct {
+	sync.Mutex
+	idle    []*sim.Engine
+	maxIdle int
+}{maxIdle: 4 * runtime.GOMAXPROCS(0)}
 
 // eachWithEngine is each with one sim.Engine per worker, borrowed from the
 // package's free list for the length of the pass, for stages that execute
@@ -61,18 +67,23 @@ func (r Runner) eachWithEngine(n int, fn func(eng *sim.Engine, i int)) {
 	Fleet.ActivePasses.Add(1)
 	Fleet.InflightSeeds.Add(int64(n))
 	defer Fleet.ActivePasses.Add(-1)
-	var mu sync.Mutex
-	var borrowed []*sim.Engine
+	var borrowed []*sim.Engine // guarded by engines' lock
 	defer func() {
-		for _, eng := range borrowed {
-			engines.Put(eng)
-		}
+		engines.Lock()
+		keep := min(len(borrowed), engines.maxIdle-len(engines.idle))
+		engines.idle = append(engines.idle, borrowed[:keep]...)
+		engines.Unlock()
 	}()
 	borrow := func() *sim.Engine {
-		eng := engines.Get().(*sim.Engine)
-		mu.Lock()
+		engines.Lock()
+		defer engines.Unlock()
+		var eng *sim.Engine
+		if n := len(engines.idle); n > 0 {
+			eng, engines.idle[n-1], engines.idle = engines.idle[n-1], nil, engines.idle[:n-1]
+		} else {
+			eng = sim.NewEngine()
+		}
 		borrowed = append(borrowed, eng)
-		mu.Unlock()
 		return eng
 	}
 	pool.EachSlot(r.Workers, n, borrow, func(eng *sim.Engine, i int) {

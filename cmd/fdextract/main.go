@@ -29,6 +29,7 @@ import (
 	"os"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/registry"
 	"repro/internal/server"
 	"repro/internal/store"
@@ -119,7 +120,13 @@ func run(args []string, w io.Writer) error {
 	}
 
 	if outPath != "" {
-		if err := store.WriteSystemFile(outPath, format, result.Simulated); err != nil {
+		// The pipeline checks each f(r) and keeps none: rebuild the checked
+		// runs, byte for byte, from the index it leaves.
+		simulate := core.Transformer{Workers: workers}.SimulateTUsefulDetector
+		if ext.Mode == workload.ExtractPerfect {
+			simulate = core.Transformer{Workers: workers}.SimulatePerfectDetector
+		}
+		if err := store.WriteSystemFile(outPath, format, simulate(result.System)); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "transformed runs written to %s (format %s)\n", outPath, format)
@@ -139,7 +146,7 @@ func run(args []string, w io.Writer) error {
 		fmt.Fprintf(w, "simulated generalized detector (construction P3' of Theorem 4.3, t=%d):\n", ext.T)
 	}
 	fmt.Fprintf(w, "  property violations: %d across %d transformed runs\n",
-		result.TotalViolations(), len(result.Simulated))
+		result.TotalViolations(), len(result.Verdicts))
 	if !result.OK() {
 		violating := 0
 		for _, v := range result.Verdicts {
@@ -152,7 +159,7 @@ func run(args []string, w io.Writer) error {
 			fmt.Fprintln(w, "  (stress pipeline: the recorded violations are the expected result)")
 			return nil
 		}
-		return fmt.Errorf("extracted detector violates its properties on %d of %d runs", violating, len(result.Simulated))
+		return fmt.Errorf("extracted detector violates its properties on %d of %d runs", violating, len(result.Verdicts))
 	}
 	switch ext.Mode {
 	case workload.ExtractPerfect:

@@ -7,7 +7,8 @@
 // a reusable engine (internal/sim), every failure-detector class the paper
 // uses (internal/fd), the UDC/nUDC protocols and the knowledge-based
 // failure-detector simulations of Theorems 3.6 and 4.3, each transformed run
-// built into one exact-size slab (internal/core), an epistemic model checker
+// recorded into a reused arena and lent to its check, or built for a caller
+// that keeps it (internal/core), an epistemic model checker
 // for the paper's logic whose interned class index builds one process per
 // worker, identically for any worker count (internal/epistemic), the
 // Chandra-Toueg consensus baselines (internal/consensus), a registry of named

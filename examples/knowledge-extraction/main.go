@@ -96,7 +96,7 @@ func run(w io.Writer) error {
 	fmt.Fprintf(w, "\nthe detector the protocol actually used produced %d false suspicions across the system\n", falseSuspicions)
 
 	fmt.Fprintln(w, "applying construction P1-P3 of Theorem 3.6 (reports = {q : K_p crash(q)}):")
-	fmt.Fprintf(w, "  property violations across %d transformed runs: %d\n", len(result.Simulated), result.TotalViolations())
+	fmt.Fprintf(w, "  property violations across %d transformed runs: %d\n", len(result.Verdicts), result.TotalViolations())
 	if !result.OK() {
 		return fmt.Errorf("simulated detector is not perfect")
 	}

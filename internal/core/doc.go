@@ -11,6 +11,9 @@
 // take a finite sampled system of runs of a UDC-attaining protocol, compute
 // the required knowledge with the epistemic model checker, and emit the
 // transformed system R^f whose suspect' events constitute the simulated
-// detector.  The detector's properties are then verified with the checkers in
-// internal/fd.
+// detector.  Each f(r) is recorded into a reused model.RunArena and leaves it
+// one of two ways: Transformer's Visit methods lend it to a callback, which
+// checks it and drops it (the extraction pipeline's path), and the Simulate
+// functions build an owned copy of every run.  The detector's properties are
+// then verified with the checkers in internal/fd.
 package core

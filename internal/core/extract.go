@@ -21,14 +21,23 @@ import (
 //
 // Runs are transformed independently of one another, so Transformer
 // distributes them over a pool of worker goroutines, mirroring
-// workload.Runner: every transformed run is written to its input run's slot,
-// which makes the output identical to the serial transform's for any worker
-// count and any scheduler interleaving.
+// workload.Runner.  Each worker records f(r) into a model.RunArena it borrows
+// for the pass, and the recorded run leaves the arena by one of the arena's
+// two endings: the Simulate methods Build an owned copy into the input run's
+// slot, and the Visit methods lend View() to a callback on the worker's
+// goroutine and reuse the arena for that worker's next run — the ending for
+// a caller that checks f(r) and drops it.  Either way the output is
+// identical to the serial transform's for any worker count and any scheduler
+// interleaving.
 
 // processReporter computes the simulated detector's report for one process at
 // original time m.  It is created per (run, process), so implementations can
 // carry a monotone epistemic.Scan cursor across the times of the walk.
 type processReporter func(m int) model.SuspectReport
+
+// construction creates the reporter of one (run, process) walk: the part of
+// the transform in which f and f' differ.
+type construction func(ri int, p model.ProcID) processReporter
 
 // Transformer applies the knowledge-based run transforms over a pool of
 // worker goroutines, one run per job.
@@ -42,12 +51,7 @@ type Transformer struct {
 // at each odd step process p's new detector reports {q : K_p crash(q)}.
 // The returned runs form the system R^f of the theorem.
 func (t Transformer) SimulatePerfectDetector(sys *epistemic.System) model.System {
-	return t.transform(sys, func(ri int, p model.ProcID) processReporter {
-		scan := sys.Scan(p, ri)
-		return func(m int) model.SuspectReport {
-			return model.SuspectReport{Suspects: sys.KnownCrashedClass(p, scan.At(m))}
-		}
-	})
+	return t.build(sys, perfectReporter(sys))
 }
 
 // SimulateTUsefulDetector applies construction P3' of Theorem 4.3: at the odd
@@ -56,9 +60,39 @@ func (t Transformer) SimulatePerfectDetector(sys *epistemic.System) model.System
 // (l taken modulo 2^n) and k is the largest number of processes in S_l that p
 // knows to have crashed.
 func (t Transformer) SimulateTUsefulDetector(sys *epistemic.System) model.System {
-	n := sys.N()
-	subsetCount := 1 << uint(n)
-	return t.transform(sys, func(ri int, p model.ProcID) processReporter {
+	return t.build(sys, tUsefulReporter(sys))
+}
+
+// VisitPerfectDetector is SimulatePerfectDetector's lending form: it calls
+// visit(ri, f(r)) for every run ri of the system, on the worker goroutine that
+// recorded it.  The run lives in that worker's arena and is overwritten by its
+// next run, so visit must not retain it or anything that aliases it; visit
+// calls run concurrently and must write only to slot ri.
+func (t Transformer) VisitPerfectDetector(sys *epistemic.System, visit func(ri int, run *model.Run)) {
+	t.transform(sys, perfectReporter(sys), func(ri int, a *model.RunArena) { visit(ri, a.View()) })
+}
+
+// VisitTUsefulDetector is SimulateTUsefulDetector's lending form, under
+// VisitPerfectDetector's contract.
+func (t Transformer) VisitTUsefulDetector(sys *epistemic.System, visit func(ri int, run *model.Run)) {
+	t.transform(sys, tUsefulReporter(sys), func(ri int, a *model.RunArena) { visit(ri, a.View()) })
+}
+
+// perfectReporter is the report of construction P1-P3: {q : K_p crash(q)}.
+func perfectReporter(sys *epistemic.System) construction {
+	return func(ri int, p model.ProcID) processReporter {
+		scan := sys.Scan(p, ri)
+		return func(m int) model.SuspectReport {
+			return model.SuspectReport{Suspects: sys.KnownCrashedClass(p, scan.At(m))}
+		}
+	}
+}
+
+// tUsefulReporter is the report of construction P3': (S_l, k), where
+// l = |r_p(m+1)|.
+func tUsefulReporter(sys *epistemic.System) construction {
+	subsetCount := 1 << uint(sys.N())
+	return func(ri int, p model.ProcID) processReporter {
 		run := sys.RunAt(ri)
 		scan := sys.Scan(p, ri)
 		// prefix is |r_p(next)| for the last next asked about: the walk is
@@ -84,18 +118,28 @@ func (t Transformer) SimulateTUsefulDetector(sys *epistemic.System) model.System
 				MinFaulty:   sys.MaxKnownCrashedInClass(p, scan.At(m), group),
 			}
 		}
-	})
+	}
 }
 
-// transform builds f(r) for every run of the system, distributing runs over
-// the shared slot-indexed worker pool and writing each result to its run's
-// slot.
-func (t Transformer) transform(sys *epistemic.System, forProc func(ri int, p model.ProcID) processReporter) model.System {
+// build is transform's retaining ending: each f(r) is copied out of its
+// worker's arena into its run's slot.
+func (t Transformer) build(sys *epistemic.System, forProc construction) model.System {
 	out := make(model.System, sys.Size())
-	pool.Each(t.Workers, sys.Size(), func(ri int) {
-		out[ri] = transformRun(sys, ri, forProc)
-	})
+	t.transform(sys, forProc, func(ri int, a *model.RunArena) { out[ri] = a.Build() })
 	return out
+}
+
+// arenas is the free list the transform's workers borrow their arenas from.
+var arenas = pool.NewFreeList(model.NewRunArena)
+
+// transform records f(r) for every run of the system into its worker's arena
+// and hands the arena to end(ri, arena) on that worker's goroutine, before the
+// worker's next run resets it.
+func (t Transformer) transform(sys *epistemic.System, forProc construction, end func(ri int, a *model.RunArena)) {
+	arenas.EachSlot(t.Workers, sys.Size(), func(a *model.RunArena, ri int) {
+		recordRun(a, sys.RunAt(ri), ri, forProc)
+		end(ri, a)
+	})
 }
 
 // SimulatePerfectDetector is the serial reference form of
@@ -111,62 +155,29 @@ func SimulateTUsefulDetector(sys *epistemic.System) model.System {
 	return Transformer{Workers: 1}.SimulateTUsefulDetector(sys)
 }
 
-// transformRun builds f(r) for one run: events of r at time m are copied to
-// time 2m (dropping r's own failure-detector events), and at every odd time
-// 2m+1 a suspect' event computed by the process's reporter is inserted for
-// every process that has not crashed by m.
-//
-// f(r)'s size is known before it is built — each process keeps its
-// non-detector events and gains one report per time it is alive — so the
-// histories are spans of one exact-size slab (the RunArena.Build layout:
-// three allocations per run, no slot zeroed that is not then filled).  The
-// spans start empty and fill through Run.Append, which keeps the R2/R4 checks
-// on the path; they are capacity-clipped, so an input run the count
-// underestimates (one Validate would reject) regrows a span instead of
-// running into its neighbour.
-func transformRun(sys *epistemic.System, ri int, forProc func(ri int, p model.ProcID) processReporter) *model.Run {
-	r := sys.RunAt(ri)
-	sizes := make([]int, r.N)
-	total := 0
-	for p := range sizes {
-		evs := r.Events[p]
-		alive := r.Horizon + 1
-		if crashTime, crashed := r.CrashTime(model.ProcID(p)); crashed && crashTime < alive {
-			alive = crashTime
-		}
-		kept := 0
-		for i := range evs {
-			if evs[i].Event.Kind != model.EventSuspect {
-				kept++
-			}
-		}
-		sizes[p] = kept + alive
-		total += sizes[p]
-	}
-	slab := make([]model.TimedEvent, 0, total)
-	out := &model.Run{N: r.N, Events: make([][]model.TimedEvent, r.N)}
-	off := 0
-	for p, size := range sizes {
-		out.Events[p] = slab[off : off : off+size]
-		off += size
-	}
+// recordRun records f(r) for run ri into a: events of r at time m are
+// recorded at time 2m (dropping r's own failure-detector events), and at
+// every odd time 2m+1 a suspect' event computed by the process's reporter is
+// inserted for every process that has not crashed by m.  Each event is filled
+// where the arena keeps it, and the arena enforces R2 and R4: an event it
+// refuses could only come from a corrupted input run, which Validate would
+// already flag, and is dropped.
+func recordRun(a *model.RunArena, r *model.Run, ri int, forProc construction) {
+	a.Reset(r.N, 0)
 	for p := model.ProcID(0); int(p) < r.N; p++ {
 		crashTime, crashed := r.CrashTime(p)
 		report := forProc(ri, p)
-		evIdx := 0
-		evs := r.Events[p]
+		evs, evIdx := r.Events[p], 0
 		for m := 0; m <= r.Horizon; m++ {
 			// Copy the original events of time m to time 2m.
-			for evIdx < len(evs) && evs[evIdx].Time == m {
-				e := &evs[evIdx].Event
-				evIdx++
-				if e.Kind == model.EventSuspect {
+			for ; evIdx < len(evs) && evs[evIdx].Time == m; evIdx++ {
+				src := &evs[evIdx].Event
+				if src.Kind == model.EventSuspect {
 					continue
 				}
-				// Errors are impossible here by construction (times are
-				// monotone and crash stays last); they would only indicate a
-				// corrupted input run, which Validate would already flag.
-				_ = out.Append(p, 2*m, *e)
+				if e, err := a.Record(p, 2*m, src.Kind); err == nil {
+					*e = *src
+				}
 			}
 			// Insert the simulated detector report at time 2m+1, unless the
 			// process has already crashed (histories do not extend past a
@@ -174,11 +185,12 @@ func transformRun(sys *epistemic.System, ri int, forProc func(ri int, p model.Pr
 			if crashed && crashTime <= m {
 				continue
 			}
-			_ = out.Append(p, 2*m+1, model.Event{Kind: model.EventSuspect, Report: report(m)})
+			if e, err := a.Record(p, 2*m+1, model.EventSuspect); err == nil {
+				e.Report = report(m)
+			}
 		}
 	}
-	out.SetHorizon(2*r.Horizon + 1)
-	return out
+	a.SetHorizon(2*r.Horizon + 1)
 }
 
 // CheckA5 verifies assumption A5_t on a sampled system: for every subset S of

@@ -224,12 +224,7 @@ func TestTransformerParallelMatchesSerial(t *testing.T) {
 	digest := func(runs model.System) string {
 		var b strings.Builder
 		for _, r := range runs {
-			fmt.Fprintf(&b, "%d/%d:", r.N, r.Horizon)
-			for p := range r.Events {
-				for _, te := range r.Events[p] {
-					fmt.Fprintf(&b, "%d@%d=%x;", p, te.Time, te.Event.IdentityHash())
-				}
-			}
+			b.WriteString(runDigest(r))
 		}
 		return b.String()
 	}
@@ -288,6 +283,77 @@ func TestTransformFillsOneExactSlabPerRun(t *testing.T) {
 		limit := float64(4 + len(runs)*(4+3*spec.N))
 		if allocs := testing.AllocsPerRun(5, func() { transform(sys) }); allocs > limit {
 			t.Errorf("%s: %.0f allocations for %d runs of %d events, want at most %.0f", name, allocs, len(runs), events, limit)
+		}
+	}
+}
+
+// runDigest renders a run's shape and every event's identity, in history
+// order.
+func runDigest(r *model.Run) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%d/%d:", r.N, r.Horizon)
+	for p := range r.Events {
+		for i := range r.Events[p] {
+			te := &r.Events[p][i]
+			fmt.Fprintf(&b, "%d@%d=%x;", p, te.Time, te.Event.IdentityHash())
+		}
+	}
+	return b.String()
+}
+
+// TestVisitLendsTheRunsSimulateBuilds pins the lending path against the
+// retaining one: for both constructions and any worker count, the run handed
+// to visit for slot ri is, event for event, slot ri of Simulate…Detector.
+// The visited run lives in an arena its worker reuses, and this spec's
+// crashes make f(r)'s histories differ in length from run to run, so a short
+// history recorded after a longer one on the same arena must show none of the
+// longer one's events — which only holds while the arena's Reset truncates.
+func TestVisitLendsTheRunsSimulateBuilds(t *testing.T) {
+	spec := workload.Spec{
+		Name:          "transform-allocation",
+		N:             5,
+		MaxSteps:      300,
+		TickEvery:     2,
+		SuspectEvery:  3,
+		Network:       sim.FairLossyNetwork(0.25),
+		Oracle:        fd.StrongOracle{FalseSuspicionRate: 0.3, Seed: 17},
+		Protocol:      core.NewStrongFDUDC,
+		Actions:       6,
+		LastInitTime:  200,
+		MaxFailures:   2,
+		ExactFailures: true,
+		CrashEnd:      80,
+	}
+	_, sys := buildUDCSystem(t, spec, workload.Seeds(800, 8))
+	constructions := []struct {
+		name     string
+		simulate func(*epistemic.System) model.System
+		visit    func(core.Transformer, *epistemic.System, func(int, *model.Run))
+	}{
+		{"perfect", core.SimulatePerfectDetector, core.Transformer.VisitPerfectDetector},
+		{"t-useful", core.SimulateTUsefulDetector, core.Transformer.VisitTUsefulDetector},
+	}
+	for _, c := range constructions {
+		built := c.simulate(sys)
+		shrinks := 0
+		for i := 1; i < len(built); i++ {
+			for p := range built[i].Events {
+				if len(built[i].Events[p]) < len(built[i-1].Events[p]) {
+					shrinks++
+				}
+			}
+		}
+		if shrinks == 0 {
+			t.Fatalf("%s: no history is shorter than the one before it; the spec no longer exercises arena reuse", c.name)
+		}
+		for _, workers := range []int{1, 2, 4} {
+			lent := make([]string, len(built))
+			c.visit(core.Transformer{Workers: workers}, sys, func(ri int, run *model.Run) { lent[ri] = runDigest(run) })
+			for ri, r := range built {
+				if lent[ri] != runDigest(r) {
+					t.Errorf("%s, %d workers: run %d visited differs from the run Simulate builds", c.name, workers, ri)
+				}
+			}
 		}
 	}
 }

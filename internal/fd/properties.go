@@ -1,6 +1,8 @@
 package fd
 
 import (
+	"iter"
+
 	"repro/internal/model"
 )
 
@@ -42,25 +44,19 @@ func finalReport(r *model.Run, p model.ProcID) (reportEvent, bool) {
 	return reportEvent{}, false
 }
 
-// reportTimeline returns p's failure-detector events in order.  It counts
-// them first, so the timeline is one exact-size allocation however long the
-// history is: a transformed run of Theorems 3.6/4.3 carries one report per
-// process per original time step.
-func reportTimeline(r *model.Run, p model.ProcID) []reportEvent {
-	evs := r.Events[p]
-	reports := 0
-	for i := range evs {
-		if evs[i].Event.Kind == model.EventSuspect {
-			reports++
+// reports yields p's failure-detector events in order, each read in place
+// from the history: a transformed run of Theorems 3.6/4.3 carries one report
+// per process per original time step, and the checks walk them without
+// collecting them.
+func reports(r *model.Run, p model.ProcID) iter.Seq[reportEvent] {
+	return func(yield func(reportEvent) bool) {
+		evs := r.Events[p]
+		for i := range evs {
+			if evs[i].Event.Kind == model.EventSuspect && !yield(newReportEvent(r, &evs[i])) {
+				return
+			}
 		}
 	}
-	out := make([]reportEvent, 0, reports)
-	for i := range evs {
-		if evs[i].Event.Kind == model.EventSuspect {
-			out = append(out, newReportEvent(r, &evs[i]))
-		}
-	}
-	return out
 }
 
 // CheckStrongAccuracy verifies that no process is suspected before it crashes:
@@ -69,7 +65,7 @@ func reportTimeline(r *model.Run, p model.ProcID) []reportEvent {
 func CheckStrongAccuracy(r *model.Run) []model.Violation {
 	var out []model.Violation
 	for p := model.ProcID(0); int(p) < r.N; p++ {
-		for _, re := range reportTimeline(r, p) {
+		for re := range reports(r, p) {
 			if !re.isStandard {
 				continue
 			}
@@ -93,7 +89,7 @@ func CheckWeakAccuracy(r *model.Run) []model.Violation {
 	}
 	var everSuspected model.ProcSet
 	for p := model.ProcID(0); int(p) < r.N; p++ {
-		for _, re := range reportTimeline(r, p) {
+		for re := range reports(r, p) {
 			if re.isStandard {
 				everSuspected = everSuspected.Union(re.suspects)
 			}
@@ -166,7 +162,7 @@ func CheckImpermanentStrongCompleteness(r *model.Run) []model.Violation {
 	faulty := r.Faulty()
 	for _, p := range r.Correct().Members() {
 		var everSuspected model.ProcSet
-		for _, re := range reportTimeline(r, p) {
+		for re := range reports(r, p) {
 			if re.isStandard {
 				everSuspected = everSuspected.Union(re.suspects)
 			}
@@ -192,7 +188,7 @@ func CheckImpermanentWeakCompleteness(r *model.Run) []model.Violation {
 	for _, q := range r.Faulty().Members() {
 		found := false
 		for _, p := range correct.Members() {
-			for _, re := range reportTimeline(r, p) {
+			for re := range reports(r, p) {
 				if re.isStandard && re.suspects.Has(q) {
 					found = true
 					break
@@ -231,7 +227,7 @@ func CheckWeak(r *model.Run) []model.Violation {
 func CheckGeneralizedStrongAccuracy(r *model.Run) []model.Violation {
 	var out []model.Violation
 	for p := model.ProcID(0); int(p) < r.N; p++ {
-		for _, re := range reportTimeline(r, p) {
+		for re := range reports(r, p) {
 			if !re.report.Generalized {
 				continue
 			}
@@ -286,7 +282,7 @@ func CheckTUseful(r *model.Run, t int) []model.Violation {
 	out := CheckGeneralizedStrongAccuracy(r)
 	for _, p := range r.Correct().Members() {
 		found := false
-		for _, re := range reportTimeline(r, p) {
+		for re := range reports(r, p) {
 			if IsTUsefulEvent(r, re.report, t) {
 				found = true
 				break

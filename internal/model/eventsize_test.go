@@ -15,10 +15,11 @@ import (
 // []TimedEvent, so this is the stride of every scan over a run and the unit
 // every run slab is allocated, zeroed and GC-scanned in (the slabs hold a
 // pointer: Message.Kind).  Sweeps allocate no slab per run — they score a
-// view of the engine's arena — but three kinds of slab scale with it: every
-// owned run (RunArena.Build: extraction sources, RunAll,
-// Execute), every f(r) the transform builds (extract-offline allocates both
-// per seed), and the per-process histories each idle engine keeps at its
+// view of the engine's arena — and neither does extraction's transform, which
+// checks each f(r) in a reused arena; but two kinds of slab scale with it:
+// every owned run (RunArena.Build: extraction sources, which extract-offline
+// allocates per seed, RunAll, Execute, the retaining Simulate…Detector), and
+// the per-process histories each idle engine and transform arena keeps at its
 // high-water mark.  Growing it also moves every
 // `sim.ns_per_event` and `alloc_kb_per_seed` baseline; a field added here
 // needs that measurement beside it.

@@ -200,8 +200,9 @@ func TestExtractFromRunsMatchesExtract(t *testing.T) {
 	if direct.Kept != reused.Kept || direct.Excluded != reused.Excluded || direct.Stats != reused.Stats {
 		t.Fatalf("pipeline aggregates differ: %+v vs %+v", direct, reused)
 	}
-	for i := range direct.Simulated {
-		if runDigest(t, direct.Simulated[i]) != runDigest(t, reused.Simulated[i]) {
+	directRuns, reusedRuns := transformed(direct), transformed(reused)
+	for i := range directRuns {
+		if runDigest(t, directRuns[i]) != runDigest(t, reusedRuns[i]) {
 			t.Fatalf("transformed run %d differs", i)
 		}
 	}

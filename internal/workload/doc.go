@@ -18,8 +18,10 @@
 // Extract keep their runs, so each seed gets an owned one (sim.Engine.Run, a
 // fresh slab per seed), as do Execute, ExecuteWith and the serial Sweep.
 // Outcomes are identical whichever way the run was held: all of them funnel
-// through ScoreRun.  Runner's workers borrow their engines from a package free
-// list that keeps them, buffers grown, across passes and garbage collections,
-// so a warm pass's seed allocates little beyond its protocol instances, its
-// Config and its outcome.
+// through ScoreRun.  Runner's workers borrow their engines from a free list
+// (internal/pool.FreeList) that keeps them, buffers grown, across passes and
+// garbage collections, so a warm pass's seed allocates little beyond its
+// protocol instances, its Config and its outcome.  Extract keeps no
+// transformed run: each f(r) is checked in the arena its worker recorded it
+// into (core.Transformer's lending form) and dropped.
 package workload

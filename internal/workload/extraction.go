@@ -70,10 +70,10 @@ type ExtractionResult struct {
 	System *epistemic.System
 	// Stats reports the index's size.
 	Stats epistemic.Stats
-	// Simulated holds the transformed runs, in kept-seed order.
-	Simulated model.System
-	// Verdicts holds one property check per transformed run, index-aligned
-	// with Simulated.
+	// Verdicts holds one property check per transformed run, in kept-seed
+	// order.  The transformed runs themselves are checked and dropped; a
+	// caller that wants them rebuilds them from System with core.Transformer,
+	// whose output is the checked runs byte for byte.
 	Verdicts []ExtractionVerdict
 }
 
@@ -107,11 +107,13 @@ func (e Extraction) evaluator() (Evaluator, error) {
 }
 
 // Extract executes the pipeline over the runner's worker pool: the simulate,
-// filter, transform and property-check stages distribute work at run
+// filter and fused transform-and-check stages distribute work at run
 // granularity with slot-indexed results, the index stage at process
 // granularity (each process's build walks the kept runs in seed order), and
 // the fold between them stays in seed order, so the result is byte-identical
-// to a single-worker execution.
+// to a single-worker execution.  Each transformed run is recorded into its
+// worker's reused arena, checked there and dropped, so the pass keeps no
+// f(r): the result carries the verdicts and the index they were read from.
 func (r Runner) Extract(e Extraction) (*ExtractionResult, error) {
 	if e.Runs <= 0 {
 		return nil, fmt.Errorf("extraction %q: Runs must be positive", e.Name)
@@ -165,9 +167,9 @@ func (r Runner) ExtractFromRuns(e Extraction, sampled model.System) (*Extraction
 // st.Indexed seeds and delta holds the runs of the remaining seeds of
 // Seeds(e.BaseSeed, e.Runs), in seed order.  The new runs are filtered and
 // folded into st's index with System.Add, st advances to cover the full
-// window, and the transform and property-check stages run over the grown
-// system (knowledge at existing points can change as runs arrive, so those
-// stages are inherently whole-window).  The result is byte-identical to
+// window, and the fused transform-and-check stage runs over the grown system
+// (knowledge at existing points can change as runs arrive, so that stage is
+// inherently whole-window).  The result is byte-identical to
 // ExtractFromRuns over the union, and st is mutated even when the pipeline
 // errors afterwards (the state remains a coherent, reusable prefix).
 func (r Runner) ExtendExtraction(e Extraction, st *ExtractionState, delta model.System) (*ExtractionResult, error) {
@@ -222,19 +224,18 @@ func (r Runner) ExtendExtraction(e Extraction, st *ExtractionState, delta model.
 	result.System = st.System
 	result.Stats = result.System.Stats()
 
-	// Transform.
+	// Transform and property check, fused: each f(r) is checked in its
+	// worker's arena and dropped, its verdict written to its kept slot.
+	result.Verdicts = make([]ExtractionVerdict, result.Kept)
+	check := func(i int, run *model.Run) {
+		result.Verdicts[i] = ExtractionVerdict{Seed: st.KeptSeeds[i], Violations: eval(run)}
+	}
 	transformer := core.Transformer{Workers: r.Workers}
 	switch e.Mode {
 	case ExtractPerfect:
-		result.Simulated = transformer.SimulatePerfectDetector(result.System)
+		transformer.VisitPerfectDetector(result.System, check)
 	default:
-		result.Simulated = transformer.SimulateTUsefulDetector(result.System)
+		transformer.VisitTUsefulDetector(result.System, check)
 	}
-
-	// Property check: one verdict per transformed run, slot-indexed.
-	result.Verdicts = make([]ExtractionVerdict, len(result.Simulated))
-	r.each(len(result.Simulated), func(i int) {
-		result.Verdicts[i] = ExtractionVerdict{Seed: st.KeptSeeds[i], Violations: eval(result.Simulated[i])}
-	})
 	return result, nil
 }

@@ -1,9 +1,6 @@
 package workload
 
 import (
-	"runtime"
-	"sync"
-
 	"repro/internal/model"
 	"repro/internal/pool"
 	"repro/internal/sim"
@@ -43,17 +40,8 @@ func (r Runner) each(n int, fn func(i int)) {
 	pool.Each(r.Workers, n, fn)
 }
 
-// engines is the free list eachWithEngine draws on, a stack so a pass borrows
-// the engines the last pass warmed.  Engines are kept for their grown buffers,
-// which a sync.Pool would drop within two GCs.  A pass holds one engine per
-// worker, Runner defaults to GOMAXPROCS workers and a daemon runs one pass at a
-// time, so maxIdle, four passes' worth, keeps every steady-state borrow warm
-// (in-process fleet peers included); a surplus engine is left to the GC.
-var engines = struct {
-	sync.Mutex
-	idle    []*sim.Engine
-	maxIdle int
-}{maxIdle: 4 * runtime.GOMAXPROCS(0)}
+// engines is the free list eachWithEngine borrows its engines from.
+var engines = pool.NewFreeList(sim.NewEngine)
 
 // eachWithEngine is each with one sim.Engine per worker, borrowed from the
 // package's free list for the length of the pass, for stages that execute
@@ -67,26 +55,7 @@ func (r Runner) eachWithEngine(n int, fn func(eng *sim.Engine, i int)) {
 	Fleet.ActivePasses.Add(1)
 	Fleet.InflightSeeds.Add(int64(n))
 	defer Fleet.ActivePasses.Add(-1)
-	var borrowed []*sim.Engine // guarded by engines' lock
-	defer func() {
-		engines.Lock()
-		keep := min(len(borrowed), engines.maxIdle-len(engines.idle))
-		engines.idle = append(engines.idle, borrowed[:keep]...)
-		engines.Unlock()
-	}()
-	borrow := func() *sim.Engine {
-		engines.Lock()
-		defer engines.Unlock()
-		var eng *sim.Engine
-		if n := len(engines.idle); n > 0 {
-			eng, engines.idle[n-1], engines.idle = engines.idle[n-1], nil, engines.idle[:n-1]
-		} else {
-			eng = sim.NewEngine()
-		}
-		borrowed = append(borrowed, eng)
-		return eng
-	}
-	pool.EachSlot(r.Workers, n, borrow, func(eng *sim.Engine, i int) {
+	engines.EachSlot(r.Workers, n, func(eng *sim.Engine, i int) {
 		Fleet.BusyWorkers.Add(1)
 		fn(eng, i)
 		Fleet.BusyWorkers.Add(-1)

@@ -63,7 +63,7 @@ func Deliveries(r *model.Run, p model.ProcID) []MessageID {
 	evs := r.Events[p]
 	for i := range evs {
 		if e := &evs[i].Event; e.Kind == model.EventDo {
-			out = append(out, IDFor(e.Action))
+			out = append(out, IDFor(e.Action()))
 		}
 	}
 	return out
@@ -88,7 +88,7 @@ func Check(r *model.Run) []model.Violation {
 		evs := r.Events[p]
 		for i := range evs {
 			if e := &evs[i].Event; e.Kind == model.EventDo {
-				seen[e.Action]++
+				seen[e.Action()]++
 			}
 		}
 		for a, c := range seen {

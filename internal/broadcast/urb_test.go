@@ -96,10 +96,10 @@ func TestCheckFlagsDuplicateDelivery(t *testing.T) {
 			t.Fatalf("append: %v", err)
 		}
 	}
-	must(0, 1, model.Event{Kind: model.EventInit, Action: a})
-	must(0, 2, model.Event{Kind: model.EventDo, Action: a})
-	must(1, 3, model.Event{Kind: model.EventDo, Action: a})
-	must(1, 4, model.Event{Kind: model.EventDo, Action: a})
+	must(0, 1, model.InitEvent(a))
+	must(0, 2, model.DoEvent(a))
+	must(1, 3, model.DoEvent(a))
+	must(1, 4, model.DoEvent(a))
 	r.SetHorizon(6)
 	vs := broadcast.Check(r)
 	found := false

@@ -37,7 +37,7 @@ func CheckConsensus(r *model.Run, proposals map[model.ProcID]int) []model.Violat
 			}
 			count++
 			if count == 1 {
-				decisions[p] = e.Action.Seq
+				decisions[p] = e.Action().Seq
 			}
 		}
 		if count > 1 {

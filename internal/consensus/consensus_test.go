@@ -154,9 +154,9 @@ func TestCheckConsensusDetectsViolations(t *testing.T) {
 
 	t.Run("disagreement", func(t *testing.T) {
 		r := model.NewRun(3)
-		mustAppend(t, r, 0, 5, model.Event{Kind: model.EventDo, Action: consensus.DecisionAction(0, 10)})
-		mustAppend(t, r, 1, 6, model.Event{Kind: model.EventDo, Action: consensus.DecisionAction(1, 20)})
-		mustAppend(t, r, 2, 7, model.Event{Kind: model.EventDo, Action: consensus.DecisionAction(2, 10)})
+		mustAppend(t, r, 0, 5, model.DoEvent(consensus.DecisionAction(0, 10)))
+		mustAppend(t, r, 1, 6, model.DoEvent(consensus.DecisionAction(1, 20)))
+		mustAppend(t, r, 2, 7, model.DoEvent(consensus.DecisionAction(2, 10)))
 		r.SetHorizon(10)
 		if !hasRule(consensus.CheckConsensus(r, proposals), "uniform-agreement") {
 			t.Fatalf("expected a uniform-agreement violation")
@@ -166,7 +166,7 @@ func TestCheckConsensusDetectsViolations(t *testing.T) {
 	t.Run("invalid value", func(t *testing.T) {
 		r := model.NewRun(3)
 		for p := model.ProcID(0); p < 3; p++ {
-			mustAppend(t, r, p, 5, model.Event{Kind: model.EventDo, Action: consensus.DecisionAction(p, 999)})
+			mustAppend(t, r, p, 5, model.DoEvent(consensus.DecisionAction(p, 999)))
 		}
 		r.SetHorizon(10)
 		if !hasRule(consensus.CheckConsensus(r, proposals), "validity") {
@@ -176,7 +176,7 @@ func TestCheckConsensusDetectsViolations(t *testing.T) {
 
 	t.Run("missing termination", func(t *testing.T) {
 		r := model.NewRun(3)
-		mustAppend(t, r, 0, 5, model.Event{Kind: model.EventDo, Action: consensus.DecisionAction(0, 10)})
+		mustAppend(t, r, 0, 5, model.DoEvent(consensus.DecisionAction(0, 10)))
 		r.SetHorizon(10)
 		if !hasRule(consensus.CheckConsensus(r, proposals), "termination") {
 			t.Fatalf("expected a termination violation")
@@ -186,9 +186,9 @@ func TestCheckConsensusDetectsViolations(t *testing.T) {
 	t.Run("double decision", func(t *testing.T) {
 		r := model.NewRun(3)
 		for p := model.ProcID(0); p < 3; p++ {
-			mustAppend(t, r, p, 5, model.Event{Kind: model.EventDo, Action: consensus.DecisionAction(p, 10)})
+			mustAppend(t, r, p, 5, model.DoEvent(consensus.DecisionAction(p, 10)))
 		}
-		mustAppend(t, r, 0, 6, model.Event{Kind: model.EventDo, Action: consensus.DecisionAction(0, 20)})
+		mustAppend(t, r, 0, 6, model.DoEvent(consensus.DecisionAction(0, 20)))
 		r.SetHorizon(10)
 		if !hasRule(consensus.CheckConsensus(r, proposals), "integrity") {
 			t.Fatalf("expected an integrity violation")
@@ -197,8 +197,8 @@ func TestCheckConsensusDetectsViolations(t *testing.T) {
 
 	t.Run("crashed non-decider is fine", func(t *testing.T) {
 		r := model.NewRun(3)
-		mustAppend(t, r, 0, 5, model.Event{Kind: model.EventDo, Action: consensus.DecisionAction(0, 10)})
-		mustAppend(t, r, 1, 5, model.Event{Kind: model.EventDo, Action: consensus.DecisionAction(1, 10)})
+		mustAppend(t, r, 0, 5, model.DoEvent(consensus.DecisionAction(0, 10)))
+		mustAppend(t, r, 1, 5, model.DoEvent(consensus.DecisionAction(1, 10)))
 		mustAppend(t, r, 2, 3, model.Event{Kind: model.EventCrash})
 		r.SetHorizon(10)
 		if vs := consensus.CheckConsensus(r, proposals); len(vs) != 0 {
@@ -210,7 +210,7 @@ func TestCheckConsensusDetectsViolations(t *testing.T) {
 // TestDecisionsExtraction checks the decision-extraction helper.
 func TestDecisionsExtraction(t *testing.T) {
 	r := model.NewRun(2)
-	mustAppend(t, r, 0, 1, model.Event{Kind: model.EventDo, Action: consensus.DecisionAction(0, 42)})
+	mustAppend(t, r, 0, 1, model.DoEvent(consensus.DecisionAction(0, 42)))
 	r.SetHorizon(5)
 	got := consensus.Decisions(r)
 	if len(got) != 1 || got[0] != 42 {

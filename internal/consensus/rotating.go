@@ -5,18 +5,18 @@ import (
 	"repro/internal/sim"
 )
 
-// Message kinds used by the consensus protocols.
-const (
+// Message kinds used by the consensus protocols, interned once.
+var (
 	// MsgEstimate is a coordinator's round estimate (Rotating) or a
 	// participant's estimate sent to the coordinator (Majority, phase 1).
-	MsgEstimate = "estimate"
+	MsgEstimate = model.Kind("estimate")
 	// MsgProposal is the coordinator's phase-2 proposal (Majority).
-	MsgProposal = "proposal"
+	MsgProposal = model.Kind("proposal")
 	// MsgAck is a positive (Value=1) or negative (Value=0) phase-3 response
 	// (Majority).
-	MsgAck = "consensus-ack"
+	MsgAck = model.Kind("consensus-ack")
 	// MsgDecide announces a decision.
-	MsgDecide = "decide"
+	MsgDecide = model.Kind("decide")
 )
 
 // DecisionSeq marks do events that record consensus decisions.

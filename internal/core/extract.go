@@ -186,7 +186,8 @@ func recordRun(a *model.RunArena, r *model.Run, ri int, forProc construction) {
 				continue
 			}
 			if e, err := a.Record(p, 2*m+1, model.EventSuspect); err == nil {
-				e.Report = report(m)
+				rep := report(m)
+				e.SetReport(&rep)
 			}
 		}
 	}

@@ -391,7 +391,7 @@ func TestTUsefulSubsetIndexFollowsPrefixLength(t *testing.T) {
 				reports++
 				next := min((te.Time-1)/2+1, orig.Horizon)
 				want := model.ProcSet(orig.PrefixLen(p, next) % (1 << orig.N))
-				if got := te.Event.Report.Group; got != want {
+				if got := te.Event.Report().Group; got != want {
 					t.Fatalf("run %d process %d time %d: group %s, want %s", i, p, te.Time, got, want)
 				}
 			}

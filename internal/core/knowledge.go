@@ -74,10 +74,13 @@ func CheckPerformanceKnowledge(sys *epistemic.System) ([]PerformanceKnowledge, [
 			evs := r.Events[p]
 			for i := range evs {
 				te := &evs[i]
-				if te.Event.Kind != model.EventDo || te.Event.Action.IsZero() {
+				if te.Event.Kind != model.EventDo {
 					continue
 				}
-				a := te.Event.Action
+				a := te.Event.Action()
+				if a.IsZero() {
+					continue
+				}
 				pt := epistemic.Point{Run: ri, Time: te.Time}
 				obs := PerformanceKnowledge{Run: ri, Proc: p, Time: te.Time, Action: a}
 				obs.PerformerKnowsInit = sys.Eval(epistemic.Knows(p, epistemic.Initiated(a)), pt)

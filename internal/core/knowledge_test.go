@@ -54,16 +54,16 @@ func TestProp35PerformanceKnowledge(t *testing.T) {
 // a tiny system where its truth can be verified by hand.
 func TestProp35FormulaOnHandCraftedSystem(t *testing.T) {
 	a := model.Action(0, 1)
-	msg := model.Message{Kind: "alpha", Action: a}
+	msg := model.Message{Kind: model.Kind("alpha"), Action: a}
 
 	// Run 0: process 0 initiates, tells 1 and 2, everyone stays up.
 	r0 := model.NewRun(3)
-	appendEvent(t, r0, 0, 1, model.Event{Kind: model.EventInit, Action: a})
-	appendEvent(t, r0, 0, 2, model.Event{Kind: model.EventSend, Peer: 1, Msg: msg})
-	appendEvent(t, r0, 0, 2, model.Event{Kind: model.EventSend, Peer: 2, Msg: msg})
-	appendEvent(t, r0, 1, 4, model.Event{Kind: model.EventRecv, Peer: 0, Msg: msg})
-	appendEvent(t, r0, 2, 5, model.Event{Kind: model.EventRecv, Peer: 0, Msg: msg})
-	appendEvent(t, r0, 0, 6, model.Event{Kind: model.EventDo, Action: a})
+	appendEvent(t, r0, 0, 1, model.InitEvent(a))
+	appendEvent(t, r0, 0, 2, model.SendEvent(1, msg))
+	appendEvent(t, r0, 0, 2, model.SendEvent(2, msg))
+	appendEvent(t, r0, 1, 4, model.RecvEvent(0, msg))
+	appendEvent(t, r0, 2, 5, model.RecvEvent(0, msg))
+	appendEvent(t, r0, 0, 6, model.DoEvent(a))
 	r0.SetHorizon(10)
 
 	// Run 1: nothing happens.
@@ -100,7 +100,7 @@ func TestProp35FormulaOnHandCraftedSystem(t *testing.T) {
 func TestPerformanceKnowledgeFlagsPrematurePerform(t *testing.T) {
 	a := model.Action(0, 1)
 	r := model.NewRun(2)
-	appendEvent(t, r, 1, 3, model.Event{Kind: model.EventDo, Action: a})
+	appendEvent(t, r, 1, 3, model.DoEvent(a))
 	r.SetHorizon(5)
 	sys := epistemic.NewSystem(model.System{r})
 	_, violations := core.CheckPerformanceKnowledge(sys)

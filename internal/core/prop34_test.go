@@ -90,7 +90,7 @@ func TestProp34WeakAccuracyImpliesStrongAccuracy(t *testing.T) {
 				continue
 			}
 			for _, te := range res.Run.Events[p] {
-				if te.Event.Kind == model.EventSuspect && te.Event.Report.Suspects.Has(scapegoat) {
+				if te.Event.Kind == model.EventSuspect && te.Event.Report().Suspects.Has(scapegoat) {
 					baseCfg, baseRun = cfg, res.Run
 					observer, suspicionT = p, te.Time
 					found = true

@@ -90,13 +90,13 @@ func TestQuickSafetyInvariants(t *testing.T) {
 				if te.Event.Kind != model.EventDo {
 					continue
 				}
-				if !initiated[te.Event.Action] {
-					t.Logf("seed %d: process %d performed %v which was never initiated", q.Seed, p, te.Event.Action)
+				if !initiated[te.Event.Action()] {
+					t.Logf("seed %d: process %d performed %v which was never initiated", q.Seed, p, te.Event.Action())
 					return false
 				}
-				performed[te.Event.Action]++
-				if performed[te.Event.Action] > 1 {
-					t.Logf("seed %d: process %d performed %v twice", q.Seed, p, te.Event.Action)
+				performed[te.Event.Action()]++
+				if performed[te.Event.Action()] > 1 {
+					t.Logf("seed %d: process %d performed %v twice", q.Seed, p, te.Event.Action())
 					return false
 				}
 			}

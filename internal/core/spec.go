@@ -16,13 +16,13 @@ import (
 // therefore meaningful only on runs whose protocol obligations have quiesced
 // (see Quiesced).
 
-// MessageKind constants shared by the UDC protocols in this package.
-const (
+// Message kinds shared by the UDC protocols in this package, interned once.
+var (
 	// MsgAlpha asks the receiver to (enter the UDC state for and) perform the
 	// action carried in the message.
-	MsgAlpha = "alpha"
+	MsgAlpha = model.Kind("alpha")
 	// MsgAck acknowledges an alpha message.
-	MsgAck = "ack"
+	MsgAck = model.Kind("ack")
 )
 
 // CheckUDC verifies DC1-DC3 for the given actions on the run.  If no actions

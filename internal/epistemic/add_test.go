@@ -31,7 +31,7 @@ func syntheticRun(t *testing.T, seed int64) *model.Run {
 	for _, p := range rng.Perm(n)[:rng.Intn(3)] {
 		crashAt[model.ProcID(p)] = 1 + rng.Intn(horizon-1)
 	}
-	kinds := []string{"ping", "ack", "crashed"}
+	kinds := []model.MsgKind{model.Kind("ping"), model.Kind("ack"), model.Kind("crashed")}
 	for p := model.ProcID(0); int(p) < n; p++ {
 		limit, crashes := horizon, false
 		if at, ok := crashAt[p]; ok {
@@ -45,18 +45,15 @@ func syntheticRun(t *testing.T, seed int64) *model.Run {
 			var e model.Event
 			switch rng.Intn(5) {
 			case 0:
-				e = model.Event{Kind: model.EventInit, Action: model.Action(p, rng.Intn(3))}
+				e = model.InitEvent(model.Action(p, rng.Intn(3)))
 			case 1:
-				e = model.Event{Kind: model.EventDo, Action: model.Action(peer, rng.Intn(3))}
+				e = model.DoEvent(model.Action(peer, rng.Intn(3)))
 			case 2:
-				e = model.Event{Kind: model.EventSend, Peer: peer,
-					Msg: model.Message{Kind: kinds[rng.Intn(len(kinds))], Action: model.Action(peer, 1), Round: rng.Intn(4)}}
+				e = model.SendEvent(peer, model.Message{Kind: kinds[rng.Intn(len(kinds))], Action: model.Action(peer, 1), Round: rng.Intn(4)})
 			case 3:
-				e = model.Event{Kind: model.EventRecv, Peer: peer,
-					Msg: model.Message{Kind: kinds[rng.Intn(len(kinds))], Action: model.Action(peer, 1), Value: rng.Intn(2)}}
+				e = model.RecvEvent(peer, model.Message{Kind: kinds[rng.Intn(len(kinds))], Action: model.Action(peer, 1), Value: rng.Intn(2)})
 			case 4:
-				e = model.Event{Kind: model.EventSuspect,
-					Report: model.SuspectReport{Suspects: model.Singleton(peer)}}
+				e = model.SuspectEvent(model.SuspectReport{Suspects: model.Singleton(peer)})
 			}
 			mustAppend(t, r, p, m, e)
 		}

@@ -76,8 +76,8 @@ func TestDistributedKnowledgeCombinesObservations(t *testing.T) {
 	// (modelled as receiving a notification that is sent in runs where 2 or 3
 	// crashed) and p1 is notified "3 is alive" (sent whenever 3 has not
 	// crashed).
-	someoneCrashed := model.Message{Kind: "someone-crashed"}
-	threeAlive := model.Message{Kind: "three-alive"}
+	someoneCrashed := model.Message{Kind: model.Kind("someone-crashed")}
+	threeAlive := model.Message{Kind: model.Kind("three-alive")}
 
 	mk := func(crash2, crash3 bool) *model.Run {
 		r := model.NewRun(5)
@@ -88,12 +88,12 @@ func TestDistributedKnowledgeCombinesObservations(t *testing.T) {
 			mustAppend(t, r, 3, 2, model.Event{Kind: model.EventCrash})
 		}
 		if crash2 || crash3 {
-			mustAppend(t, r, 4, 3, model.Event{Kind: model.EventSend, Peer: 0, Msg: someoneCrashed})
-			mustAppend(t, r, 0, 4, model.Event{Kind: model.EventRecv, Peer: 4, Msg: someoneCrashed})
+			mustAppend(t, r, 4, 3, model.SendEvent(0, someoneCrashed))
+			mustAppend(t, r, 0, 4, model.RecvEvent(4, someoneCrashed))
 		}
 		if !crash3 {
-			mustAppend(t, r, 4, 3, model.Event{Kind: model.EventSend, Peer: 1, Msg: threeAlive})
-			mustAppend(t, r, 1, 4, model.Event{Kind: model.EventRecv, Peer: 4, Msg: threeAlive})
+			mustAppend(t, r, 4, 3, model.SendEvent(1, threeAlive))
+			mustAppend(t, r, 1, 4, model.RecvEvent(4, threeAlive))
 		}
 		r.SetHorizon(8)
 		return r

@@ -25,13 +25,13 @@ func mustAppend(t *testing.T, r *model.Run, p model.ProcID, at int, e model.Even
 // process 0's local history is identical in both runs.
 func twoRunSystem(t *testing.T) *epistemic.System {
 	t.Helper()
-	notify := model.Message{Kind: "crashed", Value: 1}
+	notify := model.Message{Kind: model.Kind("crashed"), Value: 1}
 
 	r0 := model.NewRun(3)
 	mustAppend(t, r0, 1, 3, model.Event{Kind: model.EventCrash})
-	mustAppend(t, r0, 2, 4, model.Event{Kind: model.EventSuspect, Report: model.SuspectReport{Suspects: model.Singleton(1)}})
-	mustAppend(t, r0, 2, 5, model.Event{Kind: model.EventSend, Peer: 0, Msg: notify})
-	mustAppend(t, r0, 0, 6, model.Event{Kind: model.EventRecv, Peer: 2, Msg: notify})
+	mustAppend(t, r0, 2, 4, model.SuspectEvent(model.SuspectReport{Suspects: model.Singleton(1)}))
+	mustAppend(t, r0, 2, 5, model.SendEvent(0, notify))
+	mustAppend(t, r0, 0, 6, model.RecvEvent(2, notify))
 	r0.SetHorizon(10)
 
 	r1 := model.NewRun(3)
@@ -185,7 +185,7 @@ func TestLocalityAndStability(t *testing.T) {
 		t.Fatalf("crash(1) should not be local to process 0")
 	}
 	// Formulas about a process's own history are local to it.
-	recvd := epistemic.Received(0, 2, "crashed")
+	recvd := epistemic.Received(0, 2, model.Kind("crashed"))
 	if !sys.IsLocal(0, recvd) {
 		t.Fatalf("a process's own receive events are local to it")
 	}
@@ -205,11 +205,11 @@ func TestLocalityAndStability(t *testing.T) {
 func TestSentReceivedInitiatedDidProps(t *testing.T) {
 	a := model.Action(0, 7)
 	r := model.NewRun(2)
-	msg := model.Message{Kind: "alpha", Action: a}
-	mustAppend(t, r, 0, 1, model.Event{Kind: model.EventInit, Action: a})
-	mustAppend(t, r, 0, 2, model.Event{Kind: model.EventSend, Peer: 1, Msg: msg})
-	mustAppend(t, r, 1, 4, model.Event{Kind: model.EventRecv, Peer: 0, Msg: msg})
-	mustAppend(t, r, 1, 5, model.Event{Kind: model.EventDo, Action: a})
+	msg := model.Message{Kind: model.Kind("alpha"), Action: a}
+	mustAppend(t, r, 0, 1, model.InitEvent(a))
+	mustAppend(t, r, 0, 2, model.SendEvent(1, msg))
+	mustAppend(t, r, 1, 4, model.RecvEvent(0, msg))
+	mustAppend(t, r, 1, 5, model.DoEvent(a))
 	r.SetHorizon(8)
 	sys := epistemic.NewSystem(model.System{r})
 
@@ -220,10 +220,10 @@ func TestSentReceivedInitiatedDidProps(t *testing.T) {
 	}{
 		{epistemic.Initiated(a), 0, false},
 		{epistemic.Initiated(a), 1, true},
-		{epistemic.Sent(0, 1, "alpha"), 1, false},
-		{epistemic.Sent(0, 1, "alpha"), 2, true},
-		{epistemic.Received(1, 0, "alpha"), 3, false},
-		{epistemic.Received(1, 0, "alpha"), 4, true},
+		{epistemic.Sent(0, 1, model.Kind("alpha")), 1, false},
+		{epistemic.Sent(0, 1, model.Kind("alpha")), 2, true},
+		{epistemic.Received(1, 0, model.Kind("alpha")), 3, false},
+		{epistemic.Received(1, 0, model.Kind("alpha")), 4, true},
 		{epistemic.Did(1, a), 4, false},
 		{epistemic.Did(1, a), 5, true},
 		{epistemic.Did(0, a), 8, false},
@@ -246,12 +246,12 @@ func TestKnowledgeOfInitiationBlockedByIndistinguishableRun(t *testing.T) {
 	// initiated and process 1 receives nothing: before receiving the message,
 	// process 1 must not know init(a); after receiving it, it must.
 	a := model.Action(0, 7)
-	msg := model.Message{Kind: "alpha", Action: a}
+	msg := model.Message{Kind: model.Kind("alpha"), Action: a}
 
 	r0 := model.NewRun(2)
-	mustAppend(t, r0, 0, 1, model.Event{Kind: model.EventInit, Action: a})
-	mustAppend(t, r0, 0, 2, model.Event{Kind: model.EventSend, Peer: 1, Msg: msg})
-	mustAppend(t, r0, 1, 4, model.Event{Kind: model.EventRecv, Peer: 0, Msg: msg})
+	mustAppend(t, r0, 0, 1, model.InitEvent(a))
+	mustAppend(t, r0, 0, 2, model.SendEvent(1, msg))
+	mustAppend(t, r0, 1, 4, model.RecvEvent(0, msg))
 	r0.SetHorizon(8)
 
 	r1 := model.NewRun(2)

@@ -68,12 +68,12 @@ func Did(p model.ProcID, a model.ActionID) Formula {
 
 // Sent is the primitive proposition send_p(q, msg-kind): p has sent a message
 // of the given kind to q.
-func Sent(p, q model.ProcID, kind string) Formula {
+func Sent(p, q model.ProcID, kind model.MsgKind) Formula {
 	return Prop{
-		Name: "send_" + itoa(int(p)) + "(" + itoa(int(q)) + "," + kind + ")",
+		Name: "send_" + itoa(int(p)) + "(" + itoa(int(q)) + "," + kind.String() + ")",
 		Holds: func(r *model.Run, m int) bool {
 			return r.HistoryAt(p, m).Contains(func(e model.Event) bool {
-				return e.Kind == model.EventSend && e.Peer == q && e.Msg.Kind == kind
+				return e.Kind == model.EventSend && e.Peer == q && e.MsgKind() == kind
 			})
 		},
 	}
@@ -81,12 +81,12 @@ func Sent(p, q model.ProcID, kind string) Formula {
 
 // Received is the primitive proposition recv_p(q, msg-kind): p has received a
 // message of the given kind from q.
-func Received(p, q model.ProcID, kind string) Formula {
+func Received(p, q model.ProcID, kind model.MsgKind) Formula {
 	return Prop{
-		Name: "recv_" + itoa(int(p)) + "(" + itoa(int(q)) + "," + kind + ")",
+		Name: "recv_" + itoa(int(p)) + "(" + itoa(int(q)) + "," + kind.String() + ")",
 		Holds: func(r *model.Run, m int) bool {
 			return r.HistoryAt(p, m).Contains(func(e model.Event) bool {
-				return e.Kind == model.EventRecv && e.Peer == q && e.Msg.Kind == kind
+				return e.Kind == model.EventRecv && e.Peer == q && e.MsgKind() == kind
 			})
 		},
 	}

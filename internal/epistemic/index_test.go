@@ -116,8 +116,8 @@ func TestStatsAccountsForTheSystem(t *testing.T) {
 // starts at time 0 must not leave a zero-interval empty-history class behind.
 func TestStatsCountsNoOrphanClassesForTimeZeroEvents(t *testing.T) {
 	r := model.NewRun(2)
-	mustAppend(t, r, 0, 0, model.Event{Kind: model.EventInit, Action: model.Action(0, 1)})
-	mustAppend(t, r, 0, 2, model.Event{Kind: model.EventDo, Action: model.Action(0, 1)})
+	mustAppend(t, r, 0, 0, model.InitEvent(model.Action(0, 1)))
+	mustAppend(t, r, 0, 2, model.DoEvent(model.Action(0, 1)))
 	r.SetHorizon(4)
 	sys := epistemic.NewSystem(model.System{r})
 	st := sys.Stats()

@@ -121,11 +121,16 @@ func CumulativeRun(r *model.Run) *model.Run {
 		evs := out.Events[p]
 		for i := range evs {
 			e := &evs[i].Event
-			if e.Kind != model.EventSuspect || e.Report.Generalized {
+			if e.Kind != model.EventSuspect {
 				continue
 			}
-			acc = acc.Union(e.Report.Suspects)
-			e.Report.Suspects = acc
+			rep := e.Report()
+			if rep.Generalized {
+				continue
+			}
+			acc = acc.Union(rep.Suspects)
+			rep.Suspects = acc
+			e.SetReport(&rep)
 		}
 	}
 	return out
@@ -144,13 +149,13 @@ func PerfectFromGeneralizedRun(r *model.Run) *model.Run {
 		evs := out.Events[p]
 		rewritten := make([]model.TimedEvent, 0, len(evs))
 		for i := range evs {
-			if rep := &evs[i].Event.Report; evs[i].Event.Kind == model.EventSuspect && rep.Generalized {
-				if rep.MinFaulty != rep.Group.Count() || rep.MinFaulty == 0 {
+			if group, k, ok := evs[i].Event.GeneralizedReport(); ok {
+				if k != group.Count() || k == 0 {
 					// Uninformative for a perfect detector; drop.
 					continue
 				}
-				acc = acc.Union(rep.Group)
-				*rep = model.SuspectReport{Suspects: acc}
+				acc = acc.Union(group)
+				evs[i].Event.SetReport(&model.SuspectReport{Suspects: acc})
 			}
 			rewritten = append(rewritten, evs[i])
 		}

@@ -74,7 +74,7 @@ func TestPerfectFromGeneralizedRun(t *testing.T) {
 	}
 	// The uninformative (k < |S|) report is gone.
 	for _, te := range converted.Events[0] {
-		if te.Event.Kind == model.EventSuspect && te.Event.Report.Generalized {
+		if _, _, ok := te.Event.GeneralizedReport(); ok {
 			t.Fatalf("generalized report survived conversion: %v", te.Event)
 		}
 	}

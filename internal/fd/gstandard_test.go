@@ -53,7 +53,7 @@ func TestGStandardReportsSatisfyCheckers(t *testing.T) {
 				if !ok {
 					continue
 				}
-				if err := r.Append(p, now, model.Event{Kind: model.EventSuspect, Report: rep}); err != nil {
+				if err := r.Append(p, now, model.SuspectEvent(rep)); err != nil {
 					t.Fatalf("append: %v", err)
 				}
 			}

@@ -16,18 +16,23 @@ import (
 // standard and g-standard reports, suspects holds the report's suspected set
 // after applying the g mapping (standard reports map to themselves,
 // "these are correct" reports map to the complement); isStandard is false for
-// generalized (S, k) reports, which do not identify individual suspects.
+// generalized (S, k) reports, which do not identify individual suspects and
+// carry group and minFaulty instead.
 type reportEvent struct {
 	time       int
-	report     model.SuspectReport
 	suspects   model.ProcSet
 	isStandard bool
+	group      model.ProcSet
+	minFaulty  int
 }
 
 // newReportEvent reads one failure-detector event in place.
 func newReportEvent(r *model.Run, te *model.TimedEvent) reportEvent {
-	re := reportEvent{time: te.Time, report: te.Event.Report}
-	re.suspects, re.isStandard = te.Event.Report.StandardSuspects(r.N)
+	re := reportEvent{time: te.Time}
+	re.suspects, re.isStandard = te.Event.StandardSuspects(r.N)
+	if !re.isStandard {
+		re.group, re.minFaulty, _ = te.Event.GeneralizedReport()
+	}
 	return re
 }
 
@@ -228,23 +233,23 @@ func CheckGeneralizedStrongAccuracy(r *model.Run) []model.Violation {
 	var out []model.Violation
 	for p := model.ProcID(0); int(p) < r.N; p++ {
 		for re := range reports(r, p) {
-			if !re.report.Generalized {
+			if re.isStandard {
 				continue
 			}
 			crashed := 0
 			for q := model.ProcID(0); int(q) < r.N; q++ {
-				if re.report.Group.Has(q) && r.CrashedBy(q, re.time) {
+				if re.group.Has(q) && r.CrashedBy(q, re.time) {
 					crashed++
 				}
 			}
-			if crashed < re.report.MinFaulty {
+			if crashed < re.minFaulty {
 				out = append(out, model.Violationf("generalized-strong-accuracy",
 					"process %d received (%s,%d) at time %d but only %d members had crashed",
-					p, re.report.Group, re.report.MinFaulty, re.time, crashed))
+					p, re.group, re.minFaulty, re.time, crashed))
 			}
-			if re.report.MinFaulty > re.report.Group.Count() {
+			if re.minFaulty > re.group.Count() {
 				out = append(out, model.Violationf("generalized-strong-accuracy",
-					"process %d received (%s,%d) with k exceeding |S|", p, re.report.Group, re.report.MinFaulty))
+					"process %d received (%s,%d) with k exceeding |S|", p, re.group, re.minFaulty))
 			}
 		}
 	}
@@ -255,16 +260,17 @@ func CheckGeneralizedStrongAccuracy(r *model.Run) []model.Violation {
 // failure-detector event for the run: F(r) is contained in S,
 // n - |S| > min(t, n-1) - k, and k <= |S|.
 func IsTUsefulEvent(r *model.Run, rep model.SuspectReport, t int) bool {
-	if !rep.Generalized {
-		return false
-	}
+	return rep.Generalized && isTUseful(r, rep.Group, rep.MinFaulty, t)
+}
+
+// isTUseful is IsTUsefulEvent for the generalized report (group, k).
+func isTUseful(r *model.Run, group model.ProcSet, k, t int) bool {
 	n := r.N
-	s := rep.Group.Count()
-	k := rep.MinFaulty
+	s := group.Count()
 	if k > s {
 		return false
 	}
-	if !rep.Group.Contains(r.Faulty()) {
+	if !group.Contains(r.Faulty()) {
 		return false
 	}
 	bound := t
@@ -283,7 +289,7 @@ func CheckTUseful(r *model.Run, t int) []model.Violation {
 	for _, p := range r.Correct().Members() {
 		found := false
 		for re := range reports(r, p) {
-			if IsTUsefulEvent(r, re.report, t) {
+			if !re.isStandard && isTUseful(r, re.group, re.minFaulty, t) {
 				found = true
 				break
 			}

@@ -26,7 +26,7 @@ func (b *runBuilder) crash(p model.ProcID, at int) *runBuilder {
 
 func (b *runBuilder) report(p model.ProcID, at int, suspects ...model.ProcID) *runBuilder {
 	b.t.Helper()
-	ev := model.Event{Kind: model.EventSuspect, Report: model.SuspectReport{Suspects: model.SetOf(suspects...)}}
+	ev := model.SuspectEvent(model.SuspectReport{Suspects: model.SetOf(suspects...)})
 	if err := b.r.Append(p, at, ev); err != nil {
 		b.t.Fatalf("report: %v", err)
 	}
@@ -35,7 +35,7 @@ func (b *runBuilder) report(p model.ProcID, at int, suspects ...model.ProcID) *r
 
 func (b *runBuilder) generalized(p model.ProcID, at int, group model.ProcSet, k int) *runBuilder {
 	b.t.Helper()
-	ev := model.Event{Kind: model.EventSuspect, Report: model.SuspectReport{Generalized: true, Group: group, MinFaulty: k}}
+	ev := model.SuspectEvent(model.SuspectReport{Generalized: true, Group: group, MinFaulty: k})
 	if err := b.r.Append(p, at, ev); err != nil {
 		b.t.Fatalf("generalized report: %v", err)
 	}

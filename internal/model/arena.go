@@ -86,7 +86,7 @@ func (a *RunArena) Record(p ProcID, t int, kind EventKind) (*Event, error) {
 		}
 	}
 	// Extend the history in place and clear the slot there: append(h,
-	// TimedEvent{Time: t}) builds the 176-byte value on the stack and copies
+	// TimedEvent{Time: t}) builds the 80-byte value on the stack and copies
 	// it in.
 	if i < cap(h) {
 		h = h[:i+1]

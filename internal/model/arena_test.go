@@ -20,17 +20,17 @@ var arenaFixtures = []struct {
 	appends []timedAppend
 }{
 	{3, []timedAppend{
-		{0, 0, Event{Kind: EventInit, Action: Action(0, 0)}},
-		{1, 1, Event{Kind: EventRecv, Peer: 0, Msg: Message{Kind: "alpha", Round: 1}}},
-		{0, 1, Event{Kind: EventSend, Peer: 1, Msg: Message{Kind: "alpha", Round: 1}}},
+		{0, 0, InitEvent(Action(0, 0))},
+		{1, 1, RecvEvent(0, Message{Kind: Kind("alpha"), Round: 1})},
+		{0, 1, SendEvent(1, Message{Kind: Kind("alpha"), Round: 1})},
 		{2, 2, Event{Kind: EventCrash}},
-		{0, 3, Event{Kind: EventDo, Action: Action(0, 0)}},
-		{1, 3, Event{Kind: EventSuspect, Report: SuspectReport{Suspects: Singleton(2)}}},
+		{0, 3, DoEvent(Action(0, 0))},
+		{1, 3, SuspectEvent(SuspectReport{Suspects: Singleton(2)})},
 	}},
 	{3, []timedAppend{
-		{2, 1, Event{Kind: EventInit, Action: Action(2, 0)}},
+		{2, 1, InitEvent(Action(2, 0))},
 		{0, 1, Event{Kind: EventCrash}},
-		{2, 4, Event{Kind: EventDo, Action: Action(2, 0)}},
+		{2, 4, DoEvent(Action(2, 0))},
 	}},
 	{2, nil},
 }
@@ -242,7 +242,7 @@ func TestArenaBuildAllocsConstant(t *testing.T) {
 
 func TestCompactCloneEqualsClone(t *testing.T) {
 	r := NewRun(3)
-	if err := r.Append(0, 1, Event{Kind: EventSend, Peer: 2, Msg: Message{Kind: "alpha"}}); err != nil {
+	if err := r.Append(0, 1, SendEvent(2, Message{Kind: Kind("alpha")})); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Append(2, 3, Event{Kind: EventCrash}); err != nil {

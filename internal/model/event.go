@@ -1,6 +1,7 @@
 package model
 
 import (
+	"encoding/json"
 	"fmt"
 	"strconv"
 	"strings"
@@ -8,7 +9,7 @@ import (
 
 // EventKind enumerates the kinds of events that may appear in a process
 // history (Section 2.1 of the paper).
-type EventKind int
+type EventKind uint8
 
 const (
 	// EventSend records send_p(q, msg): p sends msg to q.
@@ -76,8 +77,8 @@ func (a ActionID) String() string {
 // (R3) straightforward.
 type Message struct {
 	// Kind is the protocol-level message type, e.g. "alpha", "ack",
-	// "estimate", "decide".
-	Kind string `json:"kind"`
+	// "estimate", "decide", interned by Kind.
+	Kind MsgKind `json:"kind"`
 	// Action is the coordination action this message concerns, if any.
 	Action ActionID `json:"action,omitempty"`
 	// Round is a protocol round or phase number (consensus).
@@ -104,7 +105,7 @@ type Message struct {
 // "the same message" in the sense of fairness condition R5 have equal keys.
 func (m Message) Key() string {
 	var b strings.Builder
-	b.WriteString(m.Kind)
+	b.WriteString(m.Kind.String())
 	b.WriteByte('|')
 	b.WriteString(m.Action.String())
 	b.WriteByte('|')
@@ -169,34 +170,294 @@ func (r SuspectReport) String() string {
 	}
 }
 
-// Event is a single occurrence in a process history.
+// Event is a single occurrence in a process history.  Each kind carries one
+// part: a send or recv its message, an init or do its action, a suspect its
+// report, a crash nothing.  The parts share one body, so an event is a tag,
+// a peer and seven words, and holds no pointer: every history slab is
+// allocated without zeroing by the GC's rules for pointers and never scanned.
+// The body is read through Msg, Action and Report (each zero unless it is
+// the kind's part), or through the narrow accessors the hot readers use, and
+// written through SetMsg, SetAction and SetReport.  An initiator is kept in a
+// byte, so every action an event carries has 0 <= Initiator < MaxProcs.
 type Event struct {
-	Kind EventKind `json:"kind"`
+	Kind EventKind
+	// flags holds Message.KnownInits, SuspectReport.Generalized and
+	// SuspectReport.CorrectReport.
+	flags uint8
+	// initiator is the initiator of the event's action, or of its message's.
+	initiator uint8
+	msgKind   MsgKind
 	// Peer is the destination of a send or the source of a receive.
-	Peer ProcID `json:"peer,omitempty"`
-	// Msg is the message of a send or receive event.
-	Msg Message `json:"msg,omitempty"`
-	// Action is the action of an init or do event.
-	Action ActionID `json:"action,omitempty"`
-	// Report is the report of a suspect event.
-	Report SuspectReport `json:"report,omitempty"`
+	Peer ProcID
+	// seq is the Seq of the event's action, or of its message's.
+	seq int
+	// word holds a message's Round, Phase, Value and Aux, or a report's
+	// MinFaulty and Correct.
+	word [4]int
+	// set holds a message's Suspects and KnownCrashed, or a report's
+	// Suspects and Group.
+	set [2]ProcSet
+}
+
+const (
+	flagKnownInits uint8 = 1 << iota
+	flagGeneralized
+	flagCorrectReport
+)
+
+// SendEvent returns send(to, m).
+func SendEvent(to ProcID, m Message) Event {
+	e := Event{Kind: EventSend, Peer: to}
+	e.SetMsg(&m)
+	return e
+}
+
+// RecvEvent returns recv(from, m).
+func RecvEvent(from ProcID, m Message) Event {
+	e := Event{Kind: EventRecv, Peer: from}
+	e.SetMsg(&m)
+	return e
+}
+
+// InitEvent returns init(a).
+func InitEvent(a ActionID) Event {
+	e := Event{Kind: EventInit}
+	e.SetAction(a)
+	return e
+}
+
+// DoEvent returns do(a).
+func DoEvent(a ActionID) Event {
+	e := Event{Kind: EventDo}
+	e.SetAction(a)
+	return e
+}
+
+// CrashEvent returns crash.
+func CrashEvent() Event { return Event{Kind: EventCrash} }
+
+// SuspectEvent returns suspect(rep).
+func SuspectEvent(rep SuspectReport) Event {
+	e := Event{Kind: EventSuspect}
+	e.SetReport(&rep)
+	return e
+}
+
+// hasMsg, hasAction and hasReport report which part e's kind carries.
+func (e *Event) hasMsg() bool    { return e.Kind == EventSend || e.Kind == EventRecv }
+func (e *Event) hasAction() bool { return e.Kind == EventInit || e.Kind == EventDo }
+func (e *Event) hasReport() bool { return e.Kind == EventSuspect }
+
+// setInitiator stores an initiator in its byte.
+func (e *Event) setInitiator(p ProcID) {
+	if uint(p) >= MaxProcs {
+		panic(fmt.Sprintf("model: action initiator %d outside [0,%d)", p, MaxProcs))
+	}
+	e.initiator = uint8(p)
+}
+
+// SetMsg stores m as the event's message.  It does not change Kind.
+func (e *Event) SetMsg(m *Message) {
+	e.setInitiator(m.Action.Initiator)
+	e.msgKind = m.Kind
+	e.seq = m.Action.Seq
+	e.word = [4]int{m.Round, m.Phase, m.Value, m.Aux}
+	e.set = [2]ProcSet{m.Suspects, m.KnownCrashed}
+	e.flags = 0
+	if m.KnownInits {
+		e.flags = flagKnownInits
+	}
+}
+
+// SetAction stores a as the event's action.  It does not change Kind.
+func (e *Event) SetAction(a ActionID) {
+	e.setInitiator(a.Initiator)
+	e.seq = a.Seq
+}
+
+// SetReport stores rep as the event's report.  It does not change Kind.
+func (e *Event) SetReport(rep *SuspectReport) {
+	e.set = [2]ProcSet{rep.Suspects, rep.Group}
+	e.word = [4]int{rep.MinFaulty, int(rep.Correct)}
+	e.flags = 0
+	if rep.Generalized {
+		e.flags |= flagGeneralized
+	}
+	if rep.CorrectReport {
+		e.flags |= flagCorrectReport
+	}
+}
+
+// SetParts stores the part of a serialised event that belongs to its Kind —
+// the form in which JSON and the binary codec carry an event, with message,
+// action and report side by side.  Any other non-zero part, or an initiator
+// outside [0, MaxProcs), is an error: the event could not be recorded.
+func (e *Event) SetParts(m *Message, a ActionID, rep *SuspectReport) error {
+	hasMsg, hasAction, hasReport := *m != (Message{}), !a.IsZero(), *rep != (SuspectReport{})
+	switch {
+	case hasMsg && !e.hasMsg():
+		return fmt.Errorf("model: %s event carries a message", e.Kind)
+	case hasAction && !e.hasAction():
+		return fmt.Errorf("model: %s event carries an action", e.Kind)
+	case hasReport && !e.hasReport():
+		return fmt.Errorf("model: %s event carries a report", e.Kind)
+	}
+	for _, p := range []ProcID{m.Action.Initiator, a.Initiator} {
+		if uint(p) >= MaxProcs {
+			return fmt.Errorf("model: action initiator %d outside [0,%d)", p, MaxProcs)
+		}
+	}
+	switch {
+	case hasMsg:
+		e.SetMsg(m)
+	case hasAction:
+		e.SetAction(a)
+	case hasReport:
+		e.SetReport(rep)
+	}
+	return nil
+}
+
+// Msg returns the message of a send or recv, and the zero Message for any
+// other kind.
+func (e *Event) Msg() Message {
+	if !e.hasMsg() {
+		return Message{}
+	}
+	return Message{
+		Kind:         e.msgKind,
+		Action:       ActionID{Initiator: ProcID(e.initiator), Seq: e.seq},
+		Round:        e.word[0],
+		Phase:        e.word[1],
+		Value:        e.word[2],
+		Aux:          e.word[3],
+		Suspects:     e.set[0],
+		KnownCrashed: e.set[1],
+		KnownInits:   e.flags&flagKnownInits != 0,
+	}
+}
+
+// MsgKind returns the kind of a send or recv's message, and 0 for any other
+// kind of event.
+func (e *Event) MsgKind() MsgKind {
+	if !e.hasMsg() {
+		return 0
+	}
+	return e.msgKind
+}
+
+// Action returns the action of an init or do, and the zero ActionID for any
+// other kind.
+func (e *Event) Action() ActionID {
+	if !e.hasAction() {
+		return ActionID{}
+	}
+	return ActionID{Initiator: ProcID(e.initiator), Seq: e.seq}
+}
+
+// actionIs reports whether the body's action is a, without building an
+// ActionID; the caller has checked that e carries one.
+func (e *Event) actionIs(a ActionID) bool {
+	return ProcID(e.initiator) == a.Initiator && e.seq == a.Seq
+}
+
+// Report returns the report of a suspect event, and the zero SuspectReport
+// for any other kind.
+func (e *Event) Report() SuspectReport {
+	if !e.hasReport() {
+		return SuspectReport{}
+	}
+	return SuspectReport{
+		Suspects:      e.set[0],
+		Generalized:   e.flags&flagGeneralized != 0,
+		Group:         e.set[1],
+		MinFaulty:     e.word[0],
+		CorrectReport: e.flags&flagCorrectReport != 0,
+		Correct:       ProcSet(e.word[1]),
+	}
+}
+
+// StandardSuspects applies SuspectReport.StandardSuspects to a suspect
+// event's report in place; any other kind of event has no suspects.
+func (e *Event) StandardSuspects(n int) (ProcSet, bool) {
+	switch {
+	case !e.hasReport():
+		return EmptySet(), true
+	case e.flags&flagGeneralized != 0:
+		return EmptySet(), false
+	case e.flags&flagCorrectReport != 0:
+		return FullSet(n).Diff(ProcSet(e.word[1])), true
+	default:
+		return e.set[0], true
+	}
+}
+
+// GeneralizedReport returns the (S, k) of a suspect event carrying a
+// generalized report; ok is false for any other event.
+func (e *Event) GeneralizedReport() (group ProcSet, minFaulty int, ok bool) {
+	if !e.hasReport() || e.flags&flagGeneralized == 0 {
+		return 0, 0, false
+	}
+	return e.set[1], e.word[0], true
+}
+
+// Check reports the first way e cannot be an event of a run over n
+// processes: a kind outside [EventSend, EventSuspect], a peer outside
+// [0, n), or an action — the event's, or its message's — initiated outside
+// [0, n).
+func (e *Event) Check(n int) error {
+	if e.Kind < EventSend || e.Kind > EventSuspect {
+		return fmt.Errorf("unknown event kind %d", e.Kind)
+	}
+	if e.Peer < 0 || int(e.Peer) >= n {
+		return fmt.Errorf("%s event peer %d outside [0,%d)", e.Kind, e.Peer, n)
+	}
+	if (e.hasMsg() || e.hasAction()) && int(e.initiator) >= n {
+		return fmt.Errorf("%s event action initiated by %d outside [0,%d)", e.Kind, e.initiator, n)
+	}
+	return nil
+}
+
+// eventJSON is an event's JSON form: the layout before the union, with
+// message, action and report side by side and always present.
+type eventJSON struct {
+	Kind   EventKind     `json:"kind"`
+	Peer   ProcID        `json:"peer,omitempty"`
+	Msg    Message       `json:"msg"`
+	Action ActionID      `json:"action"`
+	Report SuspectReport `json:"report"`
+}
+
+// MarshalJSON implements json.Marshaler.
+func (e Event) MarshalJSON() ([]byte, error) {
+	return json.Marshal(eventJSON{Kind: e.Kind, Peer: e.Peer, Msg: e.Msg(), Action: e.Action(), Report: e.Report()})
+}
+
+// UnmarshalJSON implements json.Unmarshaler; it rejects what SetParts does.
+func (e *Event) UnmarshalJSON(data []byte) error {
+	var j eventJSON
+	if err := json.Unmarshal(data, &j); err != nil {
+		return err
+	}
+	*e = Event{Kind: j.Kind, Peer: j.Peer}
+	return e.SetParts(&j.Msg, j.Action, &j.Report)
 }
 
 // String implements fmt.Stringer.
 func (e Event) String() string {
 	switch e.Kind {
 	case EventSend:
-		return fmt.Sprintf("send(->%d,%s)", e.Peer, e.Msg.Kind)
+		return fmt.Sprintf("send(->%d,%s)", e.Peer, e.msgKind)
 	case EventRecv:
-		return fmt.Sprintf("recv(<-%d,%s)", e.Peer, e.Msg.Kind)
+		return fmt.Sprintf("recv(<-%d,%s)", e.Peer, e.msgKind)
 	case EventInit:
-		return "init(" + e.Action.String() + ")"
+		return "init(" + e.Action().String() + ")"
 	case EventDo:
-		return "do(" + e.Action.String() + ")"
+		return "do(" + e.Action().String() + ")"
 	case EventCrash:
 		return "crash"
 	case EventSuspect:
-		return e.Report.String()
+		return e.Report().String()
 	default:
 		return "?" + strconv.Itoa(int(e.Kind))
 	}

@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"io/fs"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"unsafe"
@@ -13,8 +14,10 @@ import (
 
 // TestTimedEventSize pins the size of a recorded event.  Every history is a
 // []TimedEvent, so this is the stride of every scan over a run and the unit
-// every run slab is allocated, zeroed and GC-scanned in (the slabs hold a
-// pointer: Message.Kind).  Sweeps allocate no slab per run — they score a
+// every run slab is allocated and copied in (pointer-free since the message
+// kind became an interned MsgKind and the event a tagged body: 80 bytes, down
+// from 176; TestRecordedEventsHoldNoPointers keeps it so).  Sweeps allocate no
+// slab per run — they score a
 // view of the engine's arena — and neither does extraction's transform, which
 // checks each f(r) in a reused arena; but two kinds of slab scale with it:
 // every owned run (RunArena.Build: extraction sources, which extract-offline
@@ -24,9 +27,34 @@ import (
 // `sim.ns_per_event` and `alloc_kb_per_seed` baseline; a field added here
 // needs that measurement beside it.
 func TestTimedEventSize(t *testing.T) {
-	if got := unsafe.Sizeof(TimedEvent{}); got != 176 {
-		t.Fatalf("unsafe.Sizeof(TimedEvent{}) = %d, want 176", got)
+	if got := unsafe.Sizeof(TimedEvent{}); got != 80 {
+		t.Fatalf("unsafe.Sizeof(TimedEvent{}) = %d, want 80", got)
 	}
+}
+
+// TestRecordedEventsHoldNoPointers walks the types a run slab and a network
+// bucket are made of and fails on any field that holds a pointer — a string,
+// slice, map, interface, pointer, channel or func.  A pointer-free slab is
+// allocated without being zeroed for the collector and is never scanned by
+// it; one string field (Message.Kind was one) would bring both back.
+func TestRecordedEventsHoldNoPointers(t *testing.T) {
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				walk(path+"."+f.Name, f.Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		case reflect.String, reflect.Slice, reflect.Map, reflect.Interface,
+			reflect.Pointer, reflect.UnsafePointer, reflect.Chan, reflect.Func:
+			t.Errorf("%s is a %s: recorded events must hold no pointers", path, typ.Kind())
+		}
+	}
+	walk("TimedEvent", reflect.TypeOf(TimedEvent{}))
+	walk("Message", reflect.TypeOf(Message{}))
 }
 
 // otherTimed names the range loops the syntactic check below would mistake
@@ -38,7 +66,7 @@ var otherTimed = map[string]string{
 }
 
 // TestNoByValueEventRanges keeps recorded events read in place: a
-// `for _, te := range evs` copies each 176-byte TimedEvent to the stack
+// `for _, te := range evs` copies each 80-byte TimedEvent to the stack
 // before the body looks at one field of it, which was a quarter of the
 // extraction pipeline's CPU time.  Non-test code under internal/ indexes
 // instead (`for i := range evs { te := &evs[i] ... }`).  The check is
@@ -107,8 +135,9 @@ var byValueAllowed = map[string]string{
 // by-value events: an event is reserved in the arena (RunArena.Record) and
 // filled where it will live, and a message in flight is written in its bucket
 // slot.  A model.Event{...} literal or a model.Event / model.Message parameter
-// in non-test internal/sim code is a 160- or 128-byte copy per event per call
-// level, which was a quarter of sweep CPU.  Syntactic, like the check above.
+// in non-test internal/sim code is a 72- or 80-byte copy per event per call
+// level (160 or 128 bytes when this check was written, a quarter of sweep
+// CPU then).  Syntactic, like the check above.
 func TestSimRecordsEventsInPlace(t *testing.T) {
 	isModel := func(e ast.Expr, names ...string) string {
 		sel, ok := e.(*ast.SelectorExpr)

@@ -59,33 +59,33 @@ func foldAction(h uint64, a ActionID) uint64 {
 // epistemic checker to compare local histories.  Two events the checker must
 // distinguish hash differently (up to 64-bit collisions): every identity
 // field is folded behind the event kind, and variable-width fields are
-// length-prefixed.
+// length-prefixed.  It reads the body in place and folds a message kind's
+// name, not its index, so hashes do not depend on intern order.
 func (e *Event) IdentityHash() uint64 {
 	h := ChainHash(IdentityHashSeed, uint64(int64(e.Kind))<<8^uint64(e.Peer))
 	switch e.Kind {
 	case EventSend, EventRecv:
-		h = foldString(h, e.Msg.Kind)
-		h = foldAction(h, e.Msg.Action)
-		h = foldInt(h, e.Msg.Round)
-		h = foldInt(h, e.Msg.Phase)
-		h = foldInt(h, e.Msg.Value)
-		h = foldInt(h, e.Msg.Aux)
-		h = ChainHash(h, uint64(e.Msg.Suspects))
-		h = ChainHash(h, uint64(e.Msg.KnownCrashed))
+		h = foldString(h, e.msgKind.String())
+		h = foldAction(h, ActionID{Initiator: ProcID(e.initiator), Seq: e.seq})
+		for _, w := range e.word {
+			h = foldInt(h, w)
+		}
+		h = ChainHash(h, uint64(e.set[0]))
+		h = ChainHash(h, uint64(e.set[1]))
 	case EventInit, EventDo:
-		h = foldAction(h, e.Action)
+		h = foldAction(h, ActionID{Initiator: ProcID(e.initiator), Seq: e.seq})
 	case EventSuspect:
 		switch {
-		case e.Report.Generalized:
+		case e.flags&flagGeneralized != 0:
 			h = foldInt(h, 1)
-			h = ChainHash(h, uint64(e.Report.Group))
-			h = foldInt(h, e.Report.MinFaulty)
-		case e.Report.CorrectReport:
+			h = ChainHash(h, uint64(e.set[1]))
+			h = foldInt(h, e.word[0])
+		case e.flags&flagCorrectReport != 0:
 			h = foldInt(h, 2)
-			h = ChainHash(h, uint64(e.Report.Correct))
+			h = ChainHash(h, uint64(e.word[1]))
 		default:
 			h = foldInt(h, 3)
-			h = ChainHash(h, uint64(e.Report.Suspects))
+			h = ChainHash(h, uint64(e.set[0]))
 		}
 	}
 	return h

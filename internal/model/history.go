@@ -34,12 +34,12 @@ func (h History) Crashed() bool {
 
 // Did reports whether the history contains do(a).
 func (h History) Did(a ActionID) bool {
-	return h.Contains(func(e Event) bool { return e.Kind == EventDo && e.Action == a })
+	return h.Contains(func(e Event) bool { return e.Kind == EventDo && e.actionIs(a) })
 }
 
 // Initiated reports whether the history contains init(a).
 func (h History) Initiated(a ActionID) bool {
-	return h.Contains(func(e Event) bool { return e.Kind == EventInit && e.Action == a })
+	return h.Contains(func(e Event) bool { return e.Kind == EventInit && e.actionIs(a) })
 }
 
 // LastSuspectReport returns the most recent failure-detector report in the
@@ -48,7 +48,7 @@ func (h History) Initiated(a ActionID) bool {
 func (h History) LastSuspectReport() (SuspectReport, bool) {
 	for i := len(h) - 1; i >= 0; i-- {
 		if h[i].Kind == EventSuspect {
-			return h[i].Report, true
+			return h[i].Report(), true
 		}
 	}
 	return SuspectReport{}, false

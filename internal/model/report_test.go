@@ -70,7 +70,7 @@ func TestSuspectReportString(t *testing.T) {
 func TestSuspectsAtAppliesGMapping(t *testing.T) {
 	r := NewRun(4)
 	rep := SuspectReport{CorrectReport: true, Correct: SetOf(0, 1, 2)}
-	if err := r.Append(0, 5, Event{Kind: EventSuspect, Report: rep}); err != nil {
+	if err := r.Append(0, 5, SuspectEvent(rep)); err != nil {
 		t.Fatalf("append: %v", err)
 	}
 	r.SetHorizon(10)
@@ -83,9 +83,9 @@ func TestSuspectsAtAppliesGMapping(t *testing.T) {
 }
 
 func TestIdentityHashDistinguishesReportForms(t *testing.T) {
-	standard := Event{Kind: EventSuspect, Report: SuspectReport{Suspects: SetOf(1)}}
-	correct := Event{Kind: EventSuspect, Report: SuspectReport{CorrectReport: true, Correct: SetOf(0, 2, 3)}}
-	generalized := Event{Kind: EventSuspect, Report: SuspectReport{Generalized: true, Group: SetOf(1), MinFaulty: 1}}
+	standard := SuspectEvent(SuspectReport{Suspects: SetOf(1)})
+	correct := SuspectEvent(SuspectReport{CorrectReport: true, Correct: SetOf(0, 2, 3)})
+	generalized := SuspectEvent(SuspectReport{Generalized: true, Group: SetOf(1), MinFaulty: 1})
 	keys := map[uint64]bool{
 		standard.IdentityHash():    true,
 		correct.IdentityHash():     true,

@@ -159,7 +159,7 @@ func (r *Run) SuspectsAt(p ProcID, m int) ProcSet {
 	k := sort.Search(len(evs), func(i int) bool { return evs[i].Time > m })
 	for i := k - 1; i >= 0; i-- {
 		if evs[i].Event.Kind == EventSuspect {
-			suspects, ok := evs[i].Event.Report.StandardSuspects(r.N)
+			suspects, ok := evs[i].Event.StandardSuspects(r.N)
 			if !ok {
 				return EmptySet()
 			}
@@ -174,7 +174,7 @@ func (r *Run) SuspectsAt(p ProcID, m int) ProcSet {
 func (r *Run) InitTime(a ActionID) (int, bool) {
 	evs := r.Events[a.Initiator]
 	for i := range evs {
-		if e := &evs[i].Event; e.Kind == EventInit && e.Action == a {
+		if e := &evs[i].Event; e.Kind == EventInit && e.actionIs(a) {
 			return evs[i].Time, true
 		}
 	}
@@ -185,7 +185,7 @@ func (r *Run) InitTime(a ActionID) (int, bool) {
 func (r *Run) DoTime(p ProcID, a ActionID) (int, bool) {
 	evs := r.Events[p]
 	for i := range evs {
-		if e := &evs[i].Event; e.Kind == EventDo && e.Action == a {
+		if e := &evs[i].Event; e.Kind == EventDo && e.actionIs(a) {
 			return evs[i].Time, true
 		}
 	}
@@ -200,7 +200,7 @@ func (r *Run) InitiatedActions() []ActionID {
 		evs := r.Events[p]
 		for i := range evs {
 			if e := &evs[i].Event; e.Kind == EventInit {
-				out = append(out, e.Action)
+				out = append(out, e.Action())
 			}
 		}
 	}
@@ -223,7 +223,7 @@ func (r *Run) Decisions() map[ProcID]ActionID {
 		evs := r.Events[p]
 		for i := range evs {
 			if e := &evs[i].Event; e.Kind == EventDo {
-				out[p] = e.Action
+				out[p] = e.Action()
 				break
 			}
 		}

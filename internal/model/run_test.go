@@ -16,14 +16,14 @@ func sampleRun(t *testing.T) *Run {
 	t.Helper()
 	r := NewRun(3)
 	a := Action(0, 1)
-	msg := Message{Kind: "alpha", Action: a}
-	mustAppend(t, r, 0, 1, Event{Kind: EventInit, Action: a})
-	mustAppend(t, r, 0, 1, Event{Kind: EventSend, Peer: 1, Msg: msg})
-	mustAppend(t, r, 0, 1, Event{Kind: EventSend, Peer: 2, Msg: msg})
-	mustAppend(t, r, 0, 2, Event{Kind: EventDo, Action: a})
-	mustAppend(t, r, 1, 3, Event{Kind: EventRecv, Peer: 0, Msg: msg})
-	mustAppend(t, r, 1, 4, Event{Kind: EventDo, Action: a})
-	mustAppend(t, r, 1, 6, Event{Kind: EventSuspect, Report: SuspectReport{Suspects: Singleton(2)}})
+	msg := Message{Kind: Kind("alpha"), Action: a}
+	mustAppend(t, r, 0, 1, InitEvent(a))
+	mustAppend(t, r, 0, 1, SendEvent(1, msg))
+	mustAppend(t, r, 0, 1, SendEvent(2, msg))
+	mustAppend(t, r, 0, 2, DoEvent(a))
+	mustAppend(t, r, 1, 3, RecvEvent(0, msg))
+	mustAppend(t, r, 1, 4, DoEvent(a))
+	mustAppend(t, r, 1, 6, SuspectEvent(SuspectReport{Suspects: Singleton(2)}))
 	mustAppend(t, r, 2, 5, Event{Kind: EventCrash})
 	r.SetHorizon(10)
 	return r
@@ -37,12 +37,12 @@ func TestRunAppendRules(t *testing.T) {
 	if err := r.Append(0, -1, Event{Kind: EventCrash}); err == nil {
 		t.Fatalf("expected negative time to be rejected")
 	}
-	mustAppend(t, r, 0, 5, Event{Kind: EventInit, Action: Action(0, 1)})
-	if err := r.Append(0, 4, Event{Kind: EventDo, Action: Action(0, 1)}); err == nil {
+	mustAppend(t, r, 0, 5, InitEvent(Action(0, 1)))
+	if err := r.Append(0, 4, DoEvent(Action(0, 1))); err == nil {
 		t.Fatalf("expected non-monotone time to be rejected")
 	}
 	mustAppend(t, r, 0, 6, Event{Kind: EventCrash})
-	if err := r.Append(0, 7, Event{Kind: EventDo, Action: Action(0, 1)}); err == nil {
+	if err := r.Append(0, 7, DoEvent(Action(0, 1))); err == nil {
 		t.Fatalf("expected append after crash to be rejected (R4)")
 	}
 }
@@ -168,7 +168,7 @@ func TestHistoryKeyDistinguishesHistories(t *testing.T) {
 func TestRunClone(t *testing.T) {
 	r := sampleRun(t)
 	cp := r.Clone()
-	mustAppend(t, cp, 0, 9, Event{Kind: EventDo, Action: Action(0, 99)})
+	mustAppend(t, cp, 0, 9, DoEvent(Action(0, 99)))
 	if r.EventCount() == cp.EventCount() {
 		t.Fatalf("clone shares storage with original")
 	}
@@ -176,8 +176,8 @@ func TestRunClone(t *testing.T) {
 
 func TestDecisions(t *testing.T) {
 	r := NewRun(2)
-	mustAppend(t, r, 0, 1, Event{Kind: EventDo, Action: Action(0, 7)})
-	mustAppend(t, r, 0, 2, Event{Kind: EventDo, Action: Action(0, 9)})
+	mustAppend(t, r, 0, 1, DoEvent(Action(0, 7)))
+	mustAppend(t, r, 0, 2, DoEvent(Action(0, 9)))
 	got := r.Decisions()
 	if len(got) != 1 || got[0].Seq != 7 {
 		t.Fatalf("Decisions = %v", got)
@@ -189,13 +189,13 @@ func TestEventStringAndKinds(t *testing.T) {
 		e    Event
 		want string
 	}{
-		{Event{Kind: EventSend, Peer: 2, Msg: Message{Kind: "alpha"}}, "send(->2,alpha)"},
-		{Event{Kind: EventRecv, Peer: 1, Msg: Message{Kind: "ack"}}, "recv(<-1,ack)"},
-		{Event{Kind: EventInit, Action: Action(1, 2)}, "init(a(1,2))"},
-		{Event{Kind: EventDo, Action: Action(1, 2)}, "do(a(1,2))"},
+		{SendEvent(2, Message{Kind: Kind("alpha")}), "send(->2,alpha)"},
+		{RecvEvent(1, Message{Kind: Kind("ack")}), "recv(<-1,ack)"},
+		{InitEvent(Action(1, 2)), "init(a(1,2))"},
+		{DoEvent(Action(1, 2)), "do(a(1,2))"},
 		{Event{Kind: EventCrash}, "crash"},
-		{Event{Kind: EventSuspect, Report: SuspectReport{Suspects: Singleton(1)}}, "suspect{1}"},
-		{Event{Kind: EventSuspect, Report: SuspectReport{Generalized: true, Group: SetOf(0, 1), MinFaulty: 1}}, "suspect({0,1},1)"},
+		{SuspectEvent(SuspectReport{Suspects: Singleton(1)}), "suspect{1}"},
+		{SuspectEvent(SuspectReport{Generalized: true, Group: SetOf(0, 1), MinFaulty: 1}), "suspect({0,1},1)"},
 	}
 	for _, tc := range cases {
 		if got := tc.e.String(); got != tc.want {
@@ -213,20 +213,20 @@ func TestEventStringAndKinds(t *testing.T) {
 }
 
 func TestMessageKeyDistinguishesContent(t *testing.T) {
-	base := Message{Kind: "alpha", Action: Action(1, 2), Round: 3, Value: 4}
+	base := Message{Kind: Kind("alpha"), Action: Action(1, 2), Round: 3, Value: 4}
 	variants := []Message{
-		{Kind: "ack", Action: Action(1, 2), Round: 3, Value: 4},
-		{Kind: "alpha", Action: Action(1, 3), Round: 3, Value: 4},
-		{Kind: "alpha", Action: Action(1, 2), Round: 4, Value: 4},
-		{Kind: "alpha", Action: Action(1, 2), Round: 3, Value: 5},
-		{Kind: "alpha", Action: Action(1, 2), Round: 3, Value: 4, Aux: 9},
+		{Kind: Kind("ack"), Action: Action(1, 2), Round: 3, Value: 4},
+		{Kind: Kind("alpha"), Action: Action(1, 3), Round: 3, Value: 4},
+		{Kind: Kind("alpha"), Action: Action(1, 2), Round: 4, Value: 4},
+		{Kind: Kind("alpha"), Action: Action(1, 2), Round: 3, Value: 5},
+		{Kind: Kind("alpha"), Action: Action(1, 2), Round: 3, Value: 4, Aux: 9},
 	}
 	for _, v := range variants {
 		if v.Key() == base.Key() {
 			t.Errorf("message %+v should have a different key from %+v", v, base)
 		}
 	}
-	same := Message{Kind: "alpha", Action: Action(1, 2), Round: 3, Value: 4, Suspects: Singleton(1)}
+	same := Message{Kind: Kind("alpha"), Action: Action(1, 2), Round: 3, Value: 4, Suspects: Singleton(1)}
 	if same.Key() != base.Key() {
 		t.Errorf("piggybacked suspicions should not change the fairness key")
 	}

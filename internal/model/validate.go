@@ -39,11 +39,27 @@ func DefaultValidateOptions() ValidateOptions {
 // of Run but re-checked here for defence in depth.
 func Validate(r *Run, opts ValidateOptions) []Violation {
 	var out []Violation
+	out = append(out, checkEvents(r)...)
 	out = append(out, checkR2(r)...)
 	out = append(out, checkR3(r)...)
 	out = append(out, checkR4(r)...)
 	if opts.FairnessThreshold > 0 {
 		out = append(out, checkR5(r, opts.FairnessThreshold)...)
+	}
+	return out
+}
+
+// checkEvents verifies that every event is one of the six forms of Section
+// 2.1 over the run's processes (Event.Check).
+func checkEvents(r *Run) []Violation {
+	var out []Violation
+	for p := ProcID(0); int(p) < r.N; p++ {
+		evs := r.Events[p]
+		for i := range evs {
+			if err := evs[i].Event.Check(r.N); err != nil {
+				out = append(out, Violationf("event", "process %d event %d: %v", p, i, err))
+			}
+		}
 	}
 	return out
 }
@@ -87,7 +103,7 @@ func checkR3(r *Run) []Violation {
 			if te.Event.Kind != EventRecv {
 				continue
 			}
-			cm := channelMsg{from: te.Event.Peer, to: q, key: te.Event.Msg.Key()}
+			cm := channelMsg{from: te.Event.Peer, to: q, key: te.Event.Msg().Key()}
 			recvCount[cm]++
 			sends := 0
 			sent := r.Events[te.Event.Peer]
@@ -96,7 +112,7 @@ func checkR3(r *Run) []Violation {
 				if se.Time > te.Time {
 					break
 				}
-				if se.Event.Kind == EventSend && se.Event.Peer == q && se.Event.Msg.Key() == cm.key {
+				if se.Event.Kind == EventSend && se.Event.Peer == q && se.Event.Msg().Key() == cm.key {
 					sends++
 				}
 			}
@@ -137,10 +153,10 @@ func checkR5(r *Run, threshold int) []Violation {
 			te := &evs[i]
 			switch te.Event.Kind {
 			case EventSend:
-				cm := channelMsg{from: p, to: te.Event.Peer, key: te.Event.Msg.Key()}
+				cm := channelMsg{from: p, to: te.Event.Peer, key: te.Event.Msg().Key()}
 				sendCount[cm]++
 			case EventRecv:
-				cm := channelMsg{from: te.Event.Peer, to: p, key: te.Event.Msg.Key()}
+				cm := channelMsg{from: te.Event.Peer, to: p, key: te.Event.Msg().Key()}
 				recvSeen[cm] = true
 			}
 		}

@@ -7,10 +7,10 @@ import (
 func TestValidateCleanRun(t *testing.T) {
 	r := NewRun(3)
 	a := Action(0, 1)
-	msg := Message{Kind: "alpha", Action: a}
-	mustAppend(t, r, 0, 1, Event{Kind: EventInit, Action: a})
-	mustAppend(t, r, 0, 1, Event{Kind: EventSend, Peer: 1, Msg: msg})
-	mustAppend(t, r, 1, 3, Event{Kind: EventRecv, Peer: 0, Msg: msg})
+	msg := Message{Kind: Kind("alpha"), Action: a}
+	mustAppend(t, r, 0, 1, InitEvent(a))
+	mustAppend(t, r, 0, 1, SendEvent(1, msg))
+	mustAppend(t, r, 1, 3, RecvEvent(0, msg))
 	mustAppend(t, r, 2, 4, Event{Kind: EventCrash})
 	r.SetHorizon(10)
 	if vs := Validate(r, DefaultValidateOptions()); len(vs) != 0 {
@@ -20,8 +20,8 @@ func TestValidateCleanRun(t *testing.T) {
 
 func TestValidateR3ReceiveWithoutSend(t *testing.T) {
 	r := NewRun(2)
-	msg := Message{Kind: "alpha", Action: Action(0, 1)}
-	mustAppend(t, r, 1, 3, Event{Kind: EventRecv, Peer: 0, Msg: msg})
+	msg := Message{Kind: Kind("alpha"), Action: Action(0, 1)}
+	mustAppend(t, r, 1, 3, RecvEvent(0, msg))
 	r.SetHorizon(5)
 	vs := Validate(r, ValidateOptions{})
 	if !hasRule(vs, "R3") {
@@ -31,9 +31,9 @@ func TestValidateR3ReceiveWithoutSend(t *testing.T) {
 
 func TestValidateR3ReceiveBeforeSend(t *testing.T) {
 	r := NewRun(2)
-	msg := Message{Kind: "alpha", Action: Action(0, 1)}
-	mustAppend(t, r, 1, 3, Event{Kind: EventRecv, Peer: 0, Msg: msg})
-	mustAppend(t, r, 0, 5, Event{Kind: EventSend, Peer: 1, Msg: msg})
+	msg := Message{Kind: Kind("alpha"), Action: Action(0, 1)}
+	mustAppend(t, r, 1, 3, RecvEvent(0, msg))
+	mustAppend(t, r, 0, 5, SendEvent(1, msg))
 	r.SetHorizon(6)
 	vs := Validate(r, ValidateOptions{})
 	if !hasRule(vs, "R3") {
@@ -43,10 +43,10 @@ func TestValidateR3ReceiveBeforeSend(t *testing.T) {
 
 func TestValidateR3DuplicateReceives(t *testing.T) {
 	r := NewRun(2)
-	msg := Message{Kind: "alpha", Action: Action(0, 1)}
-	mustAppend(t, r, 0, 1, Event{Kind: EventSend, Peer: 1, Msg: msg})
-	mustAppend(t, r, 1, 2, Event{Kind: EventRecv, Peer: 0, Msg: msg})
-	mustAppend(t, r, 1, 3, Event{Kind: EventRecv, Peer: 0, Msg: msg})
+	msg := Message{Kind: Kind("alpha"), Action: Action(0, 1)}
+	mustAppend(t, r, 0, 1, SendEvent(1, msg))
+	mustAppend(t, r, 1, 2, RecvEvent(0, msg))
+	mustAppend(t, r, 1, 3, RecvEvent(0, msg))
 	r.SetHorizon(5)
 	vs := Validate(r, ValidateOptions{})
 	if !hasRule(vs, "R3") {
@@ -55,10 +55,10 @@ func TestValidateR3DuplicateReceives(t *testing.T) {
 
 	// A second send legitimises the second receive.
 	r2 := NewRun(2)
-	mustAppend(t, r2, 0, 1, Event{Kind: EventSend, Peer: 1, Msg: msg})
-	mustAppend(t, r2, 0, 2, Event{Kind: EventSend, Peer: 1, Msg: msg})
-	mustAppend(t, r2, 1, 3, Event{Kind: EventRecv, Peer: 0, Msg: msg})
-	mustAppend(t, r2, 1, 4, Event{Kind: EventRecv, Peer: 0, Msg: msg})
+	mustAppend(t, r2, 0, 1, SendEvent(1, msg))
+	mustAppend(t, r2, 0, 2, SendEvent(1, msg))
+	mustAppend(t, r2, 1, 3, RecvEvent(0, msg))
+	mustAppend(t, r2, 1, 4, RecvEvent(0, msg))
 	r2.SetHorizon(5)
 	if vs := Validate(r2, ValidateOptions{}); len(vs) != 0 {
 		t.Fatalf("unexpected violations: %v", vs)
@@ -70,7 +70,7 @@ func TestValidateR4CrashNotLast(t *testing.T) {
 	// offending run directly to exercise the checker.
 	r := &Run{N: 1, Horizon: 5, Events: [][]TimedEvent{{
 		{Time: 1, Event: Event{Kind: EventCrash}},
-		{Time: 2, Event: Event{Kind: EventDo, Action: Action(0, 1)}},
+		{Time: 2, Event: DoEvent(Action(0, 1))},
 	}}}
 	vs := Validate(r, ValidateOptions{})
 	if !hasRule(vs, "R4") {
@@ -80,14 +80,14 @@ func TestValidateR4CrashNotLast(t *testing.T) {
 
 func TestValidateR2NonMonotoneTimes(t *testing.T) {
 	r := &Run{N: 1, Horizon: 5, Events: [][]TimedEvent{{
-		{Time: 3, Event: Event{Kind: EventInit, Action: Action(0, 1)}},
-		{Time: 2, Event: Event{Kind: EventDo, Action: Action(0, 1)}},
+		{Time: 3, Event: InitEvent(Action(0, 1))},
+		{Time: 2, Event: DoEvent(Action(0, 1))},
 	}}}
 	if vs := Validate(r, ValidateOptions{}); !hasRule(vs, "R2") {
 		t.Fatalf("expected an R2 violation, got %v", vs)
 	}
 	r2 := &Run{N: 1, Horizon: 1, Events: [][]TimedEvent{{
-		{Time: 3, Event: Event{Kind: EventInit, Action: Action(0, 1)}},
+		{Time: 3, Event: InitEvent(Action(0, 1))},
 	}}}
 	if vs := Validate(r2, ValidateOptions{}); !hasRule(vs, "R2") {
 		t.Fatalf("expected an R2 violation for event beyond horizon, got %v", vs)
@@ -96,9 +96,9 @@ func TestValidateR2NonMonotoneTimes(t *testing.T) {
 
 func TestValidateR5FairnessHeuristic(t *testing.T) {
 	r := NewRun(2)
-	msg := Message{Kind: "alpha", Action: Action(0, 1)}
+	msg := Message{Kind: Kind("alpha"), Action: Action(0, 1)}
 	for i := 0; i < 60; i++ {
-		mustAppend(t, r, 0, i+1, Event{Kind: EventSend, Peer: 1, Msg: msg})
+		mustAppend(t, r, 0, i+1, SendEvent(1, msg))
 	}
 	r.SetHorizon(100)
 	vs := Validate(r, DefaultValidateOptions())
@@ -109,7 +109,7 @@ func TestValidateR5FairnessHeuristic(t *testing.T) {
 	// If the receiver crashed, fairness imposes nothing.
 	r2 := NewRun(2)
 	for i := 0; i < 60; i++ {
-		mustAppend(t, r2, 0, i+1, Event{Kind: EventSend, Peer: 1, Msg: msg})
+		mustAppend(t, r2, 0, i+1, SendEvent(1, msg))
 	}
 	mustAppend(t, r2, 1, 70, Event{Kind: EventCrash})
 	r2.SetHorizon(100)
@@ -120,9 +120,9 @@ func TestValidateR5FairnessHeuristic(t *testing.T) {
 	// One successful delivery satisfies the heuristic.
 	r3 := NewRun(2)
 	for i := 0; i < 60; i++ {
-		mustAppend(t, r3, 0, i+1, Event{Kind: EventSend, Peer: 1, Msg: msg})
+		mustAppend(t, r3, 0, i+1, SendEvent(1, msg))
 	}
-	mustAppend(t, r3, 1, 65, Event{Kind: EventRecv, Peer: 0, Msg: msg})
+	mustAppend(t, r3, 1, 65, RecvEvent(0, msg))
 	r3.SetHorizon(100)
 	if vs := Validate(r3, DefaultValidateOptions()); hasRule(vs, "R5") {
 		t.Fatalf("delivered message should not trigger R5, got %v", vs)

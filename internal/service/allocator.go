@@ -58,7 +58,7 @@ func BuildState(r *model.Run, p model.ProcID, requests []Request, capacity int) 
 		if e.Kind != model.EventDo {
 			continue
 		}
-		if req, ok := byAction[e.Action]; ok {
+		if req, ok := byAction[e.Action()]; ok {
 			applied = append(applied, req)
 		}
 	}
@@ -129,7 +129,7 @@ func CheckConvergence(r *model.Run, requests []Request, capacity int) []model.Vi
 			if evs[i].Event.Kind != model.EventDo {
 				continue
 			}
-			a := evs[i].Event.Action
+			a := evs[i].Event.Action()
 			if !known[a] {
 				out = append(out, model.Violationf("service-unknown-request",
 					"replica %d applied %v which no client submitted", p, a))

@@ -76,12 +76,12 @@ func TestBuildStateCanonicalOrder(t *testing.T) {
 	}
 	// Replica 0 applies in one order, replica 1 in another; their states must
 	// nevertheless agree.
-	must(0, 1, model.Event{Kind: model.EventInit, Action: service.ActionFor(reqs[0])})
-	must(1, 1, model.Event{Kind: model.EventInit, Action: service.ActionFor(reqs[1])})
-	must(0, 2, model.Event{Kind: model.EventDo, Action: service.ActionFor(reqs[0])})
-	must(0, 3, model.Event{Kind: model.EventDo, Action: service.ActionFor(reqs[1])})
-	must(1, 2, model.Event{Kind: model.EventDo, Action: service.ActionFor(reqs[1])})
-	must(1, 3, model.Event{Kind: model.EventDo, Action: service.ActionFor(reqs[0])})
+	must(0, 1, model.InitEvent(service.ActionFor(reqs[0])))
+	must(1, 1, model.InitEvent(service.ActionFor(reqs[1])))
+	must(0, 2, model.DoEvent(service.ActionFor(reqs[0])))
+	must(0, 3, model.DoEvent(service.ActionFor(reqs[1])))
+	must(1, 2, model.DoEvent(service.ActionFor(reqs[1])))
+	must(1, 3, model.DoEvent(service.ActionFor(reqs[0])))
 	r.SetHorizon(5)
 
 	s0 := service.BuildState(r, 0, reqs, 10)
@@ -109,10 +109,10 @@ func TestCheckConvergenceFlagsDivergenceAndRepudiation(t *testing.T) {
 			t.Fatalf("append: %v", err)
 		}
 	}
-	must(0, 1, model.Event{Kind: model.EventInit, Action: service.ActionFor(reqs[0])})
+	must(0, 1, model.InitEvent(service.ActionFor(reqs[0])))
 	// Replica 2 applies the request and then crashes; the correct replicas 0
 	// and 1 never apply it: that is exactly the repudiation UDC forbids.
-	must(2, 2, model.Event{Kind: model.EventDo, Action: service.ActionFor(reqs[0])})
+	must(2, 2, model.DoEvent(service.ActionFor(reqs[0])))
 	must(2, 3, model.Event{Kind: model.EventCrash})
 	r.SetHorizon(6)
 	vs := service.CheckConvergence(r, reqs, 10)
@@ -134,8 +134,8 @@ func TestCheckConvergenceFlagsDivergenceAndRepudiation(t *testing.T) {
 			t.Fatalf("append: %v", err)
 		}
 	}
-	must2(0, 1, model.Event{Kind: model.EventInit, Action: service.ActionFor(reqs[0])})
-	must2(0, 2, model.Event{Kind: model.EventDo, Action: service.ActionFor(reqs[0])})
+	must2(0, 1, model.InitEvent(service.ActionFor(reqs[0])))
+	must2(0, 2, model.DoEvent(service.ActionFor(reqs[0])))
 	r2.SetHorizon(5)
 	vs2 := service.CheckConvergence(r2, reqs, 10)
 	foundDivergence := false
@@ -156,7 +156,7 @@ func TestCheckConvergenceFlagsDivergenceAndRepudiation(t *testing.T) {
 			t.Fatalf("append: %v", err)
 		}
 	}
-	must3(2, model.Event{Kind: model.EventDo, Action: model.Action(0, 99)})
+	must3(2, model.DoEvent(model.Action(0, 99)))
 	r3.SetHorizon(5)
 	vs3 := service.CheckConvergence(r3, reqs, 10)
 	foundUnknown := false

@@ -240,7 +240,7 @@ func (e *Engine) step(inits []Initiation, crashes []CrashEvent) {
 			continue
 		}
 		e.stats.InitEvents++
-		e.record(in.Proc, model.EventInit).Action = in.Action
+		e.record(in.Proc, model.EventInit).SetAction(in.Action)
 		pr.proto.OnInitiate(&pr.ctx, in.Action)
 	}
 
@@ -256,7 +256,7 @@ func (e *Engine) step(inits []Initiation, crashes []CrashEvent) {
 		e.stats.MessagesDelivered++
 		ev := e.record(pm.to, model.EventRecv)
 		ev.Peer = pm.from
-		ev.Msg = pm.msg
+		ev.SetMsg(&pm.msg)
 		pr.proto.OnMessage(&pr.ctx, pm.from, pm.msg)
 	}
 
@@ -272,7 +272,7 @@ func (e *Engine) step(inits []Initiation, crashes []CrashEvent) {
 				continue
 			}
 			e.stats.SuspectEvents++
-			e.record(pr.id, model.EventSuspect).Report = rep
+			e.record(pr.id, model.EventSuspect).SetReport(&rep)
 			pr.proto.OnSuspect(&pr.ctx, rep)
 		}
 	}

@@ -175,13 +175,13 @@ func TestZeroMaxDelayDeliversNextStep(t *testing.T) {
 	type sendKey struct {
 		from, to model.ProcID
 		time     int
-		kind     string
+		kind     model.MsgKind
 	}
 	sends := map[sendKey]bool{}
 	for p := range res.Run.Events {
 		for _, te := range res.Run.Events[p] {
 			if te.Event.Kind == model.EventSend {
-				sends[sendKey{from: model.ProcID(p), to: te.Event.Peer, time: te.Time, kind: te.Event.Msg.Kind}] = true
+				sends[sendKey{from: model.ProcID(p), to: te.Event.Peer, time: te.Time, kind: te.Event.Msg().Kind}] = true
 			}
 		}
 	}
@@ -192,7 +192,7 @@ func TestZeroMaxDelayDeliversNextStep(t *testing.T) {
 				continue
 			}
 			recvs++
-			key := sendKey{from: te.Event.Peer, to: model.ProcID(p), time: te.Time - 1, kind: te.Event.Msg.Kind}
+			key := sendKey{from: te.Event.Peer, to: model.ProcID(p), time: te.Time - 1, kind: te.Event.Msg().Kind}
 			if !sends[key] {
 				t.Fatalf("delivery at time %d has no matching send at time %d: %+v", te.Time, te.Time-1, te.Event)
 			}

@@ -38,7 +38,7 @@ type refFairness struct {
 func (r *refFairness) send(s *scriptedSend) bool {
 	r.stats.MessagesSent++
 	m := &s.msg
-	id := refIdentity{kind: m.Kind, action: m.Action, round: m.Round, phase: m.Phase, value: m.Value, aux: m.Aux}
+	id := refIdentity{kind: m.Kind.String(), action: m.Action, round: m.Round, phase: m.Phase, value: m.Value, aux: m.Aux}
 	k, ok := r.intern[id]
 	if !ok {
 		k = int32(len(r.intern))
@@ -83,7 +83,7 @@ type fairnessScript struct {
 func (fairnessScript) Generate(r *rand.Rand, size int) reflect.Value {
 	sc := fairnessScript{n: 2 + r.Intn(7), bound: 1 + r.Intn(10)}
 	dropRate := 0.3 + 0.65*r.Float64()
-	kinds := [...]string{"alpha", "ack"}
+	kinds := [...]model.MsgKind{model.Kind("alpha"), model.Kind("ack")}
 	sc.sends = make([]scriptedSend, 1+r.Intn(40*size+1))
 	for i := range sc.sends {
 		from := r.Intn(sc.n)

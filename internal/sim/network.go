@@ -15,9 +15,9 @@ type pendingMessage struct {
 
 // msgIdentity is the fixed-width projection of a Message that defines "the
 // same message" for fairness condition R5.  It mirrors Message.Key() field for
-// field, with the kind string replaced by its index in the run's kind table.
+// field, with the interned kind in place of its name.
 type msgIdentity struct {
-	kind                     int32
+	kind                     model.MsgKind
 	action                   model.ActionID
 	round, phase, value, aux int
 }
@@ -39,15 +39,13 @@ type dropEntry struct {
 // whose last copy on that channel was dropped, with their consecutive-drop
 // counts.  A message absent from the list has count 0, so a delivered copy
 // removes its entry, and an undropped send on a channel with an empty list
-// touches nothing.  msgIdentity's kind indexes kinds, the run's few distinct
-// kind strings.  The owning Engine keeps buckets, lists and kinds across runs.
+// touches nothing.  The owning Engine keeps buckets and lists across runs.
 type network struct {
 	cfg     NetworkConfig
 	rng     *rand.Rand
 	buckets [][]pendingMessage // ring keyed by deliverAt % len(buckets)
 	n       int
 	drops   [][]dropEntry // indexed by from*n+to
-	kinds   []string
 	stats   *Stats
 	// Channel shaping (nil shaper means none).  shaperMax caps the extra
 	// delay a verdict may add, and link carries the run dimensions every
@@ -88,7 +86,6 @@ func (nw *network) reset(cfg Config, rng *rand.Rand, stats *Stats) {
 	for i := range nw.drops {
 		nw.drops[i] = nw.drops[i][:0]
 	}
-	nw.kinds = nw.kinds[:0]
 }
 
 // fairnessBound returns the effective consecutive-drop cap.
@@ -99,17 +96,9 @@ func (nw *network) fairnessBound() int {
 	return nw.cfg.FairnessBound
 }
 
-// identityOf returns msg's fixed-width identity, adding its kind to the run's
-// kind table on first sight.
-func (nw *network) identityOf(msg *model.Message) msgIdentity {
-	k := 0
-	for k < len(nw.kinds) && nw.kinds[k] != msg.Kind {
-		k++
-	}
-	if k == len(nw.kinds) {
-		nw.kinds = append(nw.kinds, msg.Kind)
-	}
-	return msgIdentity{kind: int32(k), action: msg.Action, round: msg.Round, phase: msg.Phase, value: msg.Value, aux: msg.Aux}
+// identityOf returns msg's fixed-width identity.
+func identityOf(msg *model.Message) msgIdentity {
+	return msgIdentity{kind: msg.Kind, action: msg.Action, round: msg.Round, phase: msg.Phase, value: msg.Value, aux: msg.Aux}
 }
 
 // send enqueues a message sent at time now, applying the loss model and the
@@ -137,7 +126,7 @@ func (nw *network) send(now int, from, to model.ProcID, msg *model.Message) {
 	}
 	ch := int(from)*nw.n + int(to)
 	if list := nw.drops[ch]; drop || len(list) > 0 {
-		id := nw.identityOf(msg)
+		id := identityOf(msg)
 		i := 0
 		for i < len(list) && list[i].id != id {
 			i++

@@ -108,7 +108,7 @@ func (c *procContext) Send(to model.ProcID, msg model.Message) {
 	}
 	ev := c.e.record(c.p.id, model.EventSend)
 	ev.Peer = to
-	ev.Msg = msg
+	ev.SetMsg(&msg)
 	c.e.net.send(c.e.now, c.p.id, to, &msg)
 }
 
@@ -137,7 +137,7 @@ func (c *procContext) Do(a model.ActionID) {
 	}
 	c.p.done[idx] = c.e.epoch
 	c.e.stats.DoEvents++
-	c.e.record(c.p.id, model.EventDo).Action = a
+	c.e.record(c.p.id, model.EventDo).SetAction(a)
 }
 
 // HasDone implements Context.

@@ -27,24 +27,27 @@ func (p *echoProtocol) Name() string     { return "echo" }
 func (p *echoProtocol) Init(sim.Context) {}
 func (p *echoProtocol) OnTick(ctx sim.Context) {
 	for _, a := range p.active {
-		ctx.Broadcast(model.Message{Kind: "ping", Action: a})
+		ctx.Broadcast(model.Message{Kind: msgPing, Action: a})
 	}
 }
 
 func (p *echoProtocol) OnInitiate(ctx sim.Context, a model.ActionID) {
 	p.active = append(p.active, a)
 	ctx.Do(a)
-	ctx.Broadcast(model.Message{Kind: "ping", Action: a})
+	ctx.Broadcast(model.Message{Kind: msgPing, Action: a})
 }
+
+// The echo protocol's message kinds.
+var msgPing, msgPong = model.Kind("ping"), model.Kind("pong")
 
 func (p *echoProtocol) OnMessage(ctx sim.Context, from model.ProcID, msg model.Message) {
 	switch msg.Kind {
-	case "ping":
+	case msgPing:
 		if !p.seen[msg.Action] {
 			p.seen[msg.Action] = true
 			ctx.Do(msg.Action)
 		}
-		ctx.Send(from, model.Message{Kind: "pong", Action: msg.Action})
+		ctx.Send(from, model.Message{Kind: msgPong, Action: msg.Action})
 	}
 }
 
@@ -211,10 +214,10 @@ func TestOracleReportsAreRecordedAndPeriodic(t *testing.T) {
 			if te.Time%10 != 0 {
 				t.Fatalf("report at time %d, want multiples of 10", te.Time)
 			}
-			if te.Time >= 20 && !te.Event.Report.Suspects.Has(2) {
+			if te.Time >= 20 && !te.Event.Report().Suspects.Has(2) {
 				t.Fatalf("perfect oracle missing crashed process at %d", te.Time)
 			}
-			if te.Time < 20 && !te.Event.Report.Suspects.IsEmpty() {
+			if te.Time < 20 && !te.Event.Report().Suspects.IsEmpty() {
 				t.Fatalf("perfect oracle suspected someone before any crash")
 			}
 		}
@@ -234,7 +237,7 @@ func TestDoIsIdempotentAndSelfSendsIgnored(t *testing.T) {
 		onTick: func(ctx sim.Context) {
 			ctx.Do(model.Action(ctx.ID(), 1))
 			ctx.Do(model.Action(ctx.ID(), 1))
-			ctx.Send(ctx.ID(), model.Message{Kind: "self"})
+			ctx.Send(ctx.ID(), model.Message{Kind: model.Kind("self")})
 		},
 	}
 	cfg := sim.Config{

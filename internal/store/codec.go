@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 
 	"repro/internal/model"
 	"repro/internal/trace"
@@ -80,17 +81,11 @@ func (w *writer) str(s string) {
 
 // reader decodes a varint payload.  The first malformed field latches err and
 // every subsequent read returns a zero value, so decode functions only need
-// one error check at the end.  When kinds is non-nil, message-kind strings
-// are interned through it instead of allocated per message.
+// one error check at the end.
 type reader struct {
-	data  []byte
-	pos   int
-	err   error
-	kinds map[string]string
-	// lastKind caches the most recently decoded message kind; consecutive
-	// messages of one protocol usually repeat it, so the common case is a
-	// short byte comparison instead of a map probe.
-	lastKind string
+	data []byte
+	pos  int
+	err  error
 }
 
 func (r *reader) fail(format string, args ...any) {
@@ -204,31 +199,21 @@ func (r *reader) str() string {
 	return s
 }
 
-// kindStr reads a string through the reader's intern table, so decoding
-// thousands of messages drawn from a handful of protocol kinds allocates each
-// kind string once rather than once per message.  The m[string(b)] lookup
-// compiles to a no-allocation map probe.  With no table attached it behaves
-// exactly like str.
-func (r *reader) kindStr() string {
+// kind reads a message kind's name, written like a string, and interns it:
+// a known kind costs a map probe and no allocation, and a kind the bounded
+// table has no room for fails the decode.
+func (r *reader) kind() model.MsgKind {
 	n := r.length("string")
 	if r.err != nil || n == 0 {
-		return ""
+		return 0
 	}
 	b := r.data[r.pos : r.pos+n]
 	r.pos += n
-	if string(b) == r.lastKind && r.lastKind != "" {
-		return r.lastKind
+	k, err := model.InternKind(b)
+	if err != nil {
+		r.fail("store: %v", err)
 	}
-	if r.kinds == nil {
-		return string(b)
-	}
-	s, ok := r.kinds[string(b)]
-	if !ok {
-		s = string(b)
-		r.kinds[s] = s
-	}
-	r.lastKind = s
-	return s
+	return k
 }
 
 func (r *reader) done() error {
@@ -316,8 +301,10 @@ func KindName(kind byte) string {
 // --- model value encoding -------------------------------------------------
 
 // Field-presence masks keep non-message events to a couple of bytes each
-// while still preserving every field exactly (required for byte-identical
-// JSON round trips even on events that carry unusual field combinations).
+// while still preserving every field exactly.  An event is written with its
+// message, action and report side by side, the layout the format was
+// defined on; a recorded event has only the one its kind carries, and the
+// decoder rejects any other (model.Event.SetParts).
 
 func (w *writer) action(a model.ActionID) {
 	w.svarint(int64(a.Initiator))
@@ -330,7 +317,7 @@ func (r *reader) action() model.ActionID {
 
 func (w *writer) message(m *model.Message) {
 	var mask uint64
-	if m.Kind != "" {
+	if m.Kind != 0 {
 		mask |= 1 << 0
 	}
 	if !m.Action.IsZero() {
@@ -359,7 +346,7 @@ func (w *writer) message(m *model.Message) {
 	}
 	w.uvarint(mask)
 	if mask&(1<<0) != 0 {
-		w.str(m.Kind)
+		w.str(m.Kind.String())
 	}
 	if mask&(1<<1) != 0 {
 		w.action(m.Action)
@@ -391,7 +378,7 @@ func (w *writer) message(m *model.Message) {
 func (r *reader) messageInto(m *model.Message) {
 	mask := r.uvarint()
 	if mask&(1<<0) != 0 {
-		m.Kind = r.kindStr()
+		m.Kind = r.kind()
 	}
 	if mask&(1<<1) != 0 {
 		m.Action = r.action()
@@ -476,14 +463,15 @@ func (w *writer) event(e *model.Event) {
 	if e.Peer != 0 {
 		mask |= 1 << 0
 	}
-	hasMsg := e.Msg != (model.Message{})
+	msg, action, rep := e.Msg(), e.Action(), e.Report()
+	hasMsg := msg != (model.Message{})
 	if hasMsg {
 		mask |= 1 << 1
 	}
-	if !e.Action.IsZero() {
+	if !action.IsZero() {
 		mask |= 1 << 2
 	}
-	hasReport := e.Report != (model.SuspectReport{})
+	hasReport := rep != (model.SuspectReport{})
 	if hasReport {
 		mask |= 1 << 3
 	}
@@ -493,33 +481,47 @@ func (w *writer) event(e *model.Event) {
 		w.svarint(int64(e.Peer))
 	}
 	if hasMsg {
-		w.message(&e.Msg)
+		w.message(&msg)
 	}
 	if mask&(1<<2) != 0 {
-		w.action(e.Action)
+		w.action(action)
 	}
 	if hasReport {
-		w.report(&e.Report)
+		w.report(&rep)
 	}
 }
 
 // eventInto decodes an event into *e, which must be zero on entry; the
-// decode loop works through pointers into the destination slab so no event,
-// message or report struct is ever returned by value.
+// decode loop works through pointers into the destination slab, and the
+// parts are stored by SetParts, which rejects an event no run can contain.
 func (r *reader) eventInto(e *model.Event) {
-	e.Kind = model.EventKind(r.uvarint())
+	kind := r.uvarint()
+	if kind > math.MaxUint8 {
+		r.fail("store: event kind %d out of range", kind)
+	}
+	e.Kind = model.EventKind(kind)
 	mask := r.uvarint()
 	if mask&(1<<0) != 0 {
 		e.Peer = model.ProcID(r.svarint())
 	}
+	var (
+		msg    model.Message
+		action model.ActionID
+		rep    model.SuspectReport
+	)
 	if mask&(1<<1) != 0 {
-		r.messageInto(&e.Msg)
+		r.messageInto(&msg)
 	}
 	if mask&(1<<2) != 0 {
-		e.Action = r.action()
+		action = r.action()
 	}
 	if mask&(1<<3) != 0 {
-		r.reportInto(&e.Report)
+		r.reportInto(&rep)
+	}
+	if r.err == nil {
+		if err := e.SetParts(&msg, action, &rep); err != nil {
+			r.fail("store: %v", err)
+		}
 	}
 }
 
@@ -578,7 +580,7 @@ func DecodeSystem(data []byte) (model.System, error) {
 	}
 	d := Decoders.Get()
 	defer Decoders.Put(d)
-	r := reader{data: payload, kinds: d.internTable()}
+	r := reader{data: payload}
 	count := r.length("run")
 	if r.err != nil {
 		return nil, r.err

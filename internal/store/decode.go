@@ -8,8 +8,7 @@ import (
 )
 
 // Pooled decoding.  A RunDecoder owns the reusable buffers a decode needs —
-// one contiguous event slab, the per-process span table, and an intern table
-// for message-kind strings — so draining a batch of containers through one
+// one contiguous event slab and the per-process span table — so draining a batch of containers through one
 // decoder performs no per-event allocation once the buffers have grown to the
 // batch's high-water mark.  The package-level DecodeRun/DecodeSystem/
 // DecodeSeedRecord functions borrow a decoder from the shared pool and return
@@ -28,18 +27,10 @@ type RunDecoder struct {
 	offsets []int
 	run     model.Run
 	rec     SeedRecord
-	kinds   map[string]string
 }
 
 // NewRunDecoder returns an empty decoder ready for use.
-func NewRunDecoder() *RunDecoder {
-	return &RunDecoder{kinds: make(map[string]string, 16)}
-}
-
-// maxInternedKinds bounds the kind intern table; protocols use a handful of
-// distinct message kinds, so hitting the bound means something is generating
-// unbounded kinds and the table is reset rather than grown forever.
-const maxInternedKinds = 1024
+func NewRunDecoder() *RunDecoder { return &RunDecoder{} }
 
 // DecodeRun decodes a run container (EncodeRun) into the decoder's reusable
 // buffers.  The returned run aliases them and is valid until the next call on
@@ -49,7 +40,7 @@ func (d *RunDecoder) DecodeRun(data []byte) (*model.Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := reader{data: payload, kinds: d.internTable()}
+	r := reader{data: payload}
 	run := r.runInto(d)
 	if err := r.done(); err != nil {
 		return nil, err
@@ -69,7 +60,7 @@ func (d *RunDecoder) DecodeSeedRecord(data []byte) (*SeedRecord, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := reader{data: payload, kinds: d.internTable()}
+	r := reader{data: payload}
 	rec := &d.rec
 	*rec = SeedRecord{
 		Seed:   r.svarint(),
@@ -87,16 +78,6 @@ func (d *RunDecoder) DecodeSeedRecord(data []byte) (*SeedRecord, error) {
 		return nil, err
 	}
 	return rec, nil
-}
-
-// internTable returns the decoder's kind intern table, creating it lazily so
-// the zero RunDecoder works, and resetting it if it ever grows past the
-// bound.
-func (d *RunDecoder) internTable() map[string]string {
-	if d.kinds == nil || len(d.kinds) > maxInternedKinds {
-		d.kinds = make(map[string]string, 16)
-	}
-	return d.kinds
 }
 
 // runInto decodes one run payload into d's buffers: every event lands in one

@@ -3,9 +3,11 @@ package store
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"os/exec"
 	"reflect"
+	"strings"
 	"testing"
-	"unsafe"
 
 	"repro/internal/model"
 	"repro/internal/sim"
@@ -18,30 +20,30 @@ func decodeTestRun(seed int64, events int) *model.Run {
 	rng := rand.New(rand.NewSource(seed))
 	n := 2 + rng.Intn(6)
 	run := model.NewRun(n)
-	kinds := []string{"alpha", "ack", "estimate", "decide"}
+	kinds := []model.MsgKind{model.Kind("alpha"), model.Kind("ack"), model.Kind("estimate"), model.Kind("decide")}
 	t := 1
 	for placed := 0; placed < events; t++ {
 		for p := 0; p < n && placed < events; p++ {
 			var e model.Event
 			switch rng.Intn(5) {
 			case 0:
-				e = model.Event{Kind: model.EventInit, Action: model.Action(model.ProcID(p), rng.Intn(4))}
+				e = model.InitEvent(model.Action(model.ProcID(p), rng.Intn(4)))
 			case 1:
-				e = model.Event{Kind: model.EventSend, Peer: model.ProcID((p + 1) % n), Msg: model.Message{
+				e = model.SendEvent(model.ProcID((p+1)%n), model.Message{
 					Kind: kinds[rng.Intn(len(kinds))], Round: rng.Intn(900), Phase: rng.Intn(3),
 					Value: rng.Intn(100) - 50, Suspects: model.ProcSet(rng.Intn(1 << n)), KnownInits: rng.Intn(2) == 0,
-				}}
+				})
 			case 2:
-				e = model.Event{Kind: model.EventRecv, Peer: model.ProcID((p + n - 1) % n), Msg: model.Message{
+				e = model.RecvEvent(model.ProcID((p+n-1)%n), model.Message{
 					Kind: kinds[rng.Intn(len(kinds))], Aux: rng.Intn(1000), KnownCrashed: model.ProcSet(rng.Intn(1 << n)),
-				}}
+				})
 			case 3:
-				e = model.Event{Kind: model.EventSuspect, Report: model.SuspectReport{
+				e = model.SuspectEvent(model.SuspectReport{
 					Suspects: model.ProcSet(rng.Intn(1 << n)), Generalized: rng.Intn(2) == 0,
 					Group: model.ProcSet(rng.Intn(1 << n)), MinFaulty: rng.Intn(3),
-				}}
+				})
 			default:
-				e = model.Event{Kind: model.EventDo, Action: model.Action(model.ProcID(rng.Intn(n)), rng.Intn(8))}
+				e = model.DoEvent(model.Action(model.ProcID(rng.Intn(n)), rng.Intn(8)))
 			}
 			if err := run.Append(model.ProcID(p), t, e); err != nil {
 				panic(err)
@@ -177,32 +179,73 @@ func TestPooledDecodeAllocs(t *testing.T) {
 	}
 }
 
-// TestKindInterning verifies repeated message kinds decode to one shared
-// string value and that the intern table resets rather than growing without
-// bound.
+// TestKindInterning verifies that decoded message kinds are the process's
+// interned kinds, and that input inventing kinds fills the bounded intern
+// table only so far and then fails to decode.  The flood runs in a child
+// process, so the full table does not leak into the other tests.
 func TestKindInterning(t *testing.T) {
-	d := NewRunDecoder()
+	alpha := model.Kind("alpha")
 	run := model.NewRun(2)
 	for i := 0; i < 4; i++ {
-		if err := run.Append(0, i+1, model.Event{Kind: model.EventSend, Peer: 1, Msg: model.Message{Kind: "alpha"}}); err != nil {
+		if err := run.Append(0, i+1, model.SendEvent(1, model.Message{Kind: alpha})); err != nil {
 			t.Fatal(err)
 		}
 	}
 	run.SetHorizon(10)
-	got, err := d.DecodeRun(EncodeRun(run))
+	known := EncodeRun(run)
+	got, err := NewRunDecoder().DecodeRun(known)
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := got.Events[0][0].Event.Msg.Kind
-	for _, te := range got.Events[0] {
-		if unsafe.StringData(te.Event.Msg.Kind) != unsafe.StringData(first) {
-			t.Fatal("identical message kinds were not interned to one string")
+	for i := range got.Events[0] {
+		if k := got.Events[0][i].Event.MsgKind(); k != alpha {
+			t.Fatalf("event %d decoded kind %v, want the interned %v", i, k, alpha)
 		}
 	}
-	for i := 0; i <= maxInternedKinds+1; i++ {
-		d.kinds[fmt.Sprintf("kind-%d", i)] = "x"
+
+	if os.Getenv("STORE_KIND_FLOOD") == "" {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestKindInterning$")
+		cmd.Env = append(os.Environ(), "STORE_KIND_FLOOD=1")
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("kind flood: %v\n%s", err, out)
+		}
+		return
 	}
-	if table := d.internTable(); len(table) != 0 {
-		t.Fatalf("oversized intern table not reset (len %d)", len(table))
+	const batch = 100
+	for first := 0; ; first += batch {
+		if first > 1<<16 {
+			t.Fatalf("%d invented kinds decoded without hitting the table's bound", first)
+		}
+		_, err := DecodeRun(kindFlood(first, batch))
+		if err == nil {
+			continue
+		}
+		if !strings.Contains(err.Error(), "message-kind table full") {
+			t.Fatalf("after %d invented kinds: %v, want a full kind table", first, err)
+		}
+		break
 	}
+	// Kinds interned before the flood still decode.
+	if _, err := DecodeRun(known); err != nil {
+		t.Fatalf("known kinds stopped decoding after the flood: %v", err)
+	}
+}
+
+// kindFlood encodes a two-process run whose count sends each carry a kind no
+// protocol declares, written without interning them.
+func kindFlood(first, count int) []byte {
+	var w writer
+	w.int(2)
+	w.int(1)
+	w.uvarint(uint64(count))
+	for i := 0; i < count; i++ {
+		w.int(1)
+		w.uvarint(uint64(model.EventSend))
+		w.uvarint(1<<0 | 1<<1) // peer and message
+		w.svarint(1)
+		w.uvarint(1 << 0) // the message's kind alone
+		w.str(fmt.Sprintf("invented-%d", first+i))
+	}
+	w.uvarint(0)
+	return seal(KindRun, w.buf)
 }

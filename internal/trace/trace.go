@@ -39,8 +39,10 @@ func DecodeJSON(rd io.Reader) (*model.Run, error) {
 }
 
 // ValidateStructure checks a deserialised run's structural invariants — a
-// consistent process count, a non-negative horizon, and per-process event
-// times that are non-negative, nondecreasing (R2) and within the horizon.
+// consistent process count, a non-negative horizon, per-process event times
+// that are non-negative, nondecreasing (R2) and within the horizon, and
+// events of a known kind whose peer and initiators are processes of the run
+// (model.Event.Check, which model.Validate applies too).
 // Every decode path (JSON and the binary store container) runs it, so a file
 // with intact framing but an impossible run shape is rejected identically
 // everywhere.
@@ -63,6 +65,9 @@ func ValidateStructure(run *model.Run) error {
 			}
 			if t > run.Horizon {
 				return fmt.Errorf("decode run: process %d event %d at time %d exceeds horizon %d", p, i, t, run.Horizon)
+			}
+			if err := evs[i].Event.Check(run.N); err != nil {
+				return fmt.Errorf("decode run: process %d event %d: %w", p, i, err)
 			}
 			last = t
 		}

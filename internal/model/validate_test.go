@@ -18,6 +18,31 @@ func TestValidateCleanRun(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsImpossibleEvents builds the events of a three-process
+// run that the layout can hold but no run can contain; Validate must name
+// each.  (An action initiated by a negative process, or a part that does not
+// belong to the event's kind, cannot be built at all: SetAction panics, and
+// the decoders reject them in SetParts.)
+func TestValidateRejectsImpossibleEvents(t *testing.T) {
+	cases := []struct {
+		name  string
+		event Event
+	}{
+		{"send to peer 70", SendEvent(70, Message{Kind: Kind("alpha")})},
+		{"event of kind 99", Event{Kind: 99}},
+		{"action initiated by 5", InitEvent(Action(5, 1))},
+		{"message about an action initiated by 3", SendEvent(1, Message{Kind: Kind("alpha"), Action: Action(3, 0)})},
+	}
+	for _, c := range cases {
+		r := NewRun(3)
+		mustAppend(t, r, 0, 1, c.event)
+		r.SetHorizon(5)
+		if vs := Validate(r, ValidateOptions{}); !hasRule(vs, "event") {
+			t.Errorf("%s: expected an event violation, got %v", c.name, vs)
+		}
+	}
+}
+
 func TestValidateR3ReceiveWithoutSend(t *testing.T) {
 	r := NewRun(2)
 	msg := Message{Kind: Kind("alpha"), Action: Action(0, 1)}

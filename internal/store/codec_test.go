@@ -12,24 +12,6 @@ import (
 	"repro/internal/workload"
 )
 
-// sampleRuns simulates a few seeds of every catalogued scenario, giving the
-// codec tests runs that exercise every event kind, oracle report shape and
-// adversary the repository can produce.
-func sampleRuns(t *testing.T) []*model.Run {
-	t.Helper()
-	var runs []*model.Run
-	for _, sc := range registry.Scenarios() {
-		for _, seed := range workload.Seeds(1, 2) {
-			res, err := workload.Execute(sc.Spec, seed)
-			if err != nil {
-				t.Fatalf("%s seed %d: %v", sc.Name, seed, err)
-			}
-			runs = append(runs, res.Run)
-		}
-	}
-	return runs
-}
-
 func jsonOf(t *testing.T, r *model.Run) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -40,7 +22,7 @@ func jsonOf(t *testing.T, r *model.Run) []byte {
 }
 
 func TestRunRoundTripsByteIdentical(t *testing.T) {
-	for _, run := range sampleRuns(t) {
+	for _, run := range store.SampleRuns(t) {
 		bin := store.EncodeRun(run)
 		decoded, err := store.DecodeRun(bin)
 		if err != nil {
@@ -62,7 +44,7 @@ func TestRunRoundTripsByteIdentical(t *testing.T) {
 }
 
 func TestSystemRoundTrip(t *testing.T) {
-	runs := sampleRuns(t)[:6]
+	runs := store.SampleRuns(t)[:6]
 	bin := store.EncodeSystem(runs)
 	decoded, err := store.DecodeSystem(bin)
 	if err != nil {
@@ -250,7 +232,7 @@ func TestExtractionRecordRoundTrip(t *testing.T) {
 // blob to the decoder: all must fail cleanly (the trailing checksum catches
 // what the bounds checks don't), none may panic.
 func TestDecodeRejectsEveryTruncation(t *testing.T) {
-	run := sampleRuns(t)[0]
+	run := store.SampleRuns(t)[0]
 	bin := store.EncodeRun(run)
 	for i := 0; i < len(bin); i++ {
 		if _, err := store.DecodeRun(bin[:i]); err == nil {
@@ -260,7 +242,7 @@ func TestDecodeRejectsEveryTruncation(t *testing.T) {
 }
 
 func TestDecodeRejectsBitFlips(t *testing.T) {
-	bin := store.EncodeRun(sampleRuns(t)[0])
+	bin := store.EncodeRun(store.SampleRuns(t)[0])
 	for _, pos := range []int{0, 4, 5, len(bin) / 2, len(bin) - 1} {
 		corrupt := append([]byte(nil), bin...)
 		corrupt[pos] ^= 0x40
@@ -271,7 +253,7 @@ func TestDecodeRejectsBitFlips(t *testing.T) {
 }
 
 func TestKindMismatchRejected(t *testing.T) {
-	bin := store.EncodeRun(sampleRuns(t)[0])
+	bin := store.EncodeRun(store.SampleRuns(t)[0])
 	if _, err := store.DecodeSweepRecord(bin); err == nil {
 		t.Fatalf("run container decoded as a sweep record")
 	}

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"reflect"
 	"runtime"
 	"testing"
@@ -55,6 +56,61 @@ func FuzzDecodeOutcome(f *testing.F) {
 			for bit := 0; len(flipped) <= 512 && bit < 8*len(flipped); bit++ {
 				flipped[bit/8] ^= 1 << (bit % 8)
 				if _, err := DecodeOutcome(flipped); err == nil {
+					t.Fatalf("container accepted with bit %d flipped", bit)
+				}
+				flipped[bit/8] ^= 1 << (bit % 8)
+			}
+		}
+	})
+}
+
+// FuzzDecodeRun fuzzes the run parser behind every run-carrying container —
+// the seed records of extraction sources, and run files — which the daemon
+// and udcsim read from disk.  Its shape is FuzzDecodeOutcome's: every input
+// is decoded as it is and sealed as a payload; neither decode may panic or
+// allocate more than the input's length allows, an accepted run must survive
+// decode∘encode unchanged, and no single-bit flip of an accepted container
+// may be accepted too.  The seeds are recorded runs of every catalogued
+// scenario and the events TestDecodeRejectsImpossibleEvents rejects.  Input
+// that invents message kinds fills the bounded intern table and then fails
+// to decode; TestKindInterning pins that bound.
+func FuzzDecodeRun(f *testing.F) {
+	for _, run := range SampleRuns(f) {
+		container := EncodeRun(run)
+		f.Add(container)
+		f.Add(container[5 : len(container)-4])
+	}
+	for _, c := range impossibleEvents {
+		container := c.container()
+		f.Add(container)
+		f.Add(container[5 : len(container)-4])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, container := range [][]byte{data, seal(KindRun, data)} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			run, err := DecodeRun(container)
+			runtime.ReadMemStats(&after)
+			// An event costs at least one byte of the count it is read
+			// under and lands in an 80-byte slab that may have doubled, and
+			// the returned run is one more slab: under 256 bytes per input
+			// byte, plus slack for the error value and whatever else the
+			// process allocates meanwhile.
+			if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(256*len(container)+64<<10); got > limit {
+				t.Fatalf("decoding %d bytes allocated %d, limit %d", len(container), got, limit)
+			}
+			if err != nil {
+				continue
+			}
+			canonical := EncodeRun(run)
+			again, err := DecodeRun(canonical)
+			if err != nil || !reflect.DeepEqual(again, run) || !bytes.Equal(EncodeRun(again), canonical) {
+				t.Fatalf("decode∘encode is not the identity (%v)", err)
+			}
+			flipped := append([]byte(nil), container...) // the engine owns data
+			for bit := 0; len(flipped) <= 512 && bit < 8*len(flipped); bit++ {
+				flipped[bit/8] ^= 1 << (bit % 8)
+				if _, err := DecodeRun(flipped); err == nil {
 					t.Fatalf("container accepted with bit %d flipped", bit)
 				}
 				flipped[bit/8] ^= 1 << (bit % 8)

@@ -62,6 +62,12 @@ func TestDecodeJSONRejectsGarbage(t *testing.T) {
 		{"negative time", `{"n": 1, "horizon": 5, "events": [[{"time": -1, "event": {"kind": 3}}]]}`},
 		{"non-monotone times", `{"n": 1, "horizon": 5, "events": [[{"time": 4, "event": {"kind": 3}}, {"time": 2, "event": {"kind": 4}}]]}`},
 		{"time beyond horizon", `{"n": 1, "horizon": 5, "events": [[{"time": 9, "event": {"kind": 3}}]]}`},
+		// Events no run can contain.
+		{"send to peer 70", `{"n": 3, "horizon": 5, "events": [[{"time": 1, "event": {"kind": 1, "peer": 70, "msg": {"kind": "alpha"}}}], [], []]}`},
+		{"event of kind 99", `{"n": 3, "horizon": 5, "events": [[{"time": 1, "event": {"kind": 99}}], [], []]}`},
+		{"action initiated by -4", `{"n": 3, "horizon": 5, "events": [[{"time": 1, "event": {"kind": 3, "action": {"initiator": -4, "seq": 1}}}], [], []]}`},
+		{"recv carrying an action", `{"n": 3, "horizon": 5, "events": [[{"time": 1, "event": {"kind": 2, "peer": 1, "msg": {"kind": "alpha"}, "action": {"initiator": 0, "seq": 1}}}], [], []]}`},
+		{"recv carrying a report", `{"n": 3, "horizon": 5, "events": [[{"time": 1, "event": {"kind": 2, "peer": 1, "report": {"suspects": 4}}}], [], []]}`},
 	}
 	for _, tc := range cases {
 		if _, err := trace.DecodeJSON(strings.NewReader(tc.input)); err == nil {

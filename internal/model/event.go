@@ -233,9 +233,6 @@ func DoEvent(a ActionID) Event {
 	return e
 }
 
-// CrashEvent returns crash.
-func CrashEvent() Event { return Event{Kind: EventCrash} }
-
 // SuspectEvent returns suspect(rep).
 func SuspectEvent(rep SuspectReport) Event {
 	e := Event{Kind: EventSuspect}

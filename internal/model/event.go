@@ -173,8 +173,8 @@ func (r SuspectReport) String() string {
 // Event is a single occurrence in a process history.  Each kind carries one
 // part: a send or recv its message, an init or do its action, a suspect its
 // report, a crash nothing.  The parts share one body, so an event is a tag,
-// a peer and seven words, and holds no pointer: every history slab is
-// allocated without zeroing by the GC's rules for pointers and never scanned.
+// a peer and seven words, and holds no pointer: the garbage collector never
+// scans a history slab.
 // The body is read through Msg, Action and Report (each zero unless it is
 // the kind's part), or through the narrow accessors the hot readers use, and
 // written through SetMsg, SetAction and SetReport.  An initiator is kept in a

@@ -285,31 +285,28 @@ func (e *Event) SetReport(rep *SuspectReport) {
 	}
 }
 
-// SetParts stores the part of a serialised event that belongs to its Kind —
-// the form in which JSON and the binary codec carry an event, with message,
-// action and report side by side.  Any other non-zero part, or an initiator
-// outside [0, MaxProcs), is an error: the event could not be recorded.
-func (e *Event) SetParts(m *Message, a ActionID, rep *SuspectReport) error {
-	hasMsg, hasAction, hasReport := *m != (Message{}), !a.IsZero(), *rep != (SuspectReport{})
+// SetParts stores the parts a serialised event carries — the form in which
+// JSON and the binary codec write an event, with message, action and report
+// side by side — given as pointers, nil for a part that is absent.  A part
+// that does not belong to e.Kind, or an initiator outside [0, MaxProcs), is
+// an error: the event could not be recorded.
+func (e *Event) SetParts(m *Message, a *ActionID, rep *SuspectReport) error {
 	switch {
-	case hasMsg && !e.hasMsg():
+	case m != nil && !e.hasMsg():
 		return fmt.Errorf("model: %s event carries a message", e.Kind)
-	case hasAction && !e.hasAction():
+	case a != nil && !e.hasAction():
 		return fmt.Errorf("model: %s event carries an action", e.Kind)
-	case hasReport && !e.hasReport():
+	case rep != nil && !e.hasReport():
 		return fmt.Errorf("model: %s event carries a report", e.Kind)
-	}
-	for _, p := range []ProcID{m.Action.Initiator, a.Initiator} {
-		if uint(p) >= MaxProcs {
-			return fmt.Errorf("model: action initiator %d outside [0,%d)", p, MaxProcs)
-		}
-	}
-	switch {
-	case hasMsg:
+	case m != nil && uint(m.Action.Initiator) >= MaxProcs:
+		return fmt.Errorf("model: action initiator %d outside [0,%d)", m.Action.Initiator, MaxProcs)
+	case a != nil && uint(a.Initiator) >= MaxProcs:
+		return fmt.Errorf("model: action initiator %d outside [0,%d)", a.Initiator, MaxProcs)
+	case m != nil:
 		e.SetMsg(m)
-	case hasAction:
-		e.SetAction(a)
-	case hasReport:
+	case a != nil:
+		e.SetAction(*a)
+	case rep != nil:
 		e.SetReport(rep)
 	}
 	return nil
@@ -430,14 +427,29 @@ func (e Event) MarshalJSON() ([]byte, error) {
 	return json.Marshal(eventJSON{Kind: e.Kind, Peer: e.Peer, Msg: e.Msg(), Action: e.Action(), Report: e.Report()})
 }
 
-// UnmarshalJSON implements json.Unmarshaler; it rejects what SetParts does.
+// UnmarshalJSON implements json.Unmarshaler.  A zero part is absent, and a
+// non-zero one is stored, or rejected, by SetParts.
 func (e *Event) UnmarshalJSON(data []byte) error {
 	var j eventJSON
 	if err := json.Unmarshal(data, &j); err != nil {
 		return err
 	}
 	*e = Event{Kind: j.Kind, Peer: j.Peer}
-	return e.SetParts(&j.Msg, j.Action, &j.Report)
+	var (
+		m   *Message
+		a   *ActionID
+		rep *SuspectReport
+	)
+	if j.Msg != (Message{}) {
+		m = &j.Msg
+	}
+	if !j.Action.IsZero() {
+		a = &j.Action
+	}
+	if j.Report != (SuspectReport{}) {
+		rep = &j.Report
+	}
+	return e.SetParts(m, a, rep)
 }
 
 // String implements fmt.Stringer.

@@ -21,6 +21,9 @@ type MsgKind uint16
 const (
 	maxKinds   = 1024
 	maxKindLen = 255
+	// scannedKinds is how many of the first kinds InternKind compares
+	// names with before it probes the map.
+	scannedKinds = 16
 )
 
 // kindTable is one immutable snapshot of the intern table.  Readers load the
@@ -61,13 +64,27 @@ func Kind(name string) MsgKind {
 }
 
 // InternKind returns the kind named by name, interning it on first sight.  A
-// known name costs one lock-free map probe and no allocation.  It fails once
-// the table holds its bound of kinds, or for a name longer than the bound, so
+// known name costs a lock-free lookup and no allocation.  It fails once the
+// table holds its bound of kinds, or for a name longer than the bound, so
 // input that invents kinds becomes a decode error, not unbounded growth.
 func InternKind(name []byte) (MsgKind, error) {
-	if k, ok := kinds.Load().ids[string(name)]; ok {
+	t := kinds.Load()
+	// The protocols' few kinds are interned first, at initialisation, and
+	// comparing against them beats hashing the name; the map serves the rest.
+	for i, n := range t.names[:min(len(t.names), scannedKinds)] {
+		if n == string(name) {
+			return MsgKind(i), nil
+		}
+	}
+	if k, ok := t.ids[string(name)]; ok {
 		return k, nil
 	}
+	return intern(name)
+}
+
+// intern adds name to the table, unless another caller has meanwhile.  It is
+// InternKind's slow path, kept apart so the lookup stays small.
+func intern(name []byte) (MsgKind, error) {
 	if len(name) > maxKindLen {
 		return 0, fmt.Errorf("model: message kind of %d bytes exceeds %d", len(name), maxKindLen)
 	}

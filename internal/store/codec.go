@@ -505,21 +505,24 @@ func (r *reader) eventInto(e *model.Event) {
 		e.Peer = model.ProcID(r.svarint())
 	}
 	var (
-		msg    model.Message
-		action model.ActionID
-		rep    model.SuspectReport
+		msg    *model.Message
+		action *model.ActionID
+		rep    *model.SuspectReport
 	)
 	if mask&(1<<1) != 0 {
-		r.messageInto(&msg)
+		msg = new(model.Message)
+		r.messageInto(msg)
 	}
 	if mask&(1<<2) != 0 {
-		action = r.action()
+		a := r.action()
+		action = &a
 	}
 	if mask&(1<<3) != 0 {
-		r.reportInto(&rep)
+		rep = new(model.SuspectReport)
+		r.reportInto(rep)
 	}
 	if r.err == nil {
-		if err := e.SetParts(&msg, action, &rep); err != nil {
+		if err := e.SetParts(msg, action, rep); err != nil {
 			r.fail("store: %v", err)
 		}
 	}

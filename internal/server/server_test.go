@@ -24,17 +24,23 @@ import (
 // is non-empty) and returns it with its httptest front.
 func newTestServer(t *testing.T, dir string) (*server.Server, *httptest.Server) {
 	t.Helper()
-	st, err := store.Open(dir, store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := server.New(server.Config{Store: st})
+	srv, err := server.New(server.Config{Store: reopen(t, dir)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() { ts.Close(); srv.Close() })
 	return srv, ts
+}
+
+// reopen opens a fresh store on dir, as a restarted daemon would.
+func reopen(t *testing.T, dir string) *store.Store {
+	t.Helper()
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
 }
 
 func get(t *testing.T, url string) (int, http.Header, []byte) {
@@ -387,31 +393,41 @@ func TestExtractPartialReusesSourceRuns(t *testing.T) {
 	}
 }
 
-// TestSeedFaultIsolation corrupts a single per-seed shard under a primed
-// corpus: a window touching it must still be served byte-identically, with
-// exactly that one seed recomputed (and repaired), the damage counted by the
-// store, and nothing else disturbed.
+// TestSeedFaultIsolation damages a single per-seed record in a primed
+// corpus's log: a window touching it must still be served byte-identically,
+// with exactly that one seed recomputed (and repaired), the damage counted by
+// the store, and nothing else disturbed.  A flipped payload byte is caught by
+// the record's checksum on read; a torn record — the frame moved to the log's
+// end and cut short, as a crash mid-append leaves it — is cut off by Open.
 func TestSeedFaultIsolation(t *testing.T) {
 	seeds := workload.Seeds(1, 8)
-	for name, mutate := range map[string]func([]byte) []byte{
-		"bit-flipped": func(raw []byte) []byte {
-			m := append([]byte(nil), raw...)
-			m[len(m)/2] ^= 0x01
+	for name, mutate := range map[string]func(log []byte, off, n int64) []byte{
+		"bit-flipped": func(log []byte, off, n int64) []byte {
+			m := append([]byte(nil), log...)
+			m[off+n/2] ^= 0x01
 			return m
 		},
-		"truncated": func(raw []byte) []byte { return raw[:len(raw)/2] },
+		"truncated": func(log []byte, off, n int64) []byte {
+			frame := off - store.FrameHeaderSize
+			m := append(append([]byte(nil), log[:frame]...), log[off+n:]...)
+			return append(m, log[frame:off+n/2]...)
+		},
 	} {
 		dir := t.TempDir()
 		srv, ts := newTestServer(t, dir)
 		get(t, ts.URL+"/v1/sweep?scenario=prop2.3-nudc&seeds=8")
 
-		// Damage seed position 2's record on disk.
-		path := srv.Store().EntryPath(server.SweepSeedKey("prop2.3-nudc", "", seeds[2]))
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("%s: read seed record: %v", name, err)
+		// Damage seed position 2's record in the log.
+		off, n, ok := srv.Store().Locate(server.SweepSeedKey("prop2.3-nudc", "", seeds[2]))
+		if !ok {
+			t.Fatalf("%s: seed record not in the log", name)
 		}
-		if err := os.WriteFile(path, mutate(raw), 0o644); err != nil {
+		path := srv.Store().LogPath()
+		log, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("%s: read log: %v", name, err)
+		}
+		if err := os.WriteFile(path, mutate(log, off, int64(n)), 0o644); err != nil {
 			t.Fatal(err)
 		}
 
@@ -492,9 +508,9 @@ func TestSweepReplacesRunCarryingSeedRecord(t *testing.T) {
 	if st := srv2.Store().Stats(); st.CorruptEntries != 0 {
 		t.Fatalf("an intact record of another kind counted as corruption: %+v", st)
 	}
-	raw, err := os.ReadFile(srv2.Store().EntryPath(key))
-	if err != nil {
-		t.Fatal(err)
+	raw, ok := reopen(t, dir).Get(key)
+	if !ok {
+		t.Fatal("seed entry not served after the sweep")
 	}
 	if o, err := store.DecodeOutcome(raw); err != nil || o.Seed != seed {
 		t.Fatalf("seed entry after the sweep: outcome %+v, %v; want seed %d's outcome container", o, err, seed)
@@ -509,24 +525,24 @@ func TestSweepReplacesRunCarryingSeedRecord(t *testing.T) {
 func TestSweepStoresOutcomesExtractStoresRuns(t *testing.T) {
 	const window = 64
 	dir := t.TempDir()
-	srv, ts := newTestServer(t, dir)
+	_, ts := newTestServer(t, dir)
 	get(t, ts.URL+fmt.Sprintf("/v1/sweep?scenario=prop2.3-nudc&seeds=%d", window))
 	get(t, ts.URL+"/v1/extract?extraction=kx-perfect&runs=6&seedBase=1")
 
+	corpus := reopen(t, dir)
 	for _, seed := range workload.Seeds(1, window) {
-		path := srv.Store().EntryPath(server.SweepSeedKey("prop2.3-nudc", "", seed))
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
+		raw, ok := corpus.Get(server.SweepSeedKey("prop2.3-nudc", "", seed))
+		if !ok {
+			t.Fatalf("sweep seed %d: no entry", seed)
 		}
 		if kind, err := store.Kind(raw); err != nil || kind != store.KindOutcome || len(raw) > 1<<10 {
 			t.Fatalf("sweep seed %d: %d-byte entry of kind %d (%v), want an outcome container of at most 1 KiB", seed, len(raw), kind, err)
 		}
 	}
 	for _, seed := range workload.Seeds(1, 6) {
-		raw, err := os.ReadFile(srv.Store().EntryPath(server.ExtractSeedKey("kx-perfect", "", seed)))
-		if err != nil {
-			t.Fatal(err)
+		raw, ok := corpus.Get(server.ExtractSeedKey("kx-perfect", "", seed))
+		if !ok {
+			t.Fatalf("extraction source seed %d: no entry", seed)
 		}
 		if kind, err := store.Kind(raw); err != nil || kind != store.KindSeed {
 			t.Fatalf("extraction source seed %d: entry of kind %d (%v), want a seed record", seed, kind, err)
@@ -912,26 +928,29 @@ func TestClientMatchesServer(t *testing.T) {
 	}
 }
 
-// TestPutFailureStillServes breaks the store's directory out from under a
-// running daemon (replacing it with a regular file so even MkdirAll cannot
-// resurrect it): the computation still succeeds and is served (caching is an
-// optimisation), with every failed persist — 4 per-seed records plus the
-// window record — surfaced in the scheduler's PutErrors counter rather than
-// the response.
+// TestPutFailureStillServes runs a daemon whose store log is the full device,
+// so every append fails as on a full disk (ENOSPC): the computation still
+// succeeds and is served (caching is an optimisation), with every failed
+// persist — 4 per-seed records plus the window record — surfaced in the
+// scheduler's PutErrors counter rather than the response.
 func TestPutFailureStillServes(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full to fail writes with")
+	}
 	dir := filepath.Join(t.TempDir(), "corpus")
+	log := reopen(t, dir).LogPath()
+	if err := os.Remove(log); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Symlink("/dev/full", log); err != nil {
+		t.Fatal(err)
+	}
 	srv, ts := newTestServer(t, dir)
-	if err := os.RemoveAll(dir); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(dir, []byte("not a directory"), 0o644); err != nil {
-		t.Fatal(err)
-	}
 	req := server.SweepRequest{Scenario: "prop2.3-nudc", Seeds: 4, SeedBase: 1}
 	golden := goldenSweepBody(t, req)
 	status, _, body := get(t, ts.URL+"/v1/sweep?scenario=prop2.3-nudc&seeds=4")
 	if status != http.StatusOK {
-		t.Fatalf("sweep with broken store dir: HTTP %d: %s", status, body)
+		t.Fatalf("sweep with a failing store: HTTP %d: %s", status, body)
 	}
 	if !bytes.Equal(body, golden) {
 		t.Fatalf("body differs despite successful computation")

@@ -145,7 +145,7 @@ func (s *Server) handleTraceByID(w http.ResponseWriter, r *http.Request) {
 }
 
 // CorpusResponse is the /v1/corpus body: where the corpus lives, how its
-// entries distribute across the 256-way shard layout (with a per-kind
+// live records distribute across the 256 key-prefix shards (with a per-kind
 // census: "outcome" counts sweeps' per-seed records, "seed" extraction
 // sources' run-carrying ones, "sweep"/"extraction" whole served requests),
 // what the memory layer holds, and the per-source seed traffic the
@@ -160,15 +160,10 @@ type CorpusResponse struct {
 	Sources    []SourceStats    `json:"sources"`
 }
 
-// handleCorpus serves the corpus census.  ?kinds=0 skips the per-kind
-// classification (it reads each entry's 5-byte header; everything else is
-// directory metadata only).
+// handleCorpus serves the corpus census, counted from the store's index
+// without disk reads.  ?kinds=0 skips the per-kind classification.
 func (s *Server) handleCorpus(w http.ResponseWriter, r *http.Request) {
-	scan, err := s.store.ScanShards(r.URL.Query().Get("kinds") != "0")
-	if err != nil {
-		writeError(w, fmt.Errorf("scan corpus: %w", err))
-		return
-	}
+	scan := s.store.ScanShards(r.URL.Query().Get("kinds") != "0")
 	ss := s.store.Stats()
 	writeJSON(w, http.StatusOK, CorpusResponse{
 		Dir:        s.store.Dir(),

@@ -2,6 +2,10 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"testing"
@@ -115,6 +119,91 @@ func FuzzDecodeRun(f *testing.F) {
 				}
 				flipped[bit/8] ^= 1 << (bit % 8)
 			}
+		}
+	})
+}
+
+// FuzzOpenLog fuzzes Open's scan of the log, which reads bytes the daemon
+// does not control, and the reads that follow it.  The input is the whole
+// log file.  Open must neither panic nor fail (a bad tail is cut off, not
+// refused), a hostile length field must not make Open or Get allocate
+// beyond what the file's size allows, and every payload served must pass
+// Check and sit in the input under a whole, CRC-clean header naming the
+// requested key.  The seeds are logs written by PutMulti, torn inside their
+// last frame and with single bits flipped in a frame's length, key and
+// payload.
+func FuzzOpenLog(f *testing.F) {
+	s, err := Open(f.TempDir(), Options{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	keys := []Key{KeySpec{Kind: "fuzz", Name: "a"}.Key(), KeySpec{Kind: "fuzz", Name: "b"}.Key(), KeySpec{Kind: "fuzz", Name: "c"}.Key()}
+	payloads := [][]byte{
+		EncodeOutcome(workload.RunOutcome{Seed: 1, Stats: sim.Stats{Steps: 400}}),
+		EncodeSweepRecord(&SweepRecord{Scenario: "s", Check: "udc", SeedBase: 1}),
+		[]byte("not a container"),
+	}
+	if failed, err := s.PutMulti(keys, payloads); failed != 0 {
+		f.Fatal(err)
+	}
+	log, err := os.ReadFile(s.LogPath())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(log)
+	f.Add([]byte{})
+	middle, last := s.index[keys[1]], s.index[keys[2]]
+	for _, cut := range []int64{last.off - FrameHeaderSize + 10, last.off + 4, int64(len(log)) - 1} {
+		f.Add(log[:cut])
+	}
+	for _, pos := range []int64{middle.off - FrameHeaderSize, middle.off - FrameHeaderSize + 4, middle.off + 4} {
+		flipped := append([]byte(nil), log...)
+		flipped[pos] ^= 0x10
+		f.Add(flipped)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, logName), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s, err := Open(dir, Options{MaxMemEntries: -1})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The scan's buffer is at most the file, and each indexed frame —
+		// at least FrameHeaderSize bytes of input — costs an index slot of
+		// under 128 bytes counting the map's growth: under 4 bytes per
+		// input byte, plus slack for the file handle and whatever else the
+		// process allocates meanwhile.
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(4*len(data)+64<<10); got > limit {
+			t.Fatalf("opening a %d-byte log allocated %d, limit %d", len(data), got, limit)
+		}
+		for key, l := range s.index {
+			runtime.ReadMemStats(&before)
+			payload, ok := s.Get(key)
+			runtime.ReadMemStats(&after)
+			if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(len(data)+16<<10); got > limit {
+				t.Fatalf("reading a record of a %d-byte log allocated %d, limit %d", len(data), got, limit)
+			}
+			if !ok {
+				continue
+			}
+			if err := Check(payload); err != nil {
+				t.Fatalf("served a payload that fails Check: %v", err)
+			}
+			header := data[l.off-FrameHeaderSize : l.off]
+			if Key(header[4:36]) != key || binary.LittleEndian.Uint32(header) != uint32(len(payload)) ||
+				crc32.Checksum(header[:36], crcTable) != binary.LittleEndian.Uint32(header[36:]) ||
+				!bytes.Equal(data[l.off:l.off+int64(len(payload))], payload) {
+				t.Fatalf("payload at %d served under a key it was not framed under", l.off)
+			}
+		}
+		kept, err := os.ReadFile(filepath.Join(dir, logName))
+		if err != nil || !bytes.Equal(kept, data[:len(kept)]) {
+			t.Fatalf("the log was rewritten, not cut back (%v)", err)
 		}
 	})
 }

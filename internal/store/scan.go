@@ -1,129 +1,119 @@
 package store
 
 import (
+	"bufio"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
-	"strings"
 )
 
-// ScanShards walks the persistent corpus and reports its occupancy: per-shard
-// entry and byte counts across the 256-way layout, totals, and (optionally) a
-// census of entries by container kind.  The scan reads directory metadata
-// only — plus, when kinds is requested, the first five bytes of each entry
-// (magic + kind byte), never whole payloads — so it stays cheap enough for an
-// introspection endpoint even on a large corpus.
-
-// ShardInfo is one shard directory's occupancy.
+// ShardInfo is one shard's occupancy.  A shard is the set of keys sharing a
+// first byte — the fleet ring's unit of placement, a property of the key.
 type ShardInfo struct {
-	// Shard is the two-hex-digit directory name ("00".."ff").
+	// Shard is the first key byte as two hex digits ("00".."ff").
 	Shard string `json:"shard"`
-	// Entries and Bytes are the shard's entry count and summed file size.
+	// Entries and Bytes are the shard's live record count and summed
+	// payload size.
 	Entries int   `json:"entries"`
 	Bytes   int64 `json:"bytes"`
 }
 
 // ScanResult is a point-in-time census of the persistent corpus.
 type ScanResult struct {
-	// Shards lists the non-empty shards, sorted by name (os.ReadDir's order).
+	// Shards lists the non-empty shards, sorted by name.
 	Shards []ShardInfo `json:"shards"`
 	// Entries and Bytes are the corpus totals.
 	Entries int   `json:"entries"`
 	Bytes   int64 `json:"bytes"`
 	// Kinds counts entries by container kind name ("outcome", "seed",
-	// "sweep", ...);
-	// nil when the scan was asked to skip kind classification.  Files whose
-	// first bytes are not a store container count under "unknown".
+	// "sweep", ...); nil when the census was asked to skip kind
+	// classification.  Records that do not start as a store container count
+	// under "unknown".
 	Kinds map[string]int `json:"kinds,omitempty"`
-	// Unreadable counts entries whose metadata or header could not be read
-	// (racing eviction, permissions); they are excluded from the totals.
-	Unreadable int `json:"unreadable,omitempty"`
 }
 
-// ScanShards scans the store's persistent layout.  A memory-only store
-// returns an empty result.  kinds selects the per-kind census (one small
-// header read per entry).
-func (s *Store) ScanShards(kinds bool) (ScanResult, error) {
+// ScanShards reports the persistent corpus's occupancy — per-shard and total
+// live records and payload bytes and, with kinds, a census by container kind —
+// from the in-memory index, without touching the disk.  A memory-only store
+// returns an empty result.
+func (s *Store) ScanShards(kinds bool) ScanResult {
 	var res ScanResult
-	if s.dir == "" {
-		return res, nil
-	}
-	root, err := os.ReadDir(s.dir)
-	if err != nil {
-		return res, err
+	if s.log == nil {
+		return res
 	}
 	if kinds {
 		res.Kinds = make(map[string]int)
 	}
-	for _, entry := range root {
-		if !entry.IsDir() || !isShardName(entry.Name()) {
+	var shards [256]ShardInfo
+	s.mu.Lock()
+	for key, l := range s.index {
+		shards[key[0]].Entries++
+		shards[key[0]].Bytes += int64(l.n)
+		if kinds {
+			res.Kinds[KindName(l.kind)]++
+		}
+	}
+	s.mu.Unlock()
+	for i, sh := range shards {
+		if sh.Entries == 0 {
 			continue
 		}
-		shard := ShardInfo{Shard: entry.Name()}
-		files, err := os.ReadDir(filepath.Join(s.dir, entry.Name()))
-		if err != nil {
-			res.Unreadable++
-			continue
-		}
-		for _, f := range files {
-			if f.IsDir() || !strings.HasSuffix(f.Name(), ".bin") {
-				continue
+		sh.Shard = fmt.Sprintf("%02x", i)
+		res.Shards = append(res.Shards, sh)
+		res.Entries += sh.Entries
+		res.Bytes += sh.Bytes
+	}
+	return res
+}
+
+// scanLog indexes a log in one sequential read.  It returns the index, the
+// end of the last whole frame and the file's size; end < size means a torn
+// or damaged tail follows.  Only a frame's header is checked here — its
+// payload is checked by every read — so a damaged payload costs that record
+// alone, while a damaged header ends the scan: past it, no frame boundary can
+// be trusted.
+func scanLog(log *os.File) (index map[Key]loc, end, size int64, err error) {
+	info, err := log.Stat()
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	size = info.Size()
+	r := bufio.NewReaderSize(io.NewSectionReader(log, 0, size), int(min(size, 1<<20)))
+	index = make(map[Key]loc)
+	var header [FrameHeaderSize]byte
+	for {
+		if _, err := io.ReadFull(r, header[:]); err != nil {
+			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+				return index, end, size, nil
 			}
-			s.scanEntry(filepath.Join(s.dir, entry.Name(), f.Name()), f, &shard, &res)
+			return nil, 0, 0, err
 		}
-		if shard.Entries > 0 {
-			res.Shards = append(res.Shards, shard)
+		n := binary.LittleEndian.Uint32(header[:4])
+		body, sum := header[:FrameHeaderSize-4], header[FrameHeaderSize-4:]
+		if crc32.Checksum(body, crcTable) != binary.LittleEndian.Uint32(sum) || end+FrameHeaderSize+int64(n) > size {
+			return index, end, size, nil
 		}
+		head, err := r.Peek(min(int(n), len(magic)+1))
+		l := loc{off: end + FrameHeaderSize, n: n, kind: kindByte(head)}
+		if err == nil {
+			_, err = r.Discard(int(n))
+		}
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		index[Key(header[4:FrameHeaderSize-4])] = l
+		end = l.off + int64(n)
 	}
-	return res, nil
 }
 
-// scanEntry folds one entry file into its shard and the totals.
-func (s *Store) scanEntry(path string, f os.DirEntry, shard *ShardInfo, res *ScanResult) {
-	info, err := f.Info()
-	if err != nil {
-		res.Unreadable++
-		return
+// kindByte returns the container kind byte a payload starts with, or 0 (an
+// "unknown" kind) when it does not start as a store container.
+func kindByte(payload []byte) byte {
+	if len(payload) <= len(magic) || [4]byte(payload[:4]) != magic {
+		return 0
 	}
-	shard.Entries++
-	shard.Bytes += info.Size()
-	res.Entries++
-	res.Bytes += info.Size()
-	if res.Kinds == nil {
-		return
-	}
-	res.Kinds[entryKind(path)]++
-}
-
-// entryKind classifies one entry by its container header: the magic and the
-// kind byte live in the first five bytes, so classification never reads a
-// payload.
-func entryKind(path string) string {
-	file, err := os.Open(path)
-	if err != nil {
-		return "unknown"
-	}
-	defer file.Close()
-	var header [5]byte
-	if _, err := io.ReadFull(file, header[:]); err != nil {
-		return "unknown"
-	}
-	if [4]byte(header[:4]) != magic {
-		return "unknown"
-	}
-	return KindName(header[4])
-}
-
-// isShardName reports whether a directory name is a two-hex-digit shard.
-func isShardName(name string) bool {
-	if len(name) != 2 {
-		return false
-	}
-	for i := 0; i < 2; i++ {
-		c := name[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
+	return payload[4]
 }

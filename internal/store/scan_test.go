@@ -3,11 +3,15 @@ package store
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/model"
 )
 
+// TestScanShards checks the corpus census against what was written: it is
+// counted from the index, so a store reopened on the log — its index rebuilt
+// by Open's scan, foreign files beside the log ignored — reports the same.
 func TestScanShards(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir, Options{})
@@ -27,24 +31,32 @@ func TestScanShards(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Files in the root — foreign, or named like an entry — are not part of
-	// the sharded layout: the scan must skip them.
-	for _, name := range []string{"README.txt", keys[0].String() + ".bin"} {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte("not a container"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	// An overwritten record counts once, at its last payload's size.
 	sweepKey := KeySpec{Kind: "scan-test", Name: "sweep"}.Key()
+	if err := st.Put(sweepKey, EncodeSweepRecord(&SweepRecord{Scenario: "first, and longer"})); err != nil {
+		t.Fatal(err)
+	}
 	sweepPayload := EncodeSweepRecord(&SweepRecord{Scenario: "s"})
 	want += int64(len(sweepPayload))
 	if err := st.Put(sweepKey, sweepPayload); err != nil {
 		t.Fatal(err)
 	}
 	keys = append(keys, sweepKey)
-
-	res, err := st.ScanShards(true)
+	// Files beside the log — foreign, or named like an old per-record
+	// entry — are not part of the corpus.
+	for _, name := range []string{"README.txt", keys[0].String() + ".bin"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("not a container"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reopened, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
+	}
+
+	res := st.ScanShards(true)
+	if again := reopened.ScanShards(true); !reflect.DeepEqual(again, res) {
+		t.Fatalf("reopened census %+v differs from the live one %+v", again, res)
 	}
 	if res.Entries != len(keys) {
 		t.Fatalf("scan counted %d entries, want %d", res.Entries, len(keys))
@@ -71,11 +83,16 @@ func TestScanShards(t *testing.T) {
 		}
 	}
 
-	// Kind classification off: same totals, no census.
-	plain, err := st.ScanShards(false)
-	if err != nil {
+	// A record that is not a store container is an "unknown" kind.
+	if err := st.Put(KeySpec{Kind: "scan-test", Name: "foreign"}.Key(), []byte("not a container")); err != nil {
 		t.Fatal(err)
 	}
+	if res := st.ScanShards(true); res.Kinds["unknown"] != 1 || res.Entries != len(keys)+1 {
+		t.Fatalf("census with a foreign record = %+v", res)
+	}
+
+	// Kind classification off: same totals, no census.
+	plain := reopened.ScanShards(false)
 	if plain.Kinds != nil || plain.Entries != res.Entries {
 		t.Fatalf("kind-less scan = %+v, want same totals and nil census", plain)
 	}
@@ -85,7 +102,7 @@ func TestScanShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res, err := mem.ScanShards(true); err != nil || res.Entries != 0 {
-		t.Fatalf("memory-only scan = %+v, %v; want empty", res, err)
+	if res := mem.ScanShards(true); res.Entries != 0 {
+		t.Fatalf("memory-only scan = %+v; want empty", res)
 	}
 }

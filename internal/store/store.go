@@ -4,23 +4,25 @@
 // keyed by a digest of their identity — per-seed records (a sweep's scored
 // outcome, an extraction source's recorded run) by (source name, adversary,
 // concrete seed value), request records by the full request window — plus
-// the engine and codec versions.  On disk, entries shard into 256
-// subdirectories by key prefix so corpora of millions of per-seed records
-// keep directories small; GetMulti/PutMulti batch whole windows.  Writes are
-// atomic so concurrent readers never observe torn entries, and reads are
-// checksummed so corruption or truncation is detected and treated as a miss
-// rather than served.
+// the engine and codec versions.  On disk, a store directory holds one
+// append-only log of frames (a header of length, key and a CRC-32C over both,
+// then the sealed payload) and the store keeps an in-memory index from key to
+// the payload's place in it, rebuilt by one sequential scan on Open, as in
+// Bitcask (Sheehy & Smith, Basho 2010).  A PutMulti batch is one write, a disk
+// read one pread; overwrites are last-wins.  A torn tail is cut off on Open,
+// and every read is checksummed, so corruption is counted and treated as a
+// miss rather than served.
 package store
 
 import (
 	"container/list"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
 // Options tunes a Store.
@@ -56,7 +58,8 @@ type Stats struct {
 	// Puts counts successful writes.
 	Puts uint64
 	// CorruptEntries counts on-disk entries rejected by the container check
-	// (bad magic, bad checksum, truncation); each also counts as a miss.
+	// (bad magic, bad checksum, truncation), each also counted as a miss,
+	// plus one for a torn log tail that Open cut off.
 	CorruptEntries uint64
 	// Evictions counts entries dropped from the LRU layer to respect its
 	// bounds.
@@ -79,73 +82,101 @@ type memEntry struct {
 	payload []byte
 }
 
+// logName is the log file inside a store directory.  Anything else there —
+// the shard directories of the one-file-per-record layout included — is
+// ignored: the corpus is a cache of deterministic results.
+const logName = "corpus.log"
+
+// FrameHeaderSize is the length of a log frame's header: the payload length
+// (u32, little-endian), the 32-byte key, and a CRC-32C over both.
+const FrameHeaderSize = 4 + 32 + 4
+
+// maxKeptBuf bounds the append buffer a store keeps between PutMulti calls,
+// so one outsized batch does not pin its buffer for the store's lifetime.
+const maxKeptBuf = 1 << 20
+
+// loc is an indexed record: where its payload lies in the log and the
+// container kind byte it starts with (the corpus census reads it from here).
+type loc struct {
+	off  int64
+	n    uint32
+	kind byte
+}
+
 // Store is a content-addressed blob store.  It is safe for concurrent use.
 type Store struct {
 	dir  string
 	opts Options
+	log  *os.File // opened for append; nil for memory-only stores
+
+	wmu sync.Mutex // serialises appends; taken before mu
+	buf []byte     // the append buffer, reused under wmu
 
 	mu       sync.Mutex
+	index    map[Key]loc           // every live record in the log
 	entries  map[Key]*list.Element // of *memEntry
 	lru      *list.List            // front = most recently used
 	memBytes int64
 	stats    Stats
-	shards   map[string]bool // shard subdirectories known to exist
 }
 
-// Open returns a store rooted at dir, creating the directory if needed.
-// An empty dir means memory-only (nothing is persisted).
+// Open returns a store rooted at dir, creating the directory and its log if
+// needed, and indexes the log in one sequential read.  An empty dir means
+// memory-only (nothing is persisted).  A frame whose header fails its CRC or
+// whose payload runs past the end of the file ends the scan: the log is cut
+// back to the last whole frame and the dropped tail counts once in
+// CorruptEntries.  Another Store of this process may hold the same directory
+// open as long as it is idle.
 func Open(dir string, opts Options) (*Store, error) {
-	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("store: open %s: %w", dir, err)
-		}
+	s := &Store{dir: dir, opts: opts, entries: make(map[Key]*list.Element), lru: list.New()}
+	if dir == "" {
+		return s, nil
 	}
-	return &Store{
-		dir:     dir,
-		opts:    opts,
-		entries: make(map[Key]*list.Element),
-		lru:     list.New(),
-		shards:  make(map[string]bool),
-	}, nil
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("store: open %s: %w", dir, err)
+	}
+	log, err := os.OpenFile(filepath.Join(dir, logName), os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("store: open %s: %w", dir, err)
+	}
+	index, end, size, err := scanLog(log)
+	if err == nil && end < size {
+		err = log.Truncate(end)
+		s.stats.CorruptEntries = 1
+	}
+	if err != nil {
+		log.Close()
+		return nil, fmt.Errorf("store: open %s: %w", dir, err)
+	}
+	s.log, s.index = log, index
+	return s, nil
 }
 
 // Dir returns the store's on-disk root ("" for memory-only stores).
 func (s *Store) Dir() string { return s.dir }
 
-// EntryPath returns the on-disk location an entry for key lives at ("" for
-// memory-only stores).  Entries shard into 256 subdirectories by the first
-// key byte, so a corpus of millions of per-seed records never piles every
-// file into one directory.
-func (s *Store) EntryPath(key Key) string {
+// LogPath returns the store's log file ("" for memory-only stores).
+func (s *Store) LogPath() string {
 	if s.dir == "" {
 		return ""
 	}
-	hex := key.String()
-	return filepath.Join(s.dir, hex[:2], hex[2:]+".bin")
+	return filepath.Join(s.dir, logName)
 }
 
-// shardDir ensures the shard subdirectory for key exists, creating it on
-// first use and caching the result so steady-state Puts skip the syscall.
-func (s *Store) shardDir(key Key) (string, error) {
-	dir := filepath.Dir(s.EntryPath(key))
+// Locate reports where key's live record lies in the log at LogPath: its
+// payload's offset and length (the frame header precedes it by
+// FrameHeaderSize bytes).  It is for tests and tools that inspect or damage
+// records in place.
+func (s *Store) Locate(key Key) (off int64, n int, ok bool) {
 	s.mu.Lock()
-	known := s.shards[dir]
+	l, ok := s.index[key]
 	s.mu.Unlock()
-	if known {
-		return dir, nil
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", err
-	}
-	s.mu.Lock()
-	s.shards[dir] = true
-	s.mu.Unlock()
-	return dir, nil
+	return l.off, int(l.n), ok
 }
 
 // Get returns the payload stored under key, if a valid entry exists.  The
 // returned slice is shared with the cache and must not be modified.  A
-// corrupt or truncated on-disk entry is counted and treated as a miss.
+// corrupt on-disk entry is counted and treated as a miss.
 func (s *Store) Get(key Key) ([]byte, bool) {
 	return s.get(key, true)
 }
@@ -166,89 +197,67 @@ func (s *Store) get(key Key, countMiss bool) ([]byte, bool) {
 		s.mu.Unlock()
 		return payload, true
 	}
+	l, indexed := s.index[key]
+	if !indexed {
+		if countMiss {
+			s.stats.Misses++
+		}
+		s.mu.Unlock()
+		return nil, false
+	}
 	s.mu.Unlock()
 
-	if s.dir == "" {
-		s.miss(false, countMiss)
-		return nil, false
-	}
-	scratch := scratchPool.Get().(*[]byte)
-	data, err := readFileOwned(s.EntryPath(key), scratch)
-	scratchPool.Put(scratch)
-	if err != nil {
-		s.miss(false, countMiss)
-		return nil, false
-	}
-	if err := Check(data); err != nil {
-		s.miss(true, countMiss)
-		return nil, false
-	}
-
+	data, corrupt := s.read(l)
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	if data == nil {
+		if countMiss {
+			s.stats.Misses++
+			if corrupt {
+				s.stats.CorruptEntries++
+			}
+		}
+		return nil, false
+	}
 	s.stats.DiskHits++
 	s.stats.BytesRead += uint64(len(data))
 	s.admit(key, data)
-	s.mu.Unlock()
 	return data, true
 }
 
-func (s *Store) miss(corrupt, count bool) {
-	s.mu.Lock()
-	if count {
-		s.stats.Misses++
-		if corrupt {
-			s.stats.CorruptEntries++
-		}
+// read loads one indexed payload into an owned slice and checks its
+// container.  It returns nil on failure, with corrupt set when the bytes were
+// read but failed the check.
+func (s *Store) read(l loc) (data []byte, corrupt bool) {
+	data = make([]byte, l.n)
+	if _, err := s.log.ReadAt(data, l.off); err != nil {
+		return nil, false
 	}
-	s.mu.Unlock()
+	if Check(data) != nil {
+		return nil, true
+	}
+	return data, false
 }
 
-// Put stores the payload under key.  The on-disk write goes through a
-// temporary file and an atomic rename, so a concurrent Get sees either the
-// previous complete entry or the new complete entry, never a torn one.  The
-// store keeps its own reference to payload; callers must not modify it after
-// Put returns.
+// Put stores the payload under key: PutMulti of one record.
 func (s *Store) Put(key Key, payload []byte) error {
-	if s.dir != "" {
-		dir, err := s.shardDir(key)
-		if err != nil {
-			return fmt.Errorf("store: put %s: %w", key, err)
-		}
-		tmp, err := os.CreateTemp(dir, "put-*.tmp")
-		if err != nil {
-			return fmt.Errorf("store: put %s: %w", key, err)
-		}
-		_, werr := tmp.Write(payload)
-		cerr := tmp.Close()
-		if werr == nil {
-			werr = cerr
-		}
-		if werr == nil {
-			werr = os.Rename(tmp.Name(), s.EntryPath(key))
-		}
-		if werr != nil {
-			os.Remove(tmp.Name())
-			return fmt.Errorf("store: put %s: %w", key, werr)
-		}
-	}
-
-	s.mu.Lock()
-	s.stats.Puts++
-	if s.dir != "" {
-		s.stats.BytesWritten += uint64(len(payload))
-	}
-	s.admit(key, payload)
-	s.mu.Unlock()
-	return nil
+	_, err := s.PutMulti([]Key{key}, [][]byte{payload})
+	return err
 }
 
 // GetMulti returns the payloads stored under a batch of keys, index-aligned
-// with keys (nil where no valid entry exists).  The memory layer is scanned
-// under one lock acquisition; only the leftover keys touch the disk.  Like
-// Get, corrupt or truncated on-disk entries count as misses, and the returned
-// slices are shared with the cache and must not be modified.
+// with keys (nil where no valid entry exists).  The memory layer and the
+// index are consulted under one lock acquisition; only the leftover keys
+// touch the log, one pread each.  Like Get, corrupt on-disk entries count as
+// misses, and the returned slices are shared with the cache and must not be
+// modified.
 func (s *Store) GetMulti(keys []Key) [][]byte {
 	payloads := make([][]byte, len(keys))
+	type pending struct {
+		i int
+		l loc
+	}
+	var rest []pending
 
 	s.mu.Lock()
 	for i, key := range keys {
@@ -256,145 +265,119 @@ func (s *Store) GetMulti(keys []Key) [][]byte {
 			s.lru.MoveToFront(el)
 			s.stats.MemHits++
 			payloads[i] = el.Value.(*memEntry).payload
-		} else if s.dir == "" {
+		} else if l, ok := s.index[key]; ok {
+			rest = append(rest, pending{i, l})
+		} else {
 			s.stats.Misses++
 		}
 	}
 	s.mu.Unlock()
-	if s.dir == "" {
+	if len(rest) == 0 {
 		return payloads
 	}
 
-	var rest []int
-	for i := range keys {
-		if payloads[i] == nil {
-			rest = append(rest, i)
+	var misses, corrupt uint64
+	for _, p := range rest {
+		data, bad := s.read(p.l)
+		if data == nil {
+			misses++
+			if bad {
+				corrupt++
+			}
 		}
-	}
-	var misses, corrupt atomic.Uint64
-	readOne := func(i int, scratch *[]byte) {
-		data, err := readFileOwned(s.EntryPath(keys[i]), scratch)
-		if err != nil {
-			misses.Add(1)
-			return
-		}
-		if err := Check(data); err != nil {
-			misses.Add(1)
-			corrupt.Add(1)
-			return
-		}
-		payloads[i] = data
-	}
-
-	// The leftover keys are independent files; read them with a few workers
-	// so a large partial-hit batch overlaps its syscalls, each worker staging
-	// through its own pooled scratch slab.  Small remainders stay on the
-	// calling goroutine.
-	if workers := min(len(rest)/8, diskReadWorkers()); workers > 1 {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				scratch := scratchPool.Get().(*[]byte)
-				for {
-					j := int(next.Add(1)) - 1
-					if j >= len(rest) {
-						break
-					}
-					readOne(rest[j], scratch)
-				}
-				scratchPool.Put(scratch)
-			}()
-		}
-		wg.Wait()
-	} else {
-		scratch := scratchPool.Get().(*[]byte)
-		for _, i := range rest {
-			readOne(i, scratch)
-		}
-		scratchPool.Put(scratch)
+		payloads[p.i] = data
 	}
 
 	s.mu.Lock()
-	s.stats.Misses += misses.Load()
-	s.stats.CorruptEntries += corrupt.Load()
-	// Admission stays in key order regardless of read completion order, so
-	// the LRU layer's state after a batch is deterministic.
-	for _, i := range rest {
-		if payloads[i] != nil {
+	s.stats.Misses += misses
+	s.stats.CorruptEntries += corrupt
+	// Admission follows key order, so the LRU layer's state after a batch
+	// is deterministic.
+	for _, p := range rest {
+		if data := payloads[p.i]; data != nil {
 			s.stats.DiskHits++
-			s.stats.BytesRead += uint64(len(payloads[i]))
-			s.admit(keys[i], payloads[i])
+			s.stats.BytesRead += uint64(len(data))
+			s.admit(keys[p.i], data)
 		}
 	}
 	s.mu.Unlock()
 	return payloads
 }
 
-// diskReadWorkers bounds GetMulti's read concurrency: enough to overlap
-// syscall latency without turning a batch read into a thundering herd.
-func diskReadWorkers() int {
-	return min(8, runtime.GOMAXPROCS(0))
-}
-
-// scratchPool holds the reusable read slabs disk loads stage through; one
-// slab per concurrent reader, grown once to the corpus's entry high-water
-// mark instead of a fresh zeroed buffer per file.
-var scratchPool = sync.Pool{New: func() any { return new([]byte) }}
-
-// readFileOwned reads a whole file by staging it through the caller's pooled
-// scratch slab and returns an exactly-sized owned copy.  Unlike os.ReadFile
-// it issues no stat syscall, and the owned copy is made with append — which
-// does not zero the bytes it is about to overwrite — so steady-state reads
-// cost one read syscall pass and one memmove.
-func readFileOwned(path string, scratch *[]byte) ([]byte, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	buf := *scratch
-	total := 0
-	for {
-		if total == len(buf) {
-			grown := make([]byte, max(128<<10, 2*len(buf)))
-			copy(grown, buf[:total])
-			buf = grown
-		}
-		n, rerr := f.Read(buf[total:])
-		total += n
-		if rerr == io.EOF {
-			break
-		}
-		if rerr != nil {
-			*scratch = buf
-			f.Close()
-			return nil, rerr
-		}
-	}
-	*scratch = buf
-	f.Close()
-	return append([]byte{}, buf[:total]...), nil
-}
-
-// PutMulti stores a batch of payloads, index-aligned with keys, each through
-// the same atomic temp-file-and-rename dance as Put.  A failed entry does not
-// stop the batch — a partially persisted corpus beats an empty one — so it
-// returns the number of entries that failed and the first such error.
+// PutMulti stores a batch of payloads, index-aligned with keys.  The batch's
+// frames go to the log in one write; only once it has landed does the index
+// point at them, so a concurrent Get sees the previous record or the new one,
+// never a torn one.  A failed write fails the whole batch: it returns the
+// number of entries that failed and the error.  The store keeps its own
+// references to the payloads; callers must not modify them afterwards.
 func (s *Store) PutMulti(keys []Key, payloads [][]byte) (failed int, first error) {
 	if len(keys) != len(payloads) {
 		return len(keys), fmt.Errorf("store: put multi: %d keys for %d payloads", len(keys), len(payloads))
 	}
-	for i, key := range keys {
-		if err := s.Put(key, payloads[i]); err != nil {
-			failed++
-			if first == nil {
-				first = err
-			}
+	if s.log == nil {
+		s.mu.Lock()
+		for i, key := range keys {
+			s.admit(key, payloads[i])
 		}
+		s.stats.Puts += uint64(len(keys))
+		s.mu.Unlock()
+		return 0, nil
 	}
-	return failed, first
+	if err := s.append(keys, payloads); err != nil {
+		return len(keys), fmt.Errorf("store: put %d records: %w", len(keys), err)
+	}
+	return 0, nil
+}
+
+// append writes one batch of frames to the log and indexes them.
+func (s *Store) append(keys []Key, payloads [][]byte) error {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	buf := s.buf[:0]
+	for i, key := range keys {
+		buf = appendFrame(buf, key, payloads[i])
+	}
+	if cap(buf) <= maxKeptBuf {
+		s.buf = buf
+	}
+	n, err := s.log.Write(buf)
+	// The write landed at the end of the file, wherever another handle on
+	// the same log had left it; the handle's own position says where.
+	end, serr := s.log.Seek(0, io.SeekCurrent)
+	if err != nil {
+		if n > 0 && serr == nil {
+			// Cut a partial batch off, or the next Open would stop at it
+			// and drop every frame appended after it.  Best effort: the
+			// write's error is the one to report.
+			_ = s.log.Truncate(end - int64(n))
+		}
+		return err
+	}
+	if serr != nil {
+		return serr
+	}
+
+	off := end - int64(len(buf))
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i, key := range keys {
+		off += FrameHeaderSize
+		s.index[key] = loc{off: off, n: uint32(len(payloads[i])), kind: kindByte(payloads[i])}
+		off += int64(len(payloads[i]))
+		s.stats.BytesWritten += uint64(len(payloads[i]))
+		s.admit(key, payloads[i])
+	}
+	s.stats.Puts += uint64(len(keys))
+	return nil
+}
+
+// appendFrame appends one record's frame to buf.
+func appendFrame(buf []byte, key Key, payload []byte) []byte {
+	start := len(buf)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
+	buf = append(buf, key[:]...)
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf[start:], crcTable))
+	return append(buf, payload...)
 }
 
 // admit inserts or refreshes a memory-layer entry and evicts down to the

@@ -2,6 +2,7 @@ package store_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -129,8 +130,8 @@ func TestStoreConcurrentSameKey(t *testing.T) {
 }
 
 // TestStoreCorruptEntryIsAMiss verifies the checksum path: flipping a byte of
-// the on-disk file, or truncating it, turns the entry into a counted miss
-// rather than a crash or a wrong payload.
+// a record in the log, or tearing the log inside its last record, turns the
+// entry into a counted miss rather than a crash or a wrong payload.
 func TestStoreCorruptEntryIsAMiss(t *testing.T) {
 	dir := t.TempDir()
 	s, err := store.Open(dir, store.Options{})
@@ -141,25 +142,23 @@ func TestStoreCorruptEntryIsAMiss(t *testing.T) {
 	if err := s.Put(key, payloadOf("a")); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := filepath.Glob(filepath.Join(dir, "*", "*.bin"))
-	if err != nil || len(entries) != 1 {
-		t.Fatalf("glob: %v, %v", entries, err)
+	off, n, ok := s.Locate(key)
+	if !ok || off != store.FrameHeaderSize || n != len(payloadOf("a")) {
+		t.Fatalf("Locate = %d, %d, %v; want the log's only frame", off, n, ok)
 	}
-	path := entries[0]
-	if path != s.EntryPath(key) {
-		t.Fatalf("entry at %s, EntryPath says %s", path, s.EntryPath(key))
-	}
-	raw, err := os.ReadFile(path)
+	path := s.LogPath()
+	log, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	raw := log[off : off+int64(n)]
 
-	corrupt := append([]byte(nil), raw...)
-	corrupt[len(corrupt)/2] ^= 0x01
+	corrupt := append([]byte(nil), log...)
+	corrupt[off+int64(n/2)] ^= 0x01
 	for name, mutated := range map[string][]byte{
 		"bit-flipped": corrupt,
-		"truncated":   raw[:len(raw)/2],
-		"empty":       {},
+		"truncated":   log[:off+int64(n/2)], // a torn tail
+		"empty":       log[:off],            // the header landed, no payload
 	} {
 		if err := os.WriteFile(path, mutated, 0o644); err != nil {
 			t.Fatal(err)
@@ -197,34 +196,97 @@ func TestStoreCorruptEntryIsAMiss(t *testing.T) {
 	}
 }
 
-// TestStoreShardedLayout pins the on-disk sharding: entries land in 256
-// two-hex-character subdirectories keyed by the first key byte, so
-// million-entry corpora never pile into one directory.
-func TestStoreShardedLayout(t *testing.T) {
+// TestStoreLogLayout pins the on-disk layout: a store directory holds one
+// log of frames in write order, each a header (payload length, key, CRC-32C)
+// followed by the payload, and nothing else in the directory — such as the
+// shard directories of the one-file-per-record layout — is read.
+func TestStoreLogLayout(t *testing.T) {
 	dir := t.TempDir()
 	s, err := store.Open(dir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const n = 32
+	var size int64
 	for i := 0; i < n; i++ {
-		if err := s.Put(keyOf(i), payloadOf(fmt.Sprintf("p%d", i))); err != nil {
+		payload := payloadOf(fmt.Sprintf("p%d", i))
+		if err := s.Put(keyOf(i), payload); err != nil {
+			t.Fatal(err)
+		}
+		size += int64(store.FrameHeaderSize + len(payload))
+	}
+	files, err := os.ReadDir(dir)
+	if err != nil || len(files) != 1 || filepath.Join(dir, files[0].Name()) != s.LogPath() {
+		t.Fatalf("store directory holds %v (%v), want only the log %s", files, err, s.LogPath())
+	}
+	log, err := os.ReadFile(s.LogPath())
+	if err != nil || int64(len(log)) != size {
+		t.Fatalf("log is %d bytes (%v), want %d", len(log), err, size)
+	}
+	prev := int64(0)
+	for i := 0; i < n; i++ {
+		key := keyOf(i)
+		off, length, ok := s.Locate(key)
+		if !ok || off <= prev {
+			t.Fatalf("record %d at %d (ok=%v), want past %d", i, off, ok, prev)
+		}
+		prev = off
+		header := log[off-store.FrameHeaderSize : off]
+		if got := binary.LittleEndian.Uint32(header); int(got) != length {
+			t.Fatalf("record %d: header length %d, Locate says %d", i, got, length)
+		}
+		if !bytes.Equal(header[4:4+len(key)], key[:]) {
+			t.Fatalf("record %d framed under another key", i)
+		}
+		if !bytes.Equal(log[off:off+int64(length)], payloadOf(fmt.Sprintf("p%d", i))) {
+			t.Fatalf("record %d: payload bytes differ", i)
+		}
+	}
+
+	// Stale shard directories and foreign files are ignored.
+	stale := filepath.Join(dir, keyOf(0).String()[:2])
+	if err := os.MkdirAll(stale, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{filepath.Join(stale, keyOf(0).String()[2:]+".bin"), filepath.Join(dir, "README.txt")} {
+		if err := os.WriteFile(path, []byte("not a container"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < n; i++ {
-		key := keyOf(i)
-		path := s.EntryPath(key)
-		shard := filepath.Base(filepath.Dir(path))
-		if len(shard) != 2 || shard != key.String()[:2] {
-			t.Fatalf("entry %d sharded into %q, want first two hex chars of %s", i, shard, key)
-		}
-		if _, err := os.Stat(path); err != nil {
-			t.Fatalf("entry %d not at its sharded path: %v", i, err)
-		}
+	reopened, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if flat, _ := filepath.Glob(filepath.Join(dir, "*.bin")); len(flat) != 0 {
-		t.Fatalf("%d entries landed unsharded in the root", len(flat))
+	got := reopened.GetMulti([]store.Key{keyOf(0), keyOf(n - 1)})
+	if !bytes.Equal(got[0], payloadOf("p0")) || !bytes.Equal(got[1], payloadOf(fmt.Sprintf("p%d", n-1))) {
+		t.Fatal("reopened store does not serve the log's records")
+	}
+	if res := reopened.ScanShards(false); res.Entries != n {
+		t.Fatalf("census counts %d records, want %d", res.Entries, n)
+	}
+}
+
+// damage rewrites key's payload in the store's log in place.
+func damage(t *testing.T, s *store.Store, key store.Key, mutate func(payload []byte)) {
+	t.Helper()
+	off, n, ok := s.Locate(key)
+	if !ok {
+		t.Fatalf("key %s is not in the log", key)
+	}
+	log, err := os.ReadFile(s.LogPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutate(log[off : off+int64(n)])
+	if err := os.WriteFile(s.LogPath(), log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// garbage overwrites a payload with repeated junk.
+func garbage(payload []byte) {
+	for i := range payload {
+		payload[i] = "garbage"[i%7]
 	}
 }
 
@@ -279,9 +341,7 @@ func TestStoreGetMultiPutMulti(t *testing.T) {
 	}
 
 	// A corrupted batch member is a counted miss; the rest still hit.
-	if err := os.WriteFile(s2.EntryPath(keys[1]), []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	damage(t, s2, keys[1], garbage)
 	s3, err := store.Open(dir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -323,10 +383,11 @@ func TestStoreLRUBounds(t *testing.T) {
 	}
 }
 
-// TestStoreGetMultiConcurrentDiskReads forces the batch disk path onto its
-// worker pool (large remainder, GOMAXPROCS raised above one) and checks that
-// payloads, stats and corruption isolation are identical to the sequential
-// path.
+// TestStoreGetMultiConcurrentDiskReads reads a large batch from the log with
+// the memory layer off — a missing and a corrupt member riding along — and
+// checks payloads, stats and corruption isolation, then has several
+// goroutines read the same batch at once (GOMAXPROCS raised above one)
+// while another appends, and checks that every one sees the same payloads.
 func TestStoreGetMultiConcurrentDiskReads(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 
@@ -345,9 +406,7 @@ func TestStoreGetMultiConcurrentDiskReads(t *testing.T) {
 	if failed, err := s.PutMulti(keys, payloads); failed != 0 || err != nil {
 		t.Fatalf("PutMulti: failed=%d err=%v", failed, err)
 	}
-	if err := os.WriteFile(s.EntryPath(keys[13]), []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	damage(t, s, keys[13], garbage)
 
 	// Cold store with the memory layer disabled: every key goes to disk, and
 	// a missing and a corrupt member ride along in the batch.
@@ -371,5 +430,39 @@ func TestStoreGetMultiConcurrentDiskReads(t *testing.T) {
 	}
 	if st := s2.Stats(); st.DiskHits != n-1 || st.Misses != 2 || st.CorruptEntries != 1 {
 		t.Fatalf("stats after concurrent batch: %+v", st)
+	}
+
+	const readers = 4
+	var wg sync.WaitGroup
+	errc := make(chan error, readers+1)
+	wg.Add(readers + 1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 32; i++ {
+			if err := s2.Put(keyOf(2000+i), payloadOf(fmt.Sprintf("w%d", i))); err != nil {
+				errc <- err
+				return
+			}
+		}
+	}()
+	for r := 0; r < readers; r++ {
+		go func() {
+			defer wg.Done()
+			got := s2.GetMulti(mixed)
+			for i := range keys {
+				if i != 13 && !bytes.Equal(got[i], payloads[i]) {
+					errc <- fmt.Errorf("concurrent GetMulti[%d] = %d bytes, want %d", i, len(got[i]), len(payloads[i]))
+					return
+				}
+			}
+			if got[13] != nil || got[n] != nil {
+				errc <- fmt.Errorf("concurrent GetMulti served a corrupt or never-stored member")
+			}
+		}()
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Fatal(err)
 	}
 }

@@ -47,6 +47,19 @@ func TestRecordedRunsMatchGoldenDigests(t *testing.T) {
 		{"adv-targeted-consensus", 1, "742bb108b1ca5338cd1103f337bd7651698e2840bf3b0077517172f1862cae65"},
 		{"adv-targeted-consensus", 77, "43fadd35998bd71a64f6ae8564e7040510aef804261c41afc8966f19b566894b"},
 		{"adv-targeted-consensus", 4242, "09513f99369b5a5e999a849c947306b931ba1195d011d399f94e0a3f193d4842"},
+		// Recorded before the protocols' per-action maps became one
+		// insertion-ordered table: relay-then-perform (Prop 2.4), the
+		// footnote-11 quiescent variant and its always-retransmitting
+		// baseline.
+		{"prop2.4-reliable-udc", 1, "f346b5f54127154c8f099c1644b6c572382d1cd4c91c72c341ec654e6ad7037b"},
+		{"prop2.4-reliable-udc", 77, "60129311b2d52494604791bce4ff77f5692b069395c6ad5c577754bfd4b87834"},
+		{"prop2.4-reliable-udc", 4242, "d8dfeb2e9586de732edd3b24d3e3c6f5a16481838383e28cb09ba37741e23491"},
+		{"quiescent-udc", 1, "48fa5111d05245348b28022852250d2e4ad1656250d2d88d0b4469cc96299876"},
+		{"quiescent-udc", 77, "17862e453e8f8b9b38a3b33c107fdddcd24de1214e278a379fd1e4d00fc1b2d7"},
+		{"quiescent-udc", 4242, "5259b774c8a8a8bfd09b52b2c97442682889c16a69d52b35573974ebe0257707"},
+		{"retransmit-udc", 1, "6cdcf2d61ec92348c47d853637d5f98af4219d191192eb95d39015534ad2c32a"},
+		{"retransmit-udc", 77, "afe6e395ccb3729c8615d7467b1797abf85c7046e3444abecda49c5c37dc2f7e"},
+		{"retransmit-udc", 4242, "04d55ec97cc4be64665d9dead55b6ca29ee807ea9bd70ebe195525dd7cc0f7cd"},
 	}
 	for _, g := range golden {
 		spec := registry.MustScenario(g.scenario).Spec

@@ -178,7 +178,11 @@ func CoordinationLatency(r *model.Run, a model.ActionID) (latency int, complete 
 	}
 	last := initAt
 	complete = true
-	for _, q := range r.Correct().Members() {
+	correct := r.Correct()
+	for q := model.ProcID(0); int(q) < r.N; q++ {
+		if !correct.Has(q) {
+			continue
+		}
 		t, did := r.DoTime(q, a)
 		if !did {
 			complete = false

@@ -1,7 +1,7 @@
 package model
 
 import (
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -126,6 +126,6 @@ func SubsetsOfSize(n, k int) []ProcSet {
 		}
 	}
 	rec(0, EmptySet(), k)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }

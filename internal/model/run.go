@@ -1,7 +1,9 @@
 package model
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -204,11 +206,8 @@ func (r *Run) InitiatedActions() []ActionID {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Initiator != out[j].Initiator {
-			return out[i].Initiator < out[j].Initiator
-		}
-		return out[i].Seq < out[j].Seq
+	slices.SortFunc(out, func(a, b ActionID) int {
+		return cmp.Or(cmp.Compare(a.Initiator, b.Initiator), cmp.Compare(a.Seq, b.Seq))
 	})
 	return out
 }

@@ -1,9 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/model"
 )
@@ -53,6 +54,15 @@ type Engine struct {
 // NewEngine returns an empty engine ready to run configurations.
 func NewEngine() *Engine {
 	return &Engine{rng: rand.New(rand.NewSource(0))}
+}
+
+// Rand reseeds the engine's random source with seed and lends it to the
+// caller until the engine's next run, which reseeds it with its Config's
+// Seed.  Drawing a run's configuration from it (workload.BuildConfig's draws)
+// therefore moves no draw of the run, and costs no source of its own.
+func (e *Engine) Rand(seed int64) *rand.Rand {
+	e.rng.Seed(seed)
+	return e.rng
 }
 
 // Run executes one simulation described by cfg and returns the recorded run
@@ -166,15 +176,8 @@ func (e *Engine) simulate(cfg Config) error {
 func (e *Engine) buildSchedule(cfg Config) ([]Initiation, []CrashEvent) {
 	e.initsBuf = append(e.initsBuf[:0], cfg.Initiations...)
 	inits := e.initsBuf
-	sort.Slice(inits, func(i, j int) bool {
-		a, b := inits[i], inits[j]
-		if a.Time != b.Time {
-			return a.Time < b.Time
-		}
-		if a.Proc != b.Proc {
-			return a.Proc < b.Proc
-		}
-		return a.Action.Seq < b.Action.Seq
+	slices.SortFunc(inits, func(a, b Initiation) int {
+		return cmp.Or(cmp.Compare(a.Time, b.Time), cmp.Compare(a.Proc, b.Proc), cmp.Compare(a.Action.Seq, b.Action.Seq))
 	})
 
 	e.crashBuf = e.crashBuf[:0]
@@ -184,11 +187,8 @@ func (e *Engine) buildSchedule(cfg Config) ([]Initiation, []CrashEvent) {
 		}
 	}
 	crashes := e.crashBuf
-	sort.Slice(crashes, func(i, j int) bool {
-		if crashes[i].Time != crashes[j].Time {
-			return crashes[i].Time < crashes[j].Time
-		}
-		return crashes[i].Proc < crashes[j].Proc
+	slices.SortFunc(crashes, func(a, b CrashEvent) int {
+		return cmp.Or(cmp.Compare(a.Time, b.Time), cmp.Compare(a.Proc, b.Proc))
 	})
 	return inits, crashes
 }

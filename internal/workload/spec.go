@@ -55,12 +55,18 @@ type Spec struct {
 // BuildConfig expands the spec into a concrete simulator configuration for the
 // given seed.  Identical (spec, seed) pairs yield identical configurations.
 func BuildConfig(spec Spec, seed int64) sim.Config {
+	return buildConfig(spec, seed, rand.New(rand.NewSource(seed)))
+}
+
+// buildConfig is BuildConfig drawing from rng, which must be freshly seeded
+// with seed: the executing engine's own source (sim.Engine.Rand), so a seed
+// of a sweep allocates no source of its own.
+func buildConfig(spec Spec, seed int64, rng *rand.Rand) sim.Config {
 	if spec.N <= 0 {
 		// Produce a config that sim.Run's validation will reject with a clear
 		// error rather than panicking while generating the workload.
 		return sim.Config{N: spec.N, Seed: seed, MaxSteps: spec.MaxSteps, Protocol: spec.Protocol}
 	}
-	rng := rand.New(rand.NewSource(seed))
 
 	lastInit := spec.LastInitTime
 	if lastInit <= 0 {
@@ -151,10 +157,10 @@ func ExecuteWith(eng *sim.Engine, spec Spec, seed int64) (*sim.Result, error) {
 // run.  Which one is the caller's need to retain, not an option.
 type engineRun func(*sim.Engine, sim.Config) (*sim.Result, error)
 
-// execute builds the scenario's configuration for one seed and runs it on eng
-// through the given ending.
+// execute builds the scenario's configuration for one seed from eng's own
+// random source and runs it on eng through the given ending.
 func execute(eng *sim.Engine, run engineRun, spec Spec, seed int64) (*sim.Result, error) {
-	res, err := run(eng, BuildConfig(spec, seed))
+	res, err := run(eng, buildConfig(spec, seed, eng.Rand(seed)))
 	if err != nil {
 		return nil, fmt.Errorf("scenario %q seed %d: %w", spec.Name, seed, err)
 	}

@@ -2,35 +2,53 @@ package core
 
 import "repro/internal/model"
 
-// actionSet is an insertion-ordered set of actions.  Protocols iterate over
-// their active actions on every tick; using a plain map would make iteration
-// order (and therefore the simulator's RNG consumption) nondeterministic, so
-// protocols use this ordered set instead.
+// actionSet is a protocol's table of active actions, in insertion order, each
+// with the processes known to have acknowledged it.  Protocols iterate over
+// their active actions on every tick, so the order must be deterministic (it
+// decides the simulator's RNG consumption).  A run has a handful of actions,
+// so lookups scan the table, as sim.Engine's action list does, and a protocol
+// instance holds the table by value: entering an action costs no map.
 type actionSet struct {
-	seen  map[model.ActionID]bool
-	order []model.ActionID
+	entries []activeAction
 }
 
-func newActionSet() *actionSet {
-	return &actionSet{seen: make(map[model.ActionID]bool)}
+// activeAction is one row of an actionSet.
+type activeAction struct {
+	id    model.ActionID
+	acked model.ProcSet
 }
 
-// add inserts a and reports whether it was newly added.
-func (s *actionSet) add(a model.ActionID) bool {
-	if s.seen[a] {
+// index returns a's position in the table, or the table's length if a is not
+// in it.
+func (s *actionSet) index(a model.ActionID) int {
+	i := 0
+	for i < len(s.entries) && s.entries[i].id != a {
+		i++
+	}
+	return i
+}
+
+// add appends row and reports whether its action was newly added; adding an
+// action already in the table changes nothing.
+func (s *actionSet) add(row activeAction) bool {
+	if s.index(row.id) < len(s.entries) {
 		return false
 	}
-	s.seen[a] = true
-	s.order = append(s.order, a)
+	s.entries = append(s.entries, row)
 	return true
 }
 
-// has reports membership.
-func (s *actionSet) has(a model.ActionID) bool { return s.seen[a] }
+// ack records q's acknowledgement of a and returns a's row; ok is false, and
+// nothing is recorded, if a is not in the table.
+func (s *actionSet) ack(a model.ActionID, q model.ProcID) (row activeAction, ok bool) {
+	i := s.index(a)
+	if i == len(s.entries) {
+		return activeAction{}, false
+	}
+	s.entries[i].acked = s.entries[i].acked.Add(q)
+	return s.entries[i], true
+}
 
-// list returns the actions in insertion order.  The returned slice must not be
+// list returns the rows in insertion order.  The returned slice must not be
 // modified.
-func (s *actionSet) list() []model.ActionID { return s.order }
-
-// len returns the number of actions in the set.
-func (s *actionSet) len() int { return len(s.order) }
+func (s *actionSet) list() []activeAction { return s.entries }

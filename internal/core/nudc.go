@@ -15,12 +15,12 @@ import (
 type NUDC struct {
 	id     model.ProcID
 	n      int
-	active *actionSet
+	active actionSet
 }
 
 // NewNUDC is the sim.ProtocolFactory for NUDC.
 func NewNUDC(id model.ProcID, n int) sim.Protocol {
-	return &NUDC{id: id, n: n, active: newActionSet()}
+	return &NUDC{id: id, n: n}
 }
 
 // Name implements sim.Protocol.
@@ -44,15 +44,15 @@ func (p *NUDC) OnSuspect(sim.Context, model.SuspectReport) {}
 
 // OnTick implements sim.Protocol.
 func (p *NUDC) OnTick(ctx sim.Context) {
-	for _, a := range p.active.list() {
-		ctx.Broadcast(model.Message{Kind: MsgAlpha, Action: a, KnownInits: true})
+	for _, row := range p.active.list() {
+		ctx.Broadcast(model.Message{Kind: MsgAlpha, Action: row.id, KnownInits: true})
 	}
 }
 
 // enter moves the process into the nUDC(a) state: perform a and start
 // re-broadcasting it.
 func (p *NUDC) enter(ctx sim.Context, a model.ActionID) {
-	if !p.active.add(a) {
+	if !p.active.add(activeAction{id: a}) {
 		return
 	}
 	ctx.Do(a)
@@ -67,12 +67,12 @@ func (p *NUDC) enter(ctx sim.Context, a model.ActionID) {
 type ReliableUDC struct {
 	id     model.ProcID
 	n      int
-	active *actionSet
+	active actionSet
 }
 
 // NewReliableUDC is the sim.ProtocolFactory for ReliableUDC.
 func NewReliableUDC(id model.ProcID, n int) sim.Protocol {
-	return &ReliableUDC{id: id, n: n, active: newActionSet()}
+	return &ReliableUDC{id: id, n: n}
 }
 
 // Name implements sim.Protocol.
@@ -100,7 +100,7 @@ func (p *ReliableUDC) OnTick(sim.Context) {}
 // enter first relays alpha to everyone and only then performs it, exactly the
 // order the proof of Proposition 2.4 relies on.
 func (p *ReliableUDC) enter(ctx sim.Context, a model.ActionID) {
-	if !p.active.add(a) {
+	if !p.active.add(activeAction{id: a}) {
 		return
 	}
 	ctx.Broadcast(model.Message{Kind: MsgAlpha, Action: a, KnownInits: true})

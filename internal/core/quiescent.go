@@ -23,19 +23,13 @@ import (
 type QuiescentUDC struct {
 	id            model.ProcID
 	n             int
-	active        *actionSet
-	acked         map[model.ActionID]model.ProcSet
+	active        actionSet
 	everSuspected model.ProcSet
 }
 
 // NewQuiescentUDC is the sim.ProtocolFactory for QuiescentUDC.
 func NewQuiescentUDC(id model.ProcID, n int) sim.Protocol {
-	return &QuiescentUDC{
-		id:     id,
-		n:      n,
-		active: newActionSet(),
-		acked:  make(map[model.ActionID]model.ProcSet),
-	}
+	return &QuiescentUDC{id: id, n: n}
 }
 
 // Name implements sim.Protocol.
@@ -54,11 +48,9 @@ func (p *QuiescentUDC) OnMessage(ctx sim.Context, from model.ProcID, msg model.M
 		ctx.Send(from, model.Message{Kind: MsgAck, Action: msg.Action})
 		p.enter(ctx, msg.Action)
 	case MsgAck:
-		if !p.active.has(msg.Action) {
-			return
+		if row, ok := p.active.ack(msg.Action, from); ok {
+			p.maybePerform(ctx, row)
 		}
-		p.acked[msg.Action] = p.acked[msg.Action].Add(from)
-		p.maybePerform(ctx, msg.Action)
 	}
 }
 
@@ -69,62 +61,60 @@ func (p *QuiescentUDC) OnSuspect(ctx sim.Context, rep model.SuspectReport) {
 		return
 	}
 	p.everSuspected = p.everSuspected.Union(suspects)
-	for _, a := range p.active.list() {
-		p.maybePerform(ctx, a)
+	for _, row := range p.active.list() {
+		p.maybePerform(ctx, row)
 	}
 }
 
 // OnTick implements sim.Protocol.
 func (p *QuiescentUDC) OnTick(ctx sim.Context) {
-	for _, a := range p.active.list() {
-		if ctx.HasDone(a) {
+	for _, row := range p.active.list() {
+		if ctx.HasDone(row.id) {
 			// Footnote 11: with a strongly accurate detector, stop sending
 			// after performing.
 			continue
 		}
-		p.resend(ctx, a)
-		p.maybePerform(ctx, a)
+		p.resend(ctx, row)
+		p.maybePerform(ctx, row)
 	}
 }
 
 // enter moves the process into the UDC(a) state.
 func (p *QuiescentUDC) enter(ctx sim.Context, a model.ActionID) {
-	if !p.active.add(a) {
+	row := activeAction{id: a, acked: model.Singleton(p.id)}
+	if !p.active.add(row) {
 		return
 	}
-	p.acked[a] = model.Singleton(p.id)
-	p.resend(ctx, a)
-	p.maybePerform(ctx, a)
+	p.resend(ctx, row)
+	p.maybePerform(ctx, row)
 }
 
 // resend sends an alpha-message to every process that has neither acknowledged
 // nor been reported crashed.
-func (p *QuiescentUDC) resend(ctx sim.Context, a model.ActionID) {
-	acked := p.acked[a]
+func (p *QuiescentUDC) resend(ctx sim.Context, row activeAction) {
 	for q := model.ProcID(0); int(q) < p.n; q++ {
-		if q == p.id || acked.Has(q) || p.everSuspected.Has(q) {
+		if q == p.id || row.acked.Has(q) || p.everSuspected.Has(q) {
 			continue
 		}
-		ctx.Send(q, model.Message{Kind: MsgAlpha, Action: a, KnownInits: true})
+		ctx.Send(q, model.Message{Kind: MsgAlpha, Action: row.id, KnownInits: true})
 	}
 }
 
 // maybePerform performs a once every other process has acknowledged or been
 // suspected.
-func (p *QuiescentUDC) maybePerform(ctx sim.Context, a model.ActionID) {
-	if ctx.HasDone(a) {
+func (p *QuiescentUDC) maybePerform(ctx sim.Context, row activeAction) {
+	if ctx.HasDone(row.id) {
 		return
 	}
-	acked := p.acked[a]
 	for q := model.ProcID(0); int(q) < p.n; q++ {
 		if q == p.id {
 			continue
 		}
-		if !acked.Has(q) && !p.everSuspected.Has(q) {
+		if !row.acked.Has(q) && !p.everSuspected.Has(q) {
 			return
 		}
 	}
-	ctx.Do(a)
+	ctx.Do(row.id)
 }
 
 var (

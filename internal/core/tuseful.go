@@ -16,26 +16,24 @@ type TUsefulUDC struct {
 	id     model.ProcID
 	n      int
 	t      int
-	active *actionSet
-	acked  map[model.ActionID]model.ProcSet
+	active actionSet
 	// groups records, per reported group S, the best (largest) k seen so far,
 	// in deterministic first-seen order.
-	groupOrder []model.ProcSet
-	groupBestK map[model.ProcSet]int
+	groups []reportedGroup
+}
+
+// reportedGroup is a generalized report (S, k) as TUsefulUDC keeps it: the
+// group S with the largest k reported for it.
+type reportedGroup struct {
+	set model.ProcSet
+	k   int
 }
 
 // NewTUsefulUDC returns a sim.ProtocolFactory for TUsefulUDC with failure
 // bound t.
 func NewTUsefulUDC(t int) sim.ProtocolFactory {
 	return func(id model.ProcID, n int) sim.Protocol {
-		return &TUsefulUDC{
-			id:         id,
-			n:          n,
-			t:          t,
-			active:     newActionSet(),
-			acked:      make(map[model.ActionID]model.ProcSet),
-			groupBestK: make(map[model.ProcSet]int),
-		}
+		return &TUsefulUDC{id: id, n: n, t: t}
 	}
 }
 
@@ -55,11 +53,9 @@ func (p *TUsefulUDC) OnMessage(ctx sim.Context, from model.ProcID, msg model.Mes
 		ctx.Send(from, model.Message{Kind: MsgAck, Action: msg.Action})
 		p.enter(ctx, msg.Action)
 	case MsgAck:
-		if !p.active.has(msg.Action) {
-			return
+		if row, ok := p.active.ack(msg.Action, from); ok {
+			p.maybePerform(ctx, row)
 		}
-		p.acked[msg.Action] = p.acked[msg.Action].Add(from)
-		p.maybePerform(ctx, msg.Action)
 	}
 }
 
@@ -74,67 +70,67 @@ func (p *TUsefulUDC) OnSuspect(ctx sim.Context, rep model.SuspectReport) {
 	if rep.MinFaulty > rep.Group.Count() {
 		return
 	}
-	if best, seen := p.groupBestK[rep.Group]; !seen {
-		p.groupOrder = append(p.groupOrder, rep.Group)
-		p.groupBestK[rep.Group] = rep.MinFaulty
-	} else if rep.MinFaulty > best {
-		p.groupBestK[rep.Group] = rep.MinFaulty
+	i := 0
+	for i < len(p.groups) && p.groups[i].set != rep.Group {
+		i++
 	}
-	for _, a := range p.active.list() {
-		p.maybePerform(ctx, a)
+	if i == len(p.groups) {
+		p.groups = append(p.groups, reportedGroup{set: rep.Group, k: rep.MinFaulty})
+	} else if rep.MinFaulty > p.groups[i].k {
+		p.groups[i].k = rep.MinFaulty
+	}
+	for _, row := range p.active.list() {
+		p.maybePerform(ctx, row)
 	}
 }
 
 // OnTick implements sim.Protocol.
 func (p *TUsefulUDC) OnTick(ctx sim.Context) {
-	for _, a := range p.active.list() {
-		p.resend(ctx, a)
-		p.maybePerform(ctx, a)
+	for _, row := range p.active.list() {
+		p.resend(ctx, row)
+		p.maybePerform(ctx, row)
 	}
 }
 
 // enter moves the process into the UDC(a) state.
 func (p *TUsefulUDC) enter(ctx sim.Context, a model.ActionID) {
-	if !p.active.add(a) {
+	row := activeAction{id: a, acked: model.Singleton(p.id)}
+	if !p.active.add(row) {
 		return
 	}
-	p.acked[a] = model.Singleton(p.id)
-	p.resend(ctx, a)
-	p.maybePerform(ctx, a)
+	p.resend(ctx, row)
+	p.maybePerform(ctx, row)
 }
 
 // resend sends an alpha-message to every process that has not acknowledged.
-func (p *TUsefulUDC) resend(ctx sim.Context, a model.ActionID) {
-	acked := p.acked[a]
+func (p *TUsefulUDC) resend(ctx sim.Context, row activeAction) {
 	for q := model.ProcID(0); int(q) < p.n; q++ {
-		if q == p.id || acked.Has(q) {
+		if q == p.id || row.acked.Has(q) {
 			continue
 		}
-		ctx.Send(q, model.Message{Kind: MsgAlpha, Action: a, KnownInits: true})
+		ctx.Send(q, model.Message{Kind: MsgAlpha, Action: row.id, KnownInits: true})
 	}
 }
 
 // maybePerform performs a if the t-useful performance condition of
 // Proposition 4.1 holds for some reported group.
-func (p *TUsefulUDC) maybePerform(ctx sim.Context, a model.ActionID) {
-	if ctx.HasDone(a) || !p.active.has(a) {
+func (p *TUsefulUDC) maybePerform(ctx sim.Context, row activeAction) {
+	if ctx.HasDone(row.id) {
 		return
 	}
-	acked := p.acked[a]
 	bound := p.t
 	if p.n-1 < bound {
 		bound = p.n - 1
 	}
-	for _, group := range p.groupOrder {
-		k := p.groupBestK[group]
-		if p.n-group.Count() <= bound-k {
+	for _, g := range p.groups {
+		if p.n-g.set.Count() <= bound-g.k {
 			continue
 		}
 		// Everyone outside the group (other than this process) must have
 		// acknowledged.
-		need := model.FullSet(p.n).Diff(group).Remove(p.id)
-		if acked.Contains(need) {
-			ctx.Do(a)
+		need := model.FullSet(p.n).Diff(g.set).Remove(p.id)
+		if row.acked.Contains(need) {
+			ctx.Do(row.id)
 			return
 		}
 	}
@@ -149,21 +145,14 @@ type QuorumUDC struct {
 	id     model.ProcID
 	n      int
 	t      int
-	active *actionSet
-	acked  map[model.ActionID]model.ProcSet
+	active actionSet
 }
 
 // NewQuorumUDC returns a sim.ProtocolFactory for QuorumUDC with failure bound
 // t.
 func NewQuorumUDC(t int) sim.ProtocolFactory {
 	return func(id model.ProcID, n int) sim.Protocol {
-		return &QuorumUDC{
-			id:     id,
-			n:      n,
-			t:      t,
-			active: newActionSet(),
-			acked:  make(map[model.ActionID]model.ProcSet),
-		}
+		return &QuorumUDC{id: id, n: n, t: t}
 	}
 }
 
@@ -183,11 +172,9 @@ func (p *QuorumUDC) OnMessage(ctx sim.Context, from model.ProcID, msg model.Mess
 		ctx.Send(from, model.Message{Kind: MsgAck, Action: msg.Action})
 		p.enter(ctx, msg.Action)
 	case MsgAck:
-		if !p.active.has(msg.Action) {
-			return
+		if row, ok := p.active.ack(msg.Action, from); ok {
+			p.maybePerform(ctx, row)
 		}
-		p.acked[msg.Action] = p.acked[msg.Action].Add(from)
-		p.maybePerform(ctx, msg.Action)
 	}
 }
 
@@ -196,35 +183,34 @@ func (p *QuorumUDC) OnSuspect(sim.Context, model.SuspectReport) {}
 
 // OnTick implements sim.Protocol.
 func (p *QuorumUDC) OnTick(ctx sim.Context) {
-	for _, a := range p.active.list() {
-		acked := p.acked[a]
+	for _, row := range p.active.list() {
 		for q := model.ProcID(0); int(q) < p.n; q++ {
-			if q == p.id || acked.Has(q) {
+			if q == p.id || row.acked.Has(q) {
 				continue
 			}
-			ctx.Send(q, model.Message{Kind: MsgAlpha, Action: a, KnownInits: true})
+			ctx.Send(q, model.Message{Kind: MsgAlpha, Action: row.id, KnownInits: true})
 		}
-		p.maybePerform(ctx, a)
+		p.maybePerform(ctx, row)
 	}
 }
 
 // enter moves the process into the UDC(a) state.
 func (p *QuorumUDC) enter(ctx sim.Context, a model.ActionID) {
-	if !p.active.add(a) {
+	row := activeAction{id: a, acked: model.Singleton(p.id)}
+	if !p.active.add(row) {
 		return
 	}
-	p.acked[a] = model.Singleton(p.id)
 	ctx.Broadcast(model.Message{Kind: MsgAlpha, Action: a, KnownInits: true})
-	p.maybePerform(ctx, a)
+	p.maybePerform(ctx, row)
 }
 
 // maybePerform performs a once n - t processes have acknowledged it.
-func (p *QuorumUDC) maybePerform(ctx sim.Context, a model.ActionID) {
-	if ctx.HasDone(a) {
+func (p *QuorumUDC) maybePerform(ctx sim.Context, row activeAction) {
+	if ctx.HasDone(row.id) {
 		return
 	}
-	if p.acked[a].Count() >= p.n-p.t {
-		ctx.Do(a)
+	if row.acked.Count() >= p.n-p.t {
+		ctx.Do(row.id)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/model"
+	"repro/internal/registry"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -222,7 +223,9 @@ func sweepAllocPerSeed(t *testing.T, workers int, seeds []int64) uint64 {
 // in its engine's arena, so no per-seed slab is built (one owned run of
 // baseSpec is a slab of about 1.9 MiB, which is what this sweep allocated per
 // seed while SweepAll built its runs).  What remains is the seed's protocol
-// instances, its Config and its outcome — 9 KiB measured; the bar sits at 12.
+// instances, its Config and its outcome — 9 KiB measured while each seed drew
+// its config from a fresh random source, 3 since; the bar sits at 12, and
+// TestSweepAllocPerSeed holds the tighter line.
 // The best of a few tries is taken, so a stray allocation elsewhere in the
 // process does not decide it.
 func TestRunnerSweepReusesEngines(t *testing.T) {
@@ -236,6 +239,53 @@ func TestRunnerSweepReusesEngines(t *testing.T) {
 	t.Logf("warmed Runner.Sweep: %.1f KiB per seed", float64(best)/1024)
 	if best > bound {
 		t.Fatalf("a warmed %d-seed Runner.Sweep allocates %d bytes per seed, want <= %d: the pass is building runs or not reusing its engines", len(seeds), best, bound)
+	}
+}
+
+// sweepOfflineScenarios are the catalog scenarios the end-to-end benchmark's
+// sweep-offline workload sweeps: five UDC protocols and one consensus one.
+var sweepOfflineScenarios = []string{
+	"prop2.3-nudc", "prop2.4-reliable-udc", "prop3.1-strong-udc",
+	"prop4.1-tuseful-udc", "adv-burst-loss-strong-udc", "adv-targeted-consensus",
+}
+
+// catalogSweepAllocPerSeed returns the bytes one Runner.Sweep of each
+// sweep-offline scenario over seeds allocates per seed.
+func catalogSweepAllocPerSeed(t *testing.T, seeds []int64) uint64 {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, name := range sweepOfflineScenarios {
+		sc := registry.MustScenario(name)
+		if _, err := (workload.Runner{Workers: 1}).Sweep(sc.Spec, seeds, sc.Eval); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(len(seeds)*len(sweepOfflineScenarios))
+}
+
+// TestSweepAllocPerSeed pins what a warm seed of the catalog's sweeps
+// allocates: its protocol instances, its Config and its outcome.  While
+// BuildConfig gave every seed a fresh random source (607 words of
+// lagged-Fibonacci state, about 4.75 KiB) and every protocol instance kept
+// its per-action state in maps, these sweeps allocated 9.9 KiB a seed; with
+// the engine's source lent to config building, 4.6; with one ordered action
+// table per protocol instead of the maps, 2.3.  Putting back one map per
+// protocol instance (the old membership map alone) measured 3.5, so the bar
+// sits at 3: either regression fails it.  The best of a few tries is taken,
+// so a stray allocation elsewhere in the process does not decide it.
+func TestSweepAllocPerSeed(t *testing.T) {
+	seeds := workload.Seeds(1, 64)
+	const bound = 3 << 10              // bytes per seed
+	catalogSweepAllocPerSeed(t, seeds) // warm-up
+	best := catalogSweepAllocPerSeed(t, seeds)
+	for try := 1; try < 4 && best > bound; try++ {
+		best = min(best, catalogSweepAllocPerSeed(t, seeds))
+	}
+	t.Logf("warmed sweep-offline scenarios: %.2f KiB per seed (bar %d)", float64(best)/1024, bound>>10)
+	if best > bound {
+		t.Fatalf("a warmed %d-seed sweep of the sweep-offline scenarios allocates %d bytes per seed, want <= %d: a per-run random source or per-run protocol map is back", len(seeds), best, bound)
 	}
 }
 

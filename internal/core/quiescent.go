@@ -100,8 +100,8 @@ func (p *QuiescentUDC) resend(ctx sim.Context, row activeAction) {
 	}
 }
 
-// maybePerform performs a once every other process has acknowledged or been
-// suspected.
+// maybePerform performs row's action once every other process has
+// acknowledged it or been suspected.
 func (p *QuiescentUDC) maybePerform(ctx sim.Context, row activeAction) {
 	if ctx.HasDone(row.id) {
 		return

@@ -93,8 +93,8 @@ func (p *StrongFDUDC) resend(ctx sim.Context, row activeAction) {
 	}
 }
 
-// maybePerform performs a once every other process has acknowledged or has
-// ever been suspected.
+// maybePerform performs row's action once every other process has acknowledged
+// it or has ever been suspected.
 func (p *StrongFDUDC) maybePerform(ctx sim.Context, row activeAction) {
 	if ctx.HasDone(row.id) {
 		return

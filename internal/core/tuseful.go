@@ -112,8 +112,8 @@ func (p *TUsefulUDC) resend(ctx sim.Context, row activeAction) {
 	}
 }
 
-// maybePerform performs a if the t-useful performance condition of
-// Proposition 4.1 holds for some reported group.
+// maybePerform performs row's action if the t-useful performance condition
+// of Proposition 4.1 holds for some reported group.
 func (p *TUsefulUDC) maybePerform(ctx sim.Context, row activeAction) {
 	if ctx.HasDone(row.id) {
 		return
@@ -204,7 +204,7 @@ func (p *QuorumUDC) enter(ctx sim.Context, a model.ActionID) {
 	p.maybePerform(ctx, row)
 }
 
-// maybePerform performs a once n - t processes have acknowledged it.
+// maybePerform performs row's action once n - t processes have acknowledged it.
 func (p *QuorumUDC) maybePerform(ctx sim.Context, row activeAction) {
 	if ctx.HasDone(row.id) {
 		return

@@ -1,7 +1,6 @@
 GO ?= go
-BENCHTIME ?= 10x
 
-.PHONY: all build test race vet fmt-check smoke daemon-smoke metrics-smoke fleet-smoke bench-smoke bench-ab bench bench-compare
+.PHONY: all build test race vet fmt-check smoke daemon-smoke metrics-smoke fleet-smoke bench-smoke bench-ab
 
 all: build test
 
@@ -65,29 +64,3 @@ PAIRS ?= 10
 SEED ?= 1
 bench-ab:
 	./scripts/bench_ab.sh $(BASE) $(WORKLOAD) $(PAIRS) $(SEED)
-
-# bench runs the Table 1 benchmark, the adversary sweep, the
-# knowledge-extraction benchmark and the serving-layer benchmarks (codec,
-# cold/warm daemon sweeps, duplicate-request scheduling), and records the
-# next BENCH_<n>.json snapshot, so the performance trajectory accumulates
-# across working sessions.  Tune the sample count with BENCHTIME=50x etc.
-bench:
-	$(GO) test -run '^$$' -bench '^(BenchmarkTable1|BenchmarkAdversarySweep|BenchmarkExtraction|BenchmarkCodec|BenchmarkServerSweep|BenchmarkServerWire|BenchmarkSchedulerDuplicates|BenchmarkStoreMultiGet)$$' -benchtime $(BENCHTIME) . > bench.out || { cat bench.out; rm -f bench.out; exit 1; }
-	@cat bench.out
-	@$(GO) run ./cmd/benchjson -dir . < bench.out; status=$$?; rm -f bench.out; exit $$status
-
-# bench-compare diffs the two most recent BENCH_<n>.json snapshots,
-# printing per-benchmark ns/op deltas (plus B/op and allocs/op movements)
-# and flagging regressions (non-zero exit with FAIL_ON_REGRESS=1).
-# REGRESS_THRESHOLD widens the default 10% growth cutoff and MIN_NS sets a
-# noise floor below which benchmarks are never flagged — both matter when
-# the snapshots were recorded in different sessions.
-bench-compare:
-	@prev=$$(ls BENCH_*.json 2>/dev/null | sort -t_ -k2 -n | tail -2 | head -1); \
-	latest=$$(ls BENCH_*.json 2>/dev/null | sort -t_ -k2 -n | tail -1); \
-	if [ -z "$$prev" ] || [ "$$prev" = "$$latest" ]; then echo "bench-compare: need at least two BENCH_<n>.json snapshots"; exit 1; fi; \
-	echo "comparing $$prev -> $$latest"; \
-	$(GO) run ./cmd/benchjson -compare $${FAIL_ON_REGRESS:+-fail-on-regress} \
-		$${REGRESS_THRESHOLD:+-regress-threshold $$REGRESS_THRESHOLD} \
-		$${MIN_NS:+-min-ns $$MIN_NS} \
-		"$$prev" "$$latest"

@@ -38,8 +38,10 @@
 // (/debug/traces), structured slog request logs and corpus introspection
 // (/v1/corpus) (internal/server).  See README.md for a tour.
 //
-// The benchmarks in bench_test.go regenerate every row of the paper's only
-// table (Table 1) plus per-proposition workloads and ablations; run them with
+// cmd/table1 regenerates the paper's only table (Table 1) and exits nonzero if
+// any cell deviates from the paper; performance is measured by udcbench, the
+// end-to-end benchmark under benchmarks/ (see benchmarks/README.md):
 //
-//	go test -bench=. -benchmem .
+//	go run ./cmd/table1
+//	bash benchmarks/run.sh
 package repro

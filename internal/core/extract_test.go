@@ -9,6 +9,7 @@ import (
 	"repro/internal/epistemic"
 	"repro/internal/fd"
 	"repro/internal/model"
+	"repro/internal/registry"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -37,47 +38,57 @@ func buildUDCSystem(t *testing.T, spec workload.Spec, seeds []int64) (model.Syst
 // that attains UDC (here via a merely *strong* detector that falsely suspects
 // correct processes), the knowledge-based construction P1-P3 yields a detector
 // that is perfect — strongly accurate even though the source detector was not,
-// and strongly complete.
+// and strongly complete.  It runs on a hand-built spec and on the catalog's
+// thm3.6-extraction sampling shape.
 func TestTheorem36PerfectDetectorSimulation(t *testing.T) {
-	spec := workload.Spec{
-		Name:          "thm3.6-source",
-		N:             5,
-		MaxSteps:      400,
-		TickEvery:     2,
-		SuspectEvery:  3,
-		Network:       sim.FairLossyNetwork(0.25),
-		Oracle:        fd.StrongOracle{FalseSuspicionRate: 0.3, Seed: 17},
-		Protocol:      core.NewStrongFDUDC,
-		Actions:       8,
-		LastInitTime:  250,
-		MaxFailures:   3,
-		ExactFailures: true,
-		CrashEnd:      100,
-	}
-	runs, sys := buildUDCSystem(t, spec, workload.Seeds(100, 20))
+	for _, tc := range []struct {
+		spec  workload.Spec
+		seeds []int64
+	}{
+		{workload.Spec{
+			Name:          "thm3.6-source",
+			N:             5,
+			MaxSteps:      400,
+			TickEvery:     2,
+			SuspectEvery:  3,
+			Network:       sim.FairLossyNetwork(0.25),
+			Oracle:        fd.StrongOracle{FalseSuspicionRate: 0.3, Seed: 17},
+			Protocol:      core.NewStrongFDUDC,
+			Actions:       8,
+			LastInitTime:  250,
+			MaxFailures:   3,
+			ExactFailures: true,
+			CrashEnd:      100,
+		}, workload.Seeds(100, 20)},
+		{registry.MustScenario("thm3.6-extraction").Spec, workload.Seeds(9000, 10)},
+	} {
+		t.Run(tc.spec.Name, func(t *testing.T) {
+			runs, sys := buildUDCSystem(t, tc.spec, tc.seeds)
 
-	// The source detector is strong but not perfect: confirm that at least one
-	// source run contains a false suspicion, so the accuracy of the simulated
-	// detector below is not inherited trivially.
-	sourceFalse := 0
-	for _, r := range runs {
-		sourceFalse += len(fd.CheckStrongAccuracy(r))
-	}
-	if sourceFalse == 0 {
-		t.Fatalf("expected the source strong detector to produce false suspicions; adjust FalseSuspicionRate")
-	}
+			// The source detector is strong but not perfect: confirm that at
+			// least one source run contains a false suspicion, so the accuracy
+			// of the simulated detector below is not inherited trivially.
+			sourceFalse := 0
+			for _, r := range runs {
+				sourceFalse += len(fd.CheckStrongAccuracy(r))
+			}
+			if sourceFalse == 0 {
+				t.Fatalf("expected the source strong detector to produce false suspicions; adjust FalseSuspicionRate")
+			}
 
-	simulated := core.SimulatePerfectDetector(sys)
-	if len(simulated) != len(runs) {
-		t.Fatalf("expected %d transformed runs, got %d", len(runs), len(simulated))
-	}
-	for i, r := range simulated {
-		if vs := fd.CheckStrongAccuracy(r); len(vs) > 0 {
-			t.Errorf("run %d: simulated detector violates strong accuracy: %v", i, vs[0])
-		}
-		if vs := fd.CheckStrongCompleteness(r); len(vs) > 0 {
-			t.Errorf("run %d: simulated detector violates strong completeness: %v", i, vs[0])
-		}
+			simulated := core.SimulatePerfectDetector(sys)
+			if len(simulated) != len(runs) {
+				t.Fatalf("expected %d transformed runs, got %d", len(runs), len(simulated))
+			}
+			for i, r := range simulated {
+				if vs := fd.CheckStrongAccuracy(r); len(vs) > 0 {
+					t.Errorf("run %d: simulated detector violates strong accuracy: %v", i, vs[0])
+				}
+				if vs := fd.CheckStrongCompleteness(r); len(vs) > 0 {
+					t.Errorf("run %d: simulated detector violates strong completeness: %v", i, vs[0])
+				}
+			}
+		})
 	}
 }
 
@@ -142,34 +153,44 @@ func TestTheorem36PreservesEvents(t *testing.T) {
 
 // TestTheorem43TUsefulDetectorSimulation reproduces Theorem 4.3: in a context
 // with at most t failures, the P3' construction yields a t-useful generalized
-// failure detector.
+// failure detector.  It runs on a hand-built spec and on the catalog's
+// thm4.3-extraction sampling shape, each with t its MaxFailures.
 func TestTheorem43TUsefulDetectorSimulation(t *testing.T) {
 	const failureBound = 2
-	spec := workload.Spec{
-		Name:          "thm4.3-source",
-		N:             5,
-		MaxSteps:      600,
-		TickEvery:     2,
-		SuspectEvery:  3,
-		Network:       sim.FairLossyNetwork(0.25),
-		Oracle:        fd.FaultySetOracle{},
-		Protocol:      core.NewTUsefulUDC(failureBound),
-		Actions:       10,
-		LastInitTime:  400,
-		MaxFailures:   failureBound,
-		ExactFailures: true,
-		CrashEnd:      120,
-	}
-	_, sys := buildUDCSystem(t, spec, workload.Seeds(500, 15))
+	for _, tc := range []struct {
+		spec  workload.Spec
+		seeds []int64
+	}{
+		{workload.Spec{
+			Name:          "thm4.3-source",
+			N:             5,
+			MaxSteps:      600,
+			TickEvery:     2,
+			SuspectEvery:  3,
+			Network:       sim.FairLossyNetwork(0.25),
+			Oracle:        fd.FaultySetOracle{},
+			Protocol:      core.NewTUsefulUDC(failureBound),
+			Actions:       10,
+			LastInitTime:  400,
+			MaxFailures:   failureBound,
+			ExactFailures: true,
+			CrashEnd:      120,
+		}, workload.Seeds(500, 15)},
+		{registry.MustScenario("thm4.3-extraction").Spec, workload.Seeds(9000, 8)},
+	} {
+		t.Run(tc.spec.Name, func(t *testing.T) {
+			_, sys := buildUDCSystem(t, tc.spec, tc.seeds)
 
-	simulated := core.SimulateTUsefulDetector(sys)
-	for i, r := range simulated {
-		if vs := fd.CheckGeneralizedStrongAccuracy(r); len(vs) > 0 {
-			t.Errorf("run %d: simulated generalized detector violates accuracy: %v", i, vs[0])
-		}
-		if vs := fd.CheckTUseful(r, failureBound); len(vs) > 0 {
-			t.Errorf("run %d: simulated detector is not %d-useful: %v", i, failureBound, vs[0])
-		}
+			simulated := core.SimulateTUsefulDetector(sys)
+			for i, r := range simulated {
+				if vs := fd.CheckGeneralizedStrongAccuracy(r); len(vs) > 0 {
+					t.Errorf("run %d: simulated generalized detector violates accuracy: %v", i, vs[0])
+				}
+				if vs := fd.CheckTUseful(r, tc.spec.MaxFailures); len(vs) > 0 {
+					t.Errorf("run %d: simulated detector is not %d-useful: %v", i, tc.spec.MaxFailures, vs[0])
+				}
+			}
+		})
 	}
 }
 

@@ -60,6 +60,39 @@ func TestRecordedRunsMatchGoldenDigests(t *testing.T) {
 		{"retransmit-udc", 1, "6cdcf2d61ec92348c47d853637d5f98af4219d191192eb95d39015534ad2c32a"},
 		{"retransmit-udc", 77, "afe6e395ccb3729c8615d7467b1797abf85c7046e3444abecda49c5c37dc2f7e"},
 		{"retransmit-udc", 4242, "04d55ec97cc4be64665d9dead55b6ca29ee807ea9bd70ebe195525dd7cc0f7cd"},
+		// Recorded before the four acknowledgement-driven UDC protocols
+		// became one body: every other catalog scenario that runs them or
+		// the rotating consensus protocol.
+		{"throughput", 1, "353dce14785f83412bb1f5573ba44915c95076d4625b268a903f985f69a8e514"},
+		{"throughput", 77, "027d07f65c21c7cf9ef26d33961851a0c10768b20df128d761c31d888dda7096"},
+		{"throughput", 4242, "f3c160e4237a86d12d0a1ea5a662c74ce56405e3b4e9ef92f0a8dd0f8a9f6db2"},
+		{"thm3.6-extraction", 1, "802d4eaa50a342e7f928db3c4644390a687bfc91fe31ed2268eb1be6261a9ab0"},
+		{"thm3.6-extraction", 77, "2b3a6390dfe339020cc3ba03daa2069feb01bca56abd96becbc9d6b8d31568a9"},
+		{"thm3.6-extraction", 4242, "f699fb1102755a01ba0a1b86492b3bae86c2c7704574888688274ccffa937efc"},
+		{"thm4.3-extraction", 1, "3eadca041e9ec3a34a697542d064d0ad7881f595a6f8ca3762d6fbcef5009c20"},
+		{"thm4.3-extraction", 77, "b6395f042dd9c8919119b4dacb496fe35e3b740d850c0d4cdc48fed886bc8802"},
+		{"thm4.3-extraction", 4242, "c1970f397572ce4855fddc768affcafb6a6e27f4e8fcc100adf9c4b94b11958e"},
+		{"consensus-rotating", 1, "3ea0a22d254afef44b2ecf830f7581ce2e2a0a9a6c818bd9129f782e8570c11e"},
+		{"consensus-rotating", 77, "4cd0b7f24d59bc085131b026871e46801dec6b2aafe7ab3299ee7640f22d8f30"},
+		{"consensus-rotating", 4242, "1b14ead4ec4b982d537a8611c2194deb9e74383460d1738a8eedb7c57129b882"},
+		{"adv-uniform-strong-udc", 1, "a9716652ad040c3d116f0b85d653d1879f4b6fa6fd4c348e9359d456207b150d"},
+		{"adv-uniform-strong-udc", 77, "4aa144960e305390521e9b97e282ef000d386ddd30eb0a3fa1b816ba9af1a1f2"},
+		{"adv-uniform-strong-udc", 4242, "df028e605b6478c3d62825ae4f5b38ec9026f088287c33d9ffdc504727c9fabe"},
+		{"adv-targeted-final-fd", 1, "47eebdb08092773d5dbd2fb09ba6f91e38ebdd3d47cc580d0bb8eeeb50b18ef6"},
+		{"adv-targeted-final-fd", 77, "027f7bb72fb875bc16cefa2c965dd9dbb60a6de0d52e8c254e176c45fec1819c"},
+		{"adv-targeted-final-fd", 4242, "8bbc46b1f8f2d6d21c8b9cee17511f99bd633f3832ae6daf036dd6fc6cbefb79"},
+		{"adv-cascade-strong-udc", 1, "767baf4fae96a8160f2ab8c5d22a8056bd716b83df9c9e2fb9dcb44d2f363b5d"},
+		{"adv-cascade-strong-udc", 77, "6369d9580e0b9d013036bdeb2fcd9d48da2e384b1a5edf1a98f71f0bba71660c"},
+		{"adv-cascade-strong-udc", 4242, "a92b21acee95cb06a05be7a64ea77b0bc7629d1ae5356c9e55987867d165bdeb"},
+		{"adv-late-burst-quorum-udc", 1, "4f4223f7a0d253cb09e1084600d2f5e9edc3d70522b3bf1052f02f2b00cd9896"},
+		{"adv-late-burst-quorum-udc", 77, "07b42441c3b115d5da6b66fb32670138f73af163c74aaf8c7206036e66fa5432"},
+		{"adv-late-burst-quorum-udc", 4242, "a06c7c84cfc1abc4ec8b299f7e4cbcba6589009c172c2bd5e33b9986551674c5"},
+		{"adv-healing-partition-quorum-udc", 1, "419ae96c6ac966530d0c96447ee33500094b57e9f84b770d40da7864c90d4b28"},
+		{"adv-healing-partition-quorum-udc", 77, "cfcbd21f3b2394e5ae1a44da48d98d541efc34203a6f3295bb02694aaa431c83"},
+		{"adv-healing-partition-quorum-udc", 4242, "3c16674c55d454b976ce09f18e2c48a497f667d7a7c9ac3a9d20d2f0def89d68"},
+		{"adv-skewed-delays-strong-udc", 1, "f59ecd00b5637d23da33564b2ad3ef7827f2e19829ab2689822ca66e63e58a2c"},
+		{"adv-skewed-delays-strong-udc", 77, "7e6abc9d830ef683ecb227e8a492d2d495e6972bdc74c0d773c6cec880e91358"},
+		{"adv-skewed-delays-strong-udc", 4242, "8572a090a86c4f52e1e76c19eac1f01e0d41be7e4a05b26fa16c6a7bc9120f3b"},
 	}
 	for _, g := range golden {
 		spec := registry.MustScenario(g.scenario).Spec
@@ -70,6 +103,71 @@ func TestRecordedRunsMatchGoldenDigests(t *testing.T) {
 		if got := runDigest(t, res.Run); got != g.digest {
 			t.Errorf("%s seed %d: recorded run diverged from the pre-adversary engine\n got %s\nwant %s",
 				g.scenario, g.seed, got, g.digest)
+		}
+	}
+	// Protocol/detector pairings no catalog scenario runs, each reaching a
+	// branch of the acknowledgement-driven UDC protocols the catalog leaves
+	// alone; recorded with the entries above that name the one body.
+	handBuilt := []struct {
+		name   string
+		digest [3]string // seeds 1, 77 and 4242
+		spec   func() workload.Spec
+	}{
+		{
+			// A standard report S becomes the generalized report (S, |S|).
+			// These runs equal thm3.6-extraction's, which runs Prop 3.1's
+			// protocol: no union of reports there covers the non-ackers
+			// before a single report does.
+			name: "tuseful-under-strong",
+			digest: [3]string{
+				"802d4eaa50a342e7f928db3c4644390a687bfc91fe31ed2268eb1be6261a9ab0",
+				"2b3a6390dfe339020cc3ba03daa2069feb01bca56abd96becbc9d6b8d31568a9",
+				"f699fb1102755a01ba0a1b86492b3bae86c2c7704574888688274ccffa937efc",
+			},
+			spec: func() workload.Spec {
+				spec := registry.MustScenario("thm3.6-extraction").Spec
+				spec.Protocol = registry.MustProtocol("tuseful", registry.Options{T: 3})
+				return spec
+			},
+		},
+		{
+			// Corollary 3.2: suspicions are retracted, the protocol keeps them.
+			name: "strong-under-impermanent-weak",
+			digest: [3]string{
+				"82bcd135ccd85f3e40f753c46c2baf8204fccb3415e90ec75c17f689e59de700",
+				"6232d74a9a6e9d32fee203ead5922dedb6971796f98cc77a19e44d809b11faa5",
+				"cd9f99d9a069f584b81a2510e1bb26ebea6c5b355068b7fa66b15dc64a9a69bc",
+			},
+			spec: func() workload.Spec {
+				spec := registry.MustScenario("prop3.1-strong-udc").Spec
+				spec.Oracle = registry.MustOracle("impermanent-weak", registry.Options{})
+				return spec
+			},
+		},
+		{
+			// Footnote 11's resend skips falsely suspected processes.
+			name: "quiescent-under-false-suspicions",
+			digest: [3]string{
+				"d2eaaea7436044cbf9c4d6f60a36dec96223a272af2a6ae641a4ff296d9bd3aa",
+				"83e16c792a1c2edbab39128b8ebd2a42721835626b3d9af2753e2af831c164df",
+				"6a7a284d4f1eb7bff58d991e6601f52dce0de12cc6298df2d62f46734413d755",
+			},
+			spec: func() workload.Spec {
+				spec := registry.MustScenario("quiescent-udc").Spec
+				spec.Oracle = registry.MustOracle("strong", registry.Options{Seed: 17, FalseSuspicionRate: 0.3})
+				return spec
+			},
+		},
+	}
+	for _, h := range handBuilt {
+		for i, seed := range []int64{1, 77, 4242} {
+			res, err := workload.Execute(h.spec(), seed)
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", h.name, seed, err)
+			}
+			if got := runDigest(t, res.Run); got != h.digest[i] {
+				t.Errorf("%s seed %d: recorded run diverged\n got %s\nwant %s", h.name, seed, got, h.digest[i])
+			}
 		}
 	}
 }

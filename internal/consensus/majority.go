@@ -81,9 +81,6 @@ func NewMajority(proposals map[model.ProcID]int) sim.ProtocolFactory {
 	}
 }
 
-// Name implements sim.Protocol.
-func (p *Majority) Name() string { return "consensus-majority" }
-
 // majority returns the quorum size, a strict majority of n.
 func (p *Majority) majority() int { return p.n/2 + 1 }
 

@@ -46,13 +46,23 @@ type Rotating struct {
 	n     int
 	value int
 
-	round         int // current round, 1-based; n+1 means ready to decide
-	coordEstimate map[int]int
-	received      map[int]int
-	hasReceived   map[int]bool
+	round int // current round, 1-based; n+1 means ready to decide
+	// coordEstimate is the estimate this process broadcast as coordinator of
+	// round id+1, the one round it coordinates; it has done so once round
+	// is past id+1.
+	coordEstimate int
+	// received holds, per round r at index r-1, the coordinator's estimate
+	// if it has arrived.
+	received      []roundEstimate
 	everSuspected model.ProcSet
 	decided       bool
 	decidedValue  int
+}
+
+// roundEstimate is one round's entry in Rotating.received.
+type roundEstimate struct {
+	value int
+	heard bool
 }
 
 // NewRotating returns a sim.ProtocolFactory for Rotating where each process
@@ -63,20 +73,9 @@ func NewRotating(proposals map[model.ProcID]int) sim.ProtocolFactory {
 		if !ok {
 			v = int(id)
 		}
-		return &Rotating{
-			id:            id,
-			n:             n,
-			value:         v,
-			round:         1,
-			coordEstimate: make(map[int]int),
-			received:      make(map[int]int),
-			hasReceived:   make(map[int]bool),
-		}
+		return &Rotating{id: id, n: n, value: v, round: 1, received: make([]roundEstimate, n)}
 	}
 }
-
-// Name implements sim.Protocol.
-func (p *Rotating) Name() string { return "consensus-rotating" }
 
 // Init implements sim.Protocol.
 func (p *Rotating) Init(ctx sim.Context) { p.advance(ctx) }
@@ -89,9 +88,8 @@ func (p *Rotating) OnInitiate(sim.Context, model.ActionID) {}
 func (p *Rotating) OnMessage(ctx sim.Context, _ model.ProcID, msg model.Message) {
 	switch msg.Kind {
 	case MsgEstimate:
-		if !p.hasReceived[msg.Round] {
-			p.hasReceived[msg.Round] = true
-			p.received[msg.Round] = msg.Value
+		if r := msg.Round; r >= 1 && r <= p.n && !p.received[r-1].heard {
+			p.received[r-1] = roundEstimate{value: msg.Value, heard: true}
 		}
 		p.advance(ctx)
 	case MsgDecide:
@@ -115,12 +113,10 @@ func (p *Rotating) OnTick(ctx sim.Context) {
 		ctx.Broadcast(model.Message{Kind: MsgDecide, Value: p.decidedValue})
 		return
 	}
-	// Re-broadcast every estimate this process has issued as a coordinator so
+	// Re-broadcast the estimate this process issued as a coordinator so
 	// slower processes eventually hear it despite message loss.
-	for r := 1; r <= p.n; r++ {
-		if v, ok := p.coordEstimate[r]; ok {
-			ctx.Broadcast(model.Message{Kind: MsgEstimate, Round: r, Value: v})
-		}
+	if own := int(p.id) + 1; p.round > own {
+		ctx.Broadcast(model.Message{Kind: MsgEstimate, Round: own, Value: p.coordEstimate})
 	}
 	p.advance(ctx)
 }
@@ -138,13 +134,12 @@ func (p *Rotating) advance(ctx sim.Context) {
 		c := p.coordinator(p.round)
 		switch {
 		case c == p.id:
-			if _, ok := p.coordEstimate[p.round]; !ok {
-				p.coordEstimate[p.round] = p.value
-				ctx.Broadcast(model.Message{Kind: MsgEstimate, Round: p.round, Value: p.value})
-			}
+			// Rounds only advance, so this is the round's first visit.
+			p.coordEstimate = p.value
+			ctx.Broadcast(model.Message{Kind: MsgEstimate, Round: p.round, Value: p.value})
 			p.round++
-		case p.hasReceived[p.round]:
-			p.value = p.received[p.round]
+		case p.received[p.round-1].heard:
+			p.value = p.received[p.round-1].value
 			p.round++
 		case p.everSuspected.Has(c):
 			p.round++

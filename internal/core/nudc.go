@@ -23,9 +23,6 @@ func NewNUDC(id model.ProcID, n int) sim.Protocol {
 	return &NUDC{id: id, n: n}
 }
 
-// Name implements sim.Protocol.
-func (p *NUDC) Name() string { return "nudc" }
-
 // Init implements sim.Protocol.
 func (p *NUDC) Init(sim.Context) {}
 
@@ -74,9 +71,6 @@ type ReliableUDC struct {
 func NewReliableUDC(id model.ProcID, n int) sim.Protocol {
 	return &ReliableUDC{id: id, n: n}
 }
-
-// Name implements sim.Protocol.
-func (p *ReliableUDC) Name() string { return "udc-reliable" }
 
 // Init implements sim.Protocol.
 func (p *ReliableUDC) Init(sim.Context) {}

@@ -28,28 +28,24 @@ var (
 // CheckUDC verifies DC1-DC3 for the given actions on the run.  If no actions
 // are given, every action initiated in the run is checked.
 func CheckUDC(r *model.Run, actions ...model.ActionID) []model.Violation {
-	if len(actions) == 0 {
-		actions = r.InitiatedActions()
-	}
-	var out []model.Violation
-	for _, a := range actions {
-		out = append(out, checkDC1(r, a)...)
-		out = append(out, checkDC2(r, a, false)...)
-		out = append(out, checkDC3(r, a)...)
-	}
-	return out
+	return checkDC(r, actions, false)
 }
 
 // CheckNUDC verifies DC1, DC2' and DC3 for the given actions on the run.  If
 // no actions are given, every action initiated in the run is checked.
 func CheckNUDC(r *model.Run, actions ...model.ActionID) []model.Violation {
+	return checkDC(r, actions, true)
+}
+
+// checkDC verifies DC1, DC2 (DC2' if nonUniform) and DC3, action by action.
+func checkDC(r *model.Run, actions []model.ActionID, nonUniform bool) []model.Violation {
 	if len(actions) == 0 {
 		actions = r.InitiatedActions()
 	}
 	var out []model.Violation
 	for _, a := range actions {
 		out = append(out, checkDC1(r, a)...)
-		out = append(out, checkDC2(r, a, true)...)
+		out = append(out, checkDC2(r, a, nonUniform)...)
 		out = append(out, checkDC3(r, a)...)
 	}
 	return out
@@ -124,45 +120,6 @@ func checkDC3(r *model.Run, a model.ActionID) []model.Violation {
 		if doAt < initAt {
 			out = append(out, model.Violationf("DC3",
 				"process %d performed %v at time %d before its initiation at %d", q, a, doAt, initAt))
-		}
-	}
-	return out
-}
-
-// Outcome summarises how a run fared against the UDC (or nUDC) specification.
-type Outcome struct {
-	// Actions is the number of actions checked.
-	Actions int
-	// Violations lists every violated clause.
-	Violations []model.Violation
-	// FirstInitTime and LastDoTime bound the coordination activity; their
-	// difference is a crude latency measure.
-	FirstInitTime int
-	LastDoTime    int
-}
-
-// OK reports whether the run satisfied the specification.
-func (o Outcome) OK() bool { return len(o.Violations) == 0 }
-
-// Evaluate runs CheckUDC (uniform=true) or CheckNUDC (uniform=false) and
-// gathers summary timing information.
-func Evaluate(r *model.Run, uniform bool) Outcome {
-	actions := r.InitiatedActions()
-	var violations []model.Violation
-	if uniform {
-		violations = CheckUDC(r, actions...)
-	} else {
-		violations = CheckNUDC(r, actions...)
-	}
-	out := Outcome{Actions: len(actions), Violations: violations, FirstInitTime: -1, LastDoTime: -1}
-	for _, a := range actions {
-		if t, ok := r.InitTime(a); ok && (out.FirstInitTime < 0 || t < out.FirstInitTime) {
-			out.FirstInitTime = t
-		}
-		for q := model.ProcID(0); int(q) < r.N; q++ {
-			if t, ok := r.DoTime(q, a); ok && t > out.LastDoTime {
-				out.LastDoTime = t
-			}
 		}
 	}
 	return out

@@ -14,8 +14,6 @@ import (
 // Handlers must be deterministic functions of the process's state and the
 // handler arguments.
 type Protocol interface {
-	// Name identifies the protocol for reporting.
-	Name() string
 	// Init is called once at time 0.
 	Init(ctx Context)
 	// OnInitiate is called when the workload initiates coordination action a

@@ -23,7 +23,6 @@ func newEchoProtocol(id model.ProcID, n int) sim.Protocol {
 	return &echoProtocol{id: id, n: n, seen: make(map[model.ActionID]bool)}
 }
 
-func (p *echoProtocol) Name() string     { return "echo" }
 func (p *echoProtocol) Init(sim.Context) {}
 func (p *echoProtocol) OnTick(ctx sim.Context) {
 	for _, a := range p.active {
@@ -281,7 +280,6 @@ type funcProtocol struct {
 	onTick func(sim.Context)
 }
 
-func (f *funcProtocol) Name() string { return "func" }
 func (f *funcProtocol) Init(ctx sim.Context) {
 	if f.onInit != nil {
 		f.onInit(ctx)

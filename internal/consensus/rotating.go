@@ -88,8 +88,8 @@ func (p *Rotating) OnInitiate(sim.Context, model.ActionID) {}
 func (p *Rotating) OnMessage(ctx sim.Context, _ model.ProcID, msg model.Message) {
 	switch msg.Kind {
 	case MsgEstimate:
-		if r := msg.Round; r >= 1 && r <= p.n && !p.received[r-1].heard {
-			p.received[r-1] = roundEstimate{value: msg.Value, heard: true}
+		if !p.received[msg.Round-1].heard {
+			p.received[msg.Round-1] = roundEstimate{value: msg.Value, heard: true}
 		}
 		p.advance(ctx)
 	case MsgDecide:

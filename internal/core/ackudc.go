@@ -25,8 +25,8 @@ type performRule[R any] interface {
 	// observe folds a detector report into the rule and reports whether the
 	// active actions are to be tested again.
 	observe(rep model.SuspectReport, n int) bool
-	// ready reports whether self may perform row's action.
-	ready(row activeAction, self model.ProcID, n int) bool
+	// ready reports whether the process may perform row's action.
+	ready(row activeAction, n int) bool
 	// muted returns the processes resend skips besides those that have
 	// acknowledged; performed says whether this process performed the action.
 	muted(performed bool, n int) model.ProcSet
@@ -118,14 +118,15 @@ func (p *ackUDC[R, P]) OnTick(ctx sim.Context) {
 	for _, row := range p.active.list() {
 		performed := ctx.HasDone(row.id)
 		p.resend(ctx, row, performed)
-		if !performed && P(&p.rule).ready(row, p.id, p.n) {
+		if !performed && P(&p.rule).ready(row, p.n) {
 			ctx.Do(row.id)
 		}
 	}
 }
 
-// enter moves the process into the UDC(a) state.  Only maybePerform performs
-// an action, and only one already entered, so a new row is unperformed.
+// enter moves the process into the UDC(a) state.  The row's acked set holds
+// the process itself from here on, so resend and the rules need no self
+// check.  Only entered actions are performed, so a new row is unperformed.
 func (p *ackUDC[R, P]) enter(ctx sim.Context, a model.ActionID) {
 	row := activeAction{id: a, acked: model.Singleton(p.id)}
 	if !p.active.add(row) {
@@ -136,8 +137,7 @@ func (p *ackUDC[R, P]) enter(ctx sim.Context, a model.ActionID) {
 }
 
 // resend sends an alpha-message to every process that has neither
-// acknowledged row's action nor been muted by the rule.  row.acked holds this
-// process from enter on.
+// acknowledged row's action nor been muted by the rule.
 func (p *ackUDC[R, P]) resend(ctx sim.Context, row activeAction, performed bool) {
 	skip := row.acked.Union(P(&p.rule).muted(performed, p.n))
 	for q := model.ProcID(0); int(q) < p.n; q++ {
@@ -149,7 +149,7 @@ func (p *ackUDC[R, P]) resend(ctx sim.Context, row activeAction, performed bool)
 
 // maybePerform performs row's action, once, when the rule allows it.
 func (p *ackUDC[R, P]) maybePerform(ctx sim.Context, row activeAction) {
-	if !ctx.HasDone(row.id) && P(&p.rule).ready(row, p.id, p.n) {
+	if !ctx.HasDone(row.id) && P(&p.rule).ready(row, p.n) {
 		ctx.Do(row.id)
 	}
 }
@@ -170,7 +170,7 @@ func (r *suspectRule) observe(rep model.SuspectReport, n int) bool {
 	return true
 }
 
-func (r *suspectRule) ready(row activeAction, _ model.ProcID, n int) bool {
+func (r *suspectRule) ready(row activeAction, n int) bool {
 	return row.acked.Union(r.everSuspected).Contains(model.FullSet(n))
 }
 
@@ -224,11 +224,11 @@ func (r *tusefulRule) observe(rep model.SuspectReport, n int) bool {
 	return true
 }
 
-func (r *tusefulRule) ready(row activeAction, self model.ProcID, n int) bool {
+func (r *tusefulRule) ready(row activeAction, n int) bool {
 	bound := min(r.t, n-1)
 	for _, g := range r.groups {
-		// Everyone outside the group (other than self) must have acknowledged.
-		if n-g.set.Count() > bound-g.k && row.acked.Contains(model.FullSet(n).Diff(g.set).Remove(self)) {
+		// Everyone outside the group must have acknowledged.
+		if n-g.set.Count() > bound-g.k && row.acked.Contains(model.FullSet(n).Diff(g.set)) {
 			return true
 		}
 	}
@@ -243,7 +243,7 @@ type quorumRule struct{ t int }
 
 func (*quorumRule) observe(model.SuspectReport, int) bool { return false }
 
-func (r *quorumRule) ready(row activeAction, _ model.ProcID, n int) bool {
+func (r *quorumRule) ready(row activeAction, n int) bool {
 	return row.acked.Count() >= n-r.t
 }
 

@@ -111,10 +111,16 @@ func ScoreRun(res *sim.Result, seed int64, eval Evaluator) RunOutcome {
 		return outcome
 	}
 	outcome.Violations = eval(res.Run)
-	for _, a := range res.Run.InitiatedActions() {
-		if lat, complete := core.CoordinationLatency(res.Run, a); complete {
-			outcome.LatencySum += lat
-			outcome.LatencyActions++
+	// A sum and a count do not depend on order, so the init events are walked
+	// where they lie rather than collected and sorted by InitiatedActions.
+	for _, evs := range res.Run.Events {
+		for i := range evs {
+			if e := &evs[i].Event; e.Kind == model.EventInit {
+				if lat, complete := core.CoordinationLatency(res.Run, e.Action()); complete {
+					outcome.LatencySum += lat
+					outcome.LatencyActions++
+				}
+			}
 		}
 	}
 	return outcome

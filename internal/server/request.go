@@ -179,18 +179,18 @@ func (q *request) observeWire(bytes int) {
 	q.s.metrics.wireBytes.With(q.route, q.format).Add(uint64(bytes))
 }
 
-// serveJSON finishes a served request in the JSON format.  ?debug=timing
-// wraps the body in a trace envelope whose inner response bytes are the
-// unchanged normal body.
-func (q *request) serveJSON(status CacheStatus, v any) {
+// serveJSON finishes a served request in the JSON format; body is the
+// rendered response, trailing newline included.  ?debug=timing wraps it in a
+// trace envelope whose inner response bytes are the unchanged normal body.
+func (q *request) serveJSON(status CacheStatus, body []byte) {
 	total := q.stamp(status)
 	if q.r.URL.Query().Get("debug") == "timing" {
-		v = DebugTimingResponse{
+		body = MarshalBody(DebugTimingResponse{
 			Trace:    traceJSON(q.tr, total, status),
-			Response: json.RawMessage(bytes.TrimSuffix(MarshalBody(v), []byte("\n"))),
-		}
+			Response: json.RawMessage(bytes.TrimSuffix(body, []byte("\n"))),
+		})
 	}
-	q.observeWire(writeJSON(q.w, http.StatusOK, v))
+	q.observeWire(writeBody(q.w, http.StatusOK, body))
 	q.finish(status, nil)
 }
 

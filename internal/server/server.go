@@ -284,7 +284,11 @@ func (s *Server) admitDrain() error {
 // the golden tests and remote clients use.  It returns the body size for the
 // wire accounting.
 func writeJSON(w http.ResponseWriter, status int, v any) int {
-	body := MarshalBody(v)
+	return writeBody(w, status, MarshalBody(v))
+}
+
+// writeBody writes an already rendered JSON body and returns its size.
+func writeBody(w http.ResponseWriter, status int, body []byte) int {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
@@ -424,7 +428,12 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		q.fail(err)
 		return
 	}
-	q.serveJSON(status, SweepResponseOf(rec))
+	body := jsonBufs.Get().(*[]byte)
+	*body = appendSweepBody((*body)[:0], rec)
+	q.serveJSON(status, *body)
+	if cap(*body) <= maxPooledBody {
+		jsonBufs.Put(body)
+	}
 }
 
 func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
@@ -462,7 +471,7 @@ func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
 		q.fail(err)
 		return
 	}
-	q.serveJSON(status, ExtractResponseOf(rec))
+	q.serveJSON(status, MarshalBody(ExtractResponseOf(rec)))
 }
 
 // TraceStageJSON is one stage of a ?debug=timing trace.

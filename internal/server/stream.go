@@ -43,7 +43,7 @@ type streamer struct {
 	rc      *http.ResponseController
 	started bool
 	bytes   int
-	frame   []byte // bin-stream frame scratch, reused across records
+	buf     []byte // NDJSON line or bin-stream frame scratch, reused across records
 }
 
 func newStreamer(q *request) *streamer {
@@ -79,15 +79,16 @@ func (st *streamer) write(b []byte) {
 
 // writeFrame sends one length-prefixed container frame.
 func (st *streamer) writeFrame(container []byte) {
-	st.frame = store.AppendFrame(st.frame[:0], container)
-	st.write(st.frame)
+	st.buf = store.AppendFrame(st.buf[:0], container)
+	st.write(st.buf)
 }
 
 // emitOutcome is the scheduler's emit callback: one record per resolved
 // seed.
 func (st *streamer) emitOutcome(o workload.RunOutcome) {
 	if st.q.format == formatNDJSON {
-		st.write(MarshalBody(outcomeJSON(o)))
+		st.buf = append(appendOutcome(st.buf[:0], &o), '\n')
+		st.write(st.buf)
 	} else {
 		st.writeFrame(store.EncodeOutcome(o))
 	}

@@ -3,6 +3,9 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"math"
+	"strconv"
+	"sync"
 
 	"repro/internal/model"
 	"repro/internal/registry"
@@ -206,6 +209,130 @@ func SweepAggregateOf(rec *store.SweepRecord) SweepAggregate {
 		MeanMessages:    agg.MeanMessages(),
 		MeanLatency:     agg.MeanLatency(),
 	}
+}
+
+// The sweep body's JSON is written by the appenders below rather than by
+// encoding/json's reflection over a SweepResponse: the buffered body and each
+// streamed NDJSON line go through the same appendOutcome, and the bytes are
+// exactly MarshalBody(SweepResponseOf(rec)) and MarshalBody(outcomeJSON(o)),
+// which TestSweepJSONMatchesEncodingJSON and FuzzSweepJSON pin.
+
+// jsonBufs recycles the buffers buffered sweep bodies are rendered into; a
+// buffer goes back once the body is written, since a Writer keeps nothing it
+// is given.
+var jsonBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledBody bounds the buffers jsonBufs keeps, so one large window (a
+// 64-seed body is ≈ 21 KB) does not stay pinned for every small one after it.
+const maxPooledBody = 256 << 10
+
+// appendSweepBody appends the buffered /v1/sweep JSON body of rec, trailing
+// newline included.
+func appendSweepBody(dst []byte, rec *store.SweepRecord) []byte {
+	dst = appendSweepAggregate(dst, SweepAggregateOf(rec))
+	dst = append(dst[:len(dst)-1], `,"outcomes":[`...) // reopen the aggregate object
+	for i := range rec.Outcomes {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendOutcome(dst, &rec.Outcomes[i])
+	}
+	return append(dst, "]}\n"...)
+}
+
+// appendSweepAggregate appends a as one JSON object.
+func appendSweepAggregate(dst []byte, a SweepAggregate) []byte {
+	dst = appendString(append(dst, `{"scenario":`...), a.Scenario)
+	dst = appendString(append(dst, `,"check":`...), a.Check)
+	if a.Adversary != "" {
+		dst = appendString(append(dst, `,"adversary":`...), a.Adversary)
+	}
+	dst = strconv.AppendInt(append(dst, `,"seedBase":`...), a.SeedBase, 10)
+	dst = appendInt(dst, `,"seeds":`, a.Seeds)
+	dst = appendInt(dst, `,"successes":`, a.Successes)
+	dst = appendFloat(append(dst, `,"successRate":`...), a.SuccessRate)
+	dst = appendInt(dst, `,"totalViolations":`, a.TotalViolations)
+	dst = appendFloat(append(dst, `,"meanMessages":`...), a.MeanMessages)
+	dst = appendFloat(append(dst, `,"meanLatency":`...), a.MeanLatency)
+	return append(dst, '}')
+}
+
+// appendOutcome appends o as one JSON object: an element of the buffered
+// body's outcomes array, and the body of one streamed NDJSON line.
+func appendOutcome(dst []byte, o *workload.RunOutcome) []byte {
+	dst = strconv.AppendInt(append(dst, `{"seed":`...), o.Seed, 10)
+	dst = strconv.AppendBool(append(dst, `,"ok":`...), o.OK())
+	st := &o.Stats
+	dst = appendInt(dst, `,"stats":{"steps":`, st.Steps)
+	dst = appendInt(dst, `,"messagesSent":`, st.MessagesSent)
+	dst = appendInt(dst, `,"messagesDelivered":`, st.MessagesDelivered)
+	dst = appendInt(dst, `,"messagesDropped":`, st.MessagesDropped)
+	dst = appendInt(dst, `,"messagesToCrashed":`, st.MessagesToCrashed)
+	dst = appendInt(dst, `,"messagesDuplicated":`, st.MessagesDuplicated)
+	dst = appendInt(dst, `,"doEvents":`, st.DoEvents)
+	dst = appendInt(dst, `,"initEvents":`, st.InitEvents)
+	dst = appendInt(dst, `,"suspectEvents":`, st.SuspectEvents)
+	dst = appendInt(dst, `,"crashEvents":`, st.CrashEvents)
+	dst = appendInt(dst, `,"lastEventTime":`, st.LastEventTime)
+	dst = append(dst, '}')
+	if len(o.Violations) > 0 {
+		dst = append(dst, `,"violations":[`...)
+		for i, v := range o.Violations {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = appendString(append(dst, `{"rule":`...), v.Rule)
+			dst = appendString(append(dst, `,"detail":`...), v.Detail)
+			dst = append(dst, '}')
+		}
+		dst = append(dst, ']')
+	}
+	if o.LatencySum != 0 {
+		dst = appendInt(dst, `,"latencySum":`, o.LatencySum)
+	}
+	if o.LatencyActions != 0 {
+		dst = appendInt(dst, `,"latencyActions":`, o.LatencyActions)
+	}
+	return append(dst, '}')
+}
+
+// appendInt appends key, then v in decimal.
+func appendInt(dst []byte, key string, v int) []byte {
+	return strconv.AppendInt(append(dst, key...), int64(v), 10)
+}
+
+// appendString appends s as a JSON string.  Printable ASCII is copied as it
+// is; a string holding anything encoding/json escapes (" \ < > &, control
+// characters, non-ASCII, invalid UTF-8) is left to encoding/json itself, so
+// the two cannot disagree.  Catalog names and violation details are plain
+// ASCII, so that path is rare.
+func appendString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			quoted, _ := json.Marshal(s) // a string always marshals
+			return append(dst, quoted...)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
+}
+
+// appendFloat appends f as encoding/json writes a float64: the shortest
+// decimal, in exponent form below 1e-6 or from 1e21 up, with the exponent's
+// leading zero trimmed (e-07 → e-7).  Every float in a sweep body is a ratio
+// of ints, so f is finite.
+func appendFloat(dst []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if n := len(dst); format == 'e' && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1]
+		dst = dst[:n-1]
+	}
+	return dst
 }
 
 // IndexJSON is the epistemic index's shape in an extract response.

@@ -223,7 +223,7 @@ func SweepAggregateOf(rec *store.SweepRecord) SweepAggregate {
 var jsonBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // maxPooledBody bounds the buffers jsonBufs keeps, so one large window (a
-// 64-seed body is ≈ 21 KB) does not stay pinned for every small one after it.
+// 64-seed body is ≈ 18 KB) does not stay pinned for every small one after it.
 const maxPooledBody = 256 << 10
 
 // appendSweepBody appends the buffered /v1/sweep JSON body of rec, trailing

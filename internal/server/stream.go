@@ -20,7 +20,7 @@ import (
 //
 // NDJSON (application/x-ndjson): one compact JSON value per line — every
 // outcome line is byte-identical to the corresponding element of the
-// buffered body's outcomes array, the final line is
+// buffered body's outcomes array (appendOutcome writes both), the final line is
 // {"trailer":{"aggregate":...,"trace":...}} whose aggregate equals the
 // buffered body minus its outcomes, and a mid-stream failure terminates the
 // stream with an {"error":...} line instead of a trailer.

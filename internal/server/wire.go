@@ -143,9 +143,9 @@ type OutcomeJSON struct {
 	LatencyActions int             `json:"latencyActions,omitempty"`
 }
 
-// outcomeJSON renders one per-seed outcome — the element type of a buffered
-// response's outcomes array and the line type of a streamed one, so the two
-// encodings carry byte-identical records.
+// outcomeJSON renders one per-seed outcome as a wire value: the element type
+// of SweepResponse.Outcomes, and the encoding/json reference appendOutcome's
+// bytes are held to.
 func outcomeJSON(o workload.RunOutcome) OutcomeJSON {
 	return OutcomeJSON{
 		Seed:           o.Seed,
@@ -180,8 +180,10 @@ type SweepAggregate struct {
 	MeanLatency     float64 `json:"meanLatency"`
 }
 
-// SweepResponseOf renders a stored sweep record.  It is the only way sweep
-// bodies are produced, so cached and freshly computed responses coincide.
+// SweepResponseOf renders a stored sweep record as a wire value — what
+// server.Client decodes a body into, and the encoding/json reference
+// appendSweepBody's bytes are held to.  Both are pure functions of the record,
+// so cached and freshly computed responses coincide.
 func SweepResponseOf(rec *store.SweepRecord) *SweepResponse {
 	resp := &SweepResponse{
 		SweepAggregate: SweepAggregateOf(rec),

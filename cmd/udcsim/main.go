@@ -248,11 +248,9 @@ func run(args []string) error {
 
 // runDecode loads a recorded run file (binary container or trace JSON) and
 // prints the same trace-level summary a fresh simulation would, optionally
-// re-checking a specification on it and re-exporting it with -o/-json.  The
-// read goes through a Transcoder, so inspecting or converting a run never
-// materialises a second copy of its events.
+// re-checking a specification on it and re-exporting it with -o/-json.
 func runDecode(o options) error {
-	run, err := store.NewTranscoder().ReadRunFile(o.decodePath, o.format)
+	run, err := store.ReadRunFile(o.decodePath, o.format)
 	if err != nil {
 		return err
 	}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
 	"strings"
 	"sync"
 	"testing"
@@ -215,9 +217,67 @@ func TestConcurrentExtractCoalescedAccounting(t *testing.T) {
 	if ss.Coalesced != ss.Misses-1 {
 		t.Errorf("coalesced = %d, want misses-1 = %d", ss.Coalesced, ss.Misses-1)
 	}
-	// One owner means exactly two fleet jobs: the source-run simulation pass
-	// and the pipeline tail.
-	if ss.Computed != 2 {
-		t.Errorf("fleet jobs = %d, want 2", ss.Computed)
+	// One owner means exactly one fleet job: the pipeline, source-run
+	// simulation included.
+	if ss.Computed != 1 {
+		t.Errorf("fleet jobs = %d, want 1", ss.Computed)
+	}
+}
+
+// TestAccountingIdentitiesUnderExtractionTraffic drives extractions through
+// every grade (cold, grown, restarted, two concurrent identical requests),
+// interleaved with sweeps, and checks the scheduler's two accounting
+// identities on both daemons afterwards.  An extraction miss counts the seeds
+// it simulates as requested and computed.
+func TestAccountingIdentitiesUnderExtractionTraffic(t *testing.T) {
+	dir := t.TempDir()
+	srv, ts := newTestServer(t, dir)
+	base := ts.URL
+	// t.Error, not t.Fatal: fetch also runs on goroutines of its own.
+	fetch := func(route string) {
+		resp, err := http.Get(base + route)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Errorf("%s: HTTP %d, read error %v: %s", route, resp.StatusCode, err, body)
+		}
+	}
+	fetch("/v1/sweep?scenario=prop2.3-nudc&seeds=8")
+	fetch("/v1/extract?extraction=kx-perfect&runs=6")
+	fetch("/v1/sweep?scenario=prop2.3-nudc&seeds=12")
+	fetch("/v1/extract?extraction=kx-perfect&runs=8")
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() { defer wg.Done(); fetch("/v1/extract?extraction=kx-perfect&runs=10") }()
+	}
+	wg.Wait()
+	fetch("/v1/sweep?scenario=prop2.3-nudc&seeds=8")
+
+	srv2, ts2 := newTestServer(t, dir)
+	base = ts2.URL
+	fetch("/v1/extract?extraction=kx-perfect&runs=8")
+	fetch("/v1/extract?extraction=kx-perfect&runs=12")
+	fetch("/v1/sweep?scenario=prop2.3-nudc&seeds=16")
+
+	for i, ss := range []server.SchedulerStats{srv.SchedulerStats(), srv2.SchedulerStats()} {
+		if ss.SeedsCached+ss.SeedsComputed+ss.SeedsCoalesced+ss.SeedsRemote != ss.SeedsRequested {
+			t.Errorf("daemon %d: cached + computed + coalesced + remote != requested: %+v", i+1, ss)
+		}
+		if ss.FullHits+ss.PartialHits+ss.Misses+ss.Errors != ss.Requests {
+			t.Errorf("daemon %d: fullHits + partialHits + misses + errors != requests: %+v", i+1, ss)
+		}
+	}
+	// 6 + 2 + 2 extraction seeds and 12 sweep seeds on the first daemon; the
+	// restarted one re-simulates all 12 extraction seeds and 4 sweep seeds.
+	if ss := srv.SchedulerStats(); ss.SeedsComputed != 22 || ss.Requests != 7 {
+		t.Errorf("first daemon: %+v", ss)
+	}
+	if ss := srv2.SchedulerStats(); ss.SeedsComputed != 16 || ss.Requests != 3 {
+		t.Errorf("restarted daemon: %+v", ss)
 	}
 }

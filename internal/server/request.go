@@ -67,7 +67,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, route string, dec
 		var err error
 		q.format, err = negotiateFormat(r)
 		if err == nil && q.format == formatBinStream && route == routeExtract {
-			// An extraction's pipeline tail is one indivisible computation, so
+			// An extraction's pipeline is one indivisible computation, so
 			// there is no per-seed frame sequence to stream; NDJSON streams the
 			// verdicts, binary callers take the buffered container.
 			err = notAcceptable(fmt.Errorf("format bin-stream is not supported on /v1/extract (use bin or ndjson)"))

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/registry"
 	"repro/internal/store"
@@ -27,18 +26,18 @@ const (
 	CacheHit CacheStatus = "hit"
 	// CachePartial means the response was assembled from cached per-seed
 	// records plus freshly computed ones (or, for extractions, the pipeline
-	// ran over at least one cached source run).
+	// extended a cached index state).
 	CachePartial CacheStatus = "partial"
 	// CacheMiss means nothing usable was cached.
 	CacheMiss CacheStatus = "miss"
 )
 
-// SourceStats is one catalog source's observed seed traffic since the server
+// SourceStats is one sweep scenario's observed seed traffic since the server
 // started: how many of its seeds were served from the corpus, computed here,
 // or joined from concurrent requests, and the extent of the seed windows
-// requested.  Source is the namespaced catalog name ("scenario:..." /
-// "extraction:...").  Per-seed corpus records do not carry their source name
-// (keys are digests), so these are live traffic counters, not a disk census.
+// requested.  Source is the namespaced catalog name ("scenario:...").
+// Per-seed corpus records do not carry their source name (keys are digests),
+// so these are live traffic counters, not a disk census.
 type SourceStats struct {
 	Source         string `json:"source"`
 	Adversary      string `json:"adversary,omitempty"`
@@ -81,7 +80,7 @@ type SchedulerStats struct {
 	// a local recompute land in SeedsComputed (they were simulated here).
 	SeedsRemote uint64 `json:"seedsRemote"`
 	// Computed counts jobs executed on the worker fleet: missing-seed
-	// simulation passes and extraction pipeline tails.
+	// simulation passes and extraction pipelines.
 	Computed uint64 `json:"computed"`
 	// Errors counts requests that failed (unknown names, compute errors,
 	// admission rejections).
@@ -184,24 +183,16 @@ func retryAfterOf(err error) time.Duration {
 	return 0
 }
 
-// Per-seed corpus keys are namespaced by their catalog family, so a sweep
-// scenario and an extraction pipeline that happen to share a name can never
-// alias each other's records.
-const (
-	scenarioNamespace   = "scenario:"
-	extractionNamespace = "extraction:"
-)
+// scenarioNamespace prefixes a sweep scenario's name in its per-seed corpus
+// keys.  Corpora written by older daemons also hold run-carrying seed records
+// under "extraction:" keys; nothing reads them any more.
+const scenarioNamespace = "scenario:"
 
 // SweepSeedKey returns the per-seed corpus key a sweep of the named
 // catalogued scenario uses for one seed — exported so tests and store
 // tooling can locate individual seed records.
 func SweepSeedKey(scenario, adversary string, seed int64) store.Key {
 	return store.SeedKeySpec(scenarioNamespace+scenario, adversary, seed).Key()
-}
-
-// ExtractSeedKey is SweepSeedKey for an extraction pipeline's source runs.
-func ExtractSeedKey(extraction, adversary string, seed int64) store.Key {
-	return store.SeedKeySpec(extractionNamespace+extraction, adversary, seed).Key()
 }
 
 // call is one in-flight request-level computation (extractions); duplicates
@@ -224,7 +215,6 @@ type seedCall struct {
 	done    chan struct{}
 	owner   obs.TraceID
 	outcome workload.RunOutcome
-	run     *model.Run
 	err     error
 }
 
@@ -233,13 +223,14 @@ type seedCall struct {
 // (shed or abandoned) that says nothing about this request.
 const maxClaimPasses = 3
 
-// scheduler turns validated requests into store payloads.  Every request
-// resolves into (cached seeds ∪ missing seeds): the cached side is served
-// from per-seed corpus records, the missing side is claimed in a seed-level
-// flight table — so concurrent overlapping requests each compute only the
-// seeds nobody else is computing — and computed by the claiming request
-// itself in one worker-fleet pass, one pass at a time (runPass).  Responses
-// assemble from the union, byte-identical to a direct serial computation.
+// scheduler turns validated requests into store payloads.  Every sweep or
+// claim resolves into (cached seeds ∪ missing seeds): the cached side is
+// served from per-seed corpus records, the missing side is claimed in a
+// seed-level flight table — so concurrent overlapping requests each compute
+// only the seeds nobody else is computing — and computed by the claiming
+// request itself in one worker-fleet pass, one pass at a time (runPass).
+// Responses assemble from the union, byte-identical to a direct serial
+// computation.  An extraction miss is one pass of its own (extractMiss).
 type scheduler struct {
 	store  *store.Store
 	runner workload.Runner
@@ -263,9 +254,9 @@ type scheduler struct {
 	// exstates caches extraction index states by pipeline identity (name,
 	// adversary, base seed — not window size), so a request whose seed window
 	// extends a previously served one feeds only the delta to System.Add.
-	// States are claimed (removed) under mu for the duration of a tail and
-	// re-inserted afterwards, so ownership is exclusive even though the tail
-	// runs outside the lock.
+	// States are claimed (removed) under mu for the duration of a pipeline
+	// and re-inserted afterwards, so ownership is exclusive even though the
+	// pipeline runs outside the lock.
 	exstates map[store.Key]*workload.ExtractionState
 	// stats is guarded by mu.  Every mutation — count(), finish(), and the
 	// few direct s.stats.X++ increments in account() and Extract() — must
@@ -342,7 +333,7 @@ func (s *scheduler) releaseExtractionState(id store.Key, st *workload.Extraction
 }
 
 // runPass runs one fleet job — a missing-seed simulation pass or an
-// extraction pipeline tail — on the calling request's goroutine, under the
+// extraction pipeline — on the calling request's goroutine, under the
 // pass token.  pending brackets the wait and the run, so the queue-depth gauge
 // sees jobs from the moment they contend for the token until they finish — and
 // so the admission gate reads the same signal /metrics exposes.  The wait
@@ -491,10 +482,10 @@ func (s *scheduler) Sweep(ctx context.Context, req SweepRequest, tr *obs.Trace, 
 
 // Extract serves one validated extract request, returning the encoded record
 // and how much of it came from the corpus.  The whole-pipeline record is the
-// request-level cache; on a miss, extractMiss reuses cached per-seed source
-// runs and recomputes only the pipeline tail.  tr (nil-safe) collects
+// request-level cache; on a miss, extractMiss simulates only the source seeds
+// the pipeline's cached index state does not cover.  tr (nil-safe) collects
 // per-stage timings for the Server-Timing header and ?debug=timing traces.
-// ctx bounds the request's compute; the pipeline tail is one indivisible
+// ctx bounds the request's compute; the pipeline is one indivisible
 // computation, so there is no per-seed emit here — streamed extraction
 // responses replay the decoded record instead.
 func (s *scheduler) Extract(ctx context.Context, req ExtractRequest, tr *obs.Trace) (payload []byte, status CacheStatus, err error) {
@@ -529,8 +520,8 @@ func (s *scheduler) Extract(ctx context.Context, req ExtractRequest, tr *obs.Tra
 	}
 
 	// Identical concurrent extractions coalesce at request level: the
-	// pipeline tail is one indivisible computation, so there is nothing
-	// finer to share.
+	// pipeline is one indivisible computation, so there is nothing finer to
+	// share.
 	claimSpan := tr.Span("claim")
 	s.mu.Lock()
 	if c, ok := s.inflight[key]; ok {
@@ -543,7 +534,7 @@ func (s *scheduler) Extract(ctx context.Context, req ExtractRequest, tr *obs.Tra
 		// request's work.
 		tr.Link(c.owner)
 		tr.AddSeeds(obs.SeedCounts{Requested: ext.Runs, Coalesced: ext.Runs})
-		// The wait is compute time: the owning request's pipeline tail is
+		// The wait is compute time: the owning request's pipeline is
 		// producing this response.
 		waitSpan := tr.Span("compute")
 		defer waitSpan.End()
@@ -582,17 +573,16 @@ func (s *scheduler) Extract(ctx context.Context, req ExtractRequest, tr *obs.Tra
 	return c.payload, c.status, c.err
 }
 
-// extractMiss computes an extraction nobody has stored: the source runs
-// resolve as a seed window (cached per-seed records reused), then the pipeline
-// tail runs on the worker fleet.  sc.Extraction carries the request's
-// adversary, window and base seed.
+// extractMiss computes an extraction nobody has stored, as one fleet pass.
+// sc.Extraction carries the request's adversary, window and base seed.
 //
 // The pipeline's index state is cached by identity (window size excluded): a
-// window that extends a previously served one resolves only the uncovered
+// window that extends a previously served one simulates only the uncovered
 // tail seeds and feeds them to System.Add.  A window smaller than the cached
 // prefix rebuilds from scratch — knowledge is relative to the whole system,
 // so a smaller window needs its own index — and the larger state returns to
-// the cache.
+// the cache.  Source runs are never stored: re-simulating one costs about
+// what decoding a stored one would.
 func (s *scheduler) extractMiss(ctx context.Context, req ExtractRequest, sc registry.ExtractionScenario, tr *obs.Trace) ([]byte, CacheStatus, error) {
 	ext := &sc.Extraction
 	stateID := store.KeySpec{Kind: "exstate", Name: req.Extraction, Adversary: req.Adversary, SeedBase: ext.BaseSeed}.Key()
@@ -601,42 +591,39 @@ func (s *scheduler) extractMiss(ctx context.Context, req ExtractRequest, sc regi
 		s.releaseExtractionState(stateID, exState)
 		exState = &workload.ExtractionState{}
 	}
-	// The state stays coherent even when the tail errors, so it is always
+	// The state stays coherent even when the pipeline errors, so it is always
 	// worth returning to the cache.
 	defer s.releaseExtractionState(stateID, exState)
 	reused := exState.Indexed
 
-	w := &window{
-		s: s, ctx: ctx, tr: tr, needRuns: true,
-		source: extractionNamespace + req.Extraction, adversary: req.Adversary,
-		spec: ext.Source, seeds: workload.Seeds(ext.BaseSeed, ext.Runs)[reused:],
-	}
-	var counts obs.SeedCounts
-	if len(w.seeds) > 0 {
-		var err error
-		if counts, err = w.resolve(); err != nil {
-			return nil, CacheMiss, err
-		}
-	}
 	var result *workload.ExtractionResult
-	tailSpan := tr.Span("compute")
+	computeSpan := tr.Span("compute")
 	err := s.runPass(ctx, func() (err error) {
-		result, err = s.runner.ExtendExtraction(*ext, exState, w.runs)
+		result, err = s.runner.ExtendExtraction(*ext, exState)
 		return err
 	})
-	tailSpan.End()
+	computeSpan.End()
+	// The seeds the state advanced over were simulated here, even if the
+	// pipeline failed after indexing them.
+	simulated := exState.Indexed - reused
+	tr.AddSeeds(obs.SeedCounts{Requested: simulated, Computed: simulated})
+	s.count(func(st *SchedulerStats) {
+		st.SeedsRequested += uint64(simulated)
+		st.SeedsComputed += uint64(simulated)
+		if err == nil && reused > 0 {
+			st.IndexReuses++
+			st.IndexedRunsReused += uint64(reused)
+		}
+	})
 	if err != nil {
 		return nil, CacheMiss, err
-	}
-	if reused > 0 {
-		s.count(func(st *SchedulerStats) { st.IndexReuses++; st.IndexedRunsReused += uint64(reused) })
 	}
 	encodeSpan := tr.Span("assemble")
 	defer encodeSpan.End()
 	payload := store.EncodeExtractionRecord(store.NewExtractionRecord(req.Adversary, sc.Stress, result))
-	// The pipeline tail always runs on a request-level miss, so cached source
-	// runs or a reused index prefix make the response partial, never a hit.
-	if counts.Cached > 0 || reused > 0 {
+	// The pipeline always runs on a request-level miss, so a reused index
+	// prefix makes the response partial, never a hit.
+	if reused > 0 {
 		return payload, CachePartial, nil
 	}
 	return payload, CacheMiss, nil

@@ -6,8 +6,9 @@
 // table — so concurrent overlapping requests share work instead of
 // duplicating it — and computed by the request that claimed them, in one pass
 // of the shared worker fleet at a time.  Responses assemble from the union
-// (X-Cache: hit | partial | miss), extraction pipelines reuse cached per-seed
-// source runs for their simulate stage, and every response is byte-identical
+// (X-Cache: hit | partial | miss).  Extraction pipelines cache whole
+// responses and their index state, never source runs: a miss simulates the
+// seeds its cached index does not cover.  Every response is byte-identical
 // to a direct serial workload.Sweep / Runner.Extract call.  window.go holds
 // that resolution (one slot-indexed window value per request, its stages as
 // methods); request.go holds the shared ingress (admit) and the per-request

@@ -34,7 +34,7 @@ func newTestServer(t *testing.T, dir string) (*server.Server, *httptest.Server) 
 }
 
 // reopen opens a fresh store on dir, as a restarted daemon would.
-func reopen(t *testing.T, dir string) *store.Store {
+func reopen(t testing.TB, dir string) *store.Store {
 	t.Helper()
 	st, err := store.Open(dir, store.Options{})
 	if err != nil {
@@ -76,7 +76,7 @@ func goldenSweepBody(t *testing.T, req server.SweepRequest) []byte {
 
 // goldenExtractBody renders the response body a direct Runner.Extract would
 // yield for the request.
-func goldenExtractBody(t *testing.T, req server.ExtractRequest) []byte {
+func goldenExtractBody(t testing.TB, req server.ExtractRequest) []byte {
 	t.Helper()
 	sc, err := registry.LookupExtraction(req.Extraction)
 	if err != nil {
@@ -337,18 +337,17 @@ func TestPartialHitSurvivesRestart(t *testing.T) {
 	}
 }
 
-// TestExtractPartialReusesSourceRuns pins extraction reuse: growing a
-// pipeline's sample extends the cached epistemic index with only the new
-// source seeds — the covered prefix is neither re-simulated nor even
-// re-decoded — and still renders the exact bytes a direct Runner.Extract of
-// the grown sample would.  A fresh daemon without the index state falls back
-// to assembling the source runs from the per-seed corpus records.
-func TestExtractPartialReusesSourceRuns(t *testing.T) {
+// TestExtractGrowthExtendsCachedIndex pins extraction growth.  On the same
+// daemon, a grown window extends the cached epistemic index with only the new
+// source seeds and is a partial.  A restarted daemon has no index state and
+// the corpus keeps no source runs, so the same growth there is a miss that
+// simulates every seed.  Both bodies are the exact bytes a direct
+// Runner.Extract of the grown sample renders.
+func TestExtractGrowthExtendsCachedIndex(t *testing.T) {
 	dir := t.TempDir()
 	srv, ts := newTestServer(t, dir)
 	get(t, ts.URL+"/v1/extract?extraction=kx-perfect&runs=6")
-	ss := srv.SchedulerStats()
-	if ss.SeedsComputed != 6 {
+	if ss := srv.SchedulerStats(); ss.SeedsComputed != 6 {
 		t.Fatalf("cold extraction seed stats: %+v", ss)
 	}
 
@@ -361,12 +360,9 @@ func TestExtractPartialReusesSourceRuns(t *testing.T) {
 	if !bytes.Equal(body, golden) {
 		t.Fatalf("grown extraction body differs from direct Runner.Extract")
 	}
-	ss = srv.SchedulerStats()
-	if ss.SeedsComputed != 8 || ss.SeedsCached != 0 {
-		t.Fatalf("grown extraction seed stats: %+v", ss)
-	}
-	if ss.IndexReuses != 1 || ss.IndexedRunsReused != 6 {
-		t.Fatalf("grown extraction should have extended the cached index over 6 runs: %+v", ss)
+	ss := srv.SchedulerStats()
+	if ss.SeedsComputed != 8 || ss.SeedsCached != 0 || ss.IndexReuses != 1 || ss.IndexedRunsReused != 6 {
+		t.Fatalf("grown extraction should have simulated 2 seeds over the cached 6-run index: %+v", ss)
 	}
 
 	// The identical request again is a request-level hit.
@@ -375,21 +371,18 @@ func TestExtractPartialReusesSourceRuns(t *testing.T) {
 		t.Fatalf("replayed extraction X-Cache = %q", header.Get("X-Cache"))
 	}
 
-	// A fresh daemon has no index state, so a further-grown window decodes
-	// the recorded source runs instead of re-simulating them.
 	regrown := server.ExtractRequest{Extraction: "kx-perfect", Runs: 10}
 	golden = goldenExtractBody(t, regrown)
 	srv2, ts2 := newTestServer(t, dir)
 	status, header, body = get(t, ts2.URL+"/v1/extract?extraction=kx-perfect&runs=10")
-	if status != http.StatusOK || header.Get("X-Cache") != "partial" {
+	if status != http.StatusOK || header.Get("X-Cache") != "miss" {
 		t.Fatalf("restarted grown extraction: HTTP %d X-Cache %q", status, header.Get("X-Cache"))
 	}
 	if !bytes.Equal(body, golden) {
 		t.Fatalf("restarted grown extraction body differs from direct Runner.Extract")
 	}
-	ss = srv2.SchedulerStats()
-	if ss.SeedsCached != 8 || ss.SeedsComputed != 2 || ss.IndexReuses != 0 {
-		t.Fatalf("restarted grown extraction seed stats: %+v", ss)
+	if ss := srv2.SchedulerStats(); ss.SeedsComputed != 10 || ss.SeedsCached != 0 || ss.IndexReuses != 0 {
+		t.Fatalf("restarted grown extraction should have simulated all 10 seeds: %+v", ss)
 	}
 }
 
@@ -517,17 +510,21 @@ func TestSweepReplacesRunCarryingSeedRecord(t *testing.T) {
 	}
 }
 
-// TestSweepStoresOutcomesExtractStoresRuns pins which per-seed record each
-// namespace keeps.  A sweep's are outcome containers — no recorded run, well
-// under 1 KiB each — and still assemble novel windows after a restart; an
-// extraction over the same seed values keeps its own run-carrying records,
-// which a restarted daemon decodes (not re-simulates) to grow the sample.
-func TestSweepStoresOutcomesExtractStoresRuns(t *testing.T) {
+// TestSweepStoresOutcomesExtractStoresNoRuns pins what each route keeps.  A
+// sweep's per-seed records are outcome containers — no recorded run, well
+// under 1 KiB each — and still assemble novel windows after a restart.  A cold
+// extraction adds its request-level record and nothing else: no source run.
+func TestSweepStoresOutcomesExtractStoresNoRuns(t *testing.T) {
 	const window = 64
 	dir := t.TempDir()
-	_, ts := newTestServer(t, dir)
+	srv, ts := newTestServer(t, dir)
 	get(t, ts.URL+fmt.Sprintf("/v1/sweep?scenario=prop2.3-nudc&seeds=%d", window))
+	want := srv.Store().ScanShards(true).Kinds
 	get(t, ts.URL+"/v1/extract?extraction=kx-perfect&runs=6&seedBase=1")
+	want["extraction"]++
+	if got := srv.Store().ScanShards(true).Kinds; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("kind census after a cold extraction: %v, want %v (one extraction record added)", got, want)
+	}
 
 	corpus := reopen(t, dir)
 	for _, seed := range workload.Seeds(1, window) {
@@ -539,37 +536,17 @@ func TestSweepStoresOutcomesExtractStoresRuns(t *testing.T) {
 			t.Fatalf("sweep seed %d: %d-byte entry of kind %d (%v), want an outcome container of at most 1 KiB", seed, len(raw), kind, err)
 		}
 	}
-	for _, seed := range workload.Seeds(1, 6) {
-		raw, ok := corpus.Get(server.ExtractSeedKey("kx-perfect", "", seed))
-		if !ok {
-			t.Fatalf("extraction source seed %d: no entry", seed)
-		}
-		if kind, err := store.Kind(raw); err != nil || kind != store.KindSeed {
-			t.Fatalf("extraction source seed %d: entry of kind %d (%v), want a seed record", seed, kind, err)
-		}
-	}
 
 	srv2, ts2 := newTestServer(t, dir)
-	grown := server.ExtractRequest{Extraction: "kx-perfect", Runs: 8, SeedBase: 1}
-	status, header, body := get(t, ts2.URL+"/v1/extract?extraction=kx-perfect&runs=8&seedBase=1")
-	if status != http.StatusOK || header.Get("X-Cache") != "partial" {
-		t.Fatalf("restarted grown extraction: HTTP %d X-Cache %q", status, header.Get("X-Cache"))
-	}
-	if !bytes.Equal(body, goldenExtractBody(t, grown)) {
-		t.Fatalf("restarted grown extraction body differs from direct Runner.Extract")
-	}
-	if ss := srv2.SchedulerStats(); ss.SeedsCached != 6 || ss.SeedsComputed != 2 {
-		t.Fatalf("restarted grown extraction seed stats: %+v", ss)
-	}
 	sub := server.SweepRequest{Scenario: "prop2.3-nudc", Seeds: window / 2, SeedBase: 1}
-	status, header, body = get(t, ts2.URL+fmt.Sprintf("/v1/sweep?scenario=prop2.3-nudc&seeds=%d", window/2))
+	status, header, body := get(t, ts2.URL+fmt.Sprintf("/v1/sweep?scenario=prop2.3-nudc&seeds=%d", window/2))
 	if status != http.StatusOK || header.Get("X-Cache") != "hit" {
 		t.Fatalf("restarted sub-window: HTTP %d X-Cache %q", status, header.Get("X-Cache"))
 	}
 	if !bytes.Equal(body, goldenSweepBody(t, sub)) {
 		t.Fatalf("restarted sub-window body differs from direct serial sweep")
 	}
-	if ss := srv2.SchedulerStats(); ss.SeedsCached != 6+window/2 || ss.SeedsComputed != 2 {
+	if ss := srv2.SchedulerStats(); ss.SeedsCached != window/2 || ss.SeedsComputed != 0 {
 		t.Fatalf("restarted sub-window seed stats: %+v", ss)
 	}
 }

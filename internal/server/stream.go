@@ -176,7 +176,7 @@ func (q *request) streamSweep(ctx context.Context, req SweepRequest) {
 }
 
 // streamExtract serves one extraction request as NDJSON: verdict lines, then
-// the trailer.  The pipeline tail is one indivisible computation, so the
+// the trailer.  The pipeline is one indivisible computation, so the
 // lines flush together once it lands — streaming here is about incremental
 // consumption of large verdict sets, not progressive compute.
 func (q *request) streamExtract(ctx context.Context, req ExtractRequest) {

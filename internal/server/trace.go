@@ -146,8 +146,8 @@ func (s *Server) handleTraceByID(w http.ResponseWriter, r *http.Request) {
 
 // CorpusResponse is the /v1/corpus body: where the corpus lives, how its
 // live records distribute across the 256 key-prefix shards (with a per-kind
-// census: "outcome" counts sweeps' per-seed records, "seed" extraction
-// sources' run-carrying ones, "sweep"/"extraction" whole served requests),
+// census: "outcome" counts sweeps' per-seed records, "sweep"/"extraction"
+// whole served requests, "seed" the run-carrying records older daemons left),
 // what the memory layer holds, and the per-source seed traffic the
 // scheduler has observed.  Per-seed keys are digests, so the per-source view
 // is live accounting since the daemon started, not a disk census.

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/registry"
 	"repro/internal/store"
@@ -42,26 +41,15 @@ const (
 type window struct {
 	s   *scheduler
 	ctx context.Context
-	// source namespaces the per-seed keys ("scenario:" / "extraction:" +
-	// catalog name).
+	// source namespaces the per-seed keys ("scenario:" + catalog name).
 	source    string
 	adversary string
 	spec      workload.Spec
-	// eval scores the runs; nil simulates without scoring (and accepts
-	// unscored cached records).
+	// eval scores the runs; nil simulates without scoring.
 	eval  workload.Evaluator
 	seeds []int64
-	// needRuns selects the per-seed record: extraction sources consume
-	// recorded runs, so they store KindSeed records and decode them through a
-	// pooled decoder, copying each run out of its buffers; nothing in the
-	// scenario namespace ever reads a run, so sweeps and claims store and read
-	// the scored outcome alone (KindOutcome, a few dozen bytes) and never
-	// encode, cache or decode a run.
-	needRuns bool
 	// localOnly forces everything local — set on claim handling, so claims
-	// never recurse across the fleet, and irrelevant when needRuns is set
-	// (extraction source runs are too heavy to ship; they always resolve
-	// locally).
+	// never recurse across the fleet.
 	localOnly bool
 	// tr (nil-safe) accumulates the stage timings: corpus reads under
 	// "resolve", flight-table claims under "claim", fleet waits under
@@ -76,13 +64,11 @@ type window struct {
 
 	keys     []store.Key
 	outcomes []workload.RunOutcome
-	runs     model.System // only when needRuns
 	how      []seedHow
 	// calls[i] is the flight entry this request owns for slot i, nil before
 	// the claim and again once published; owned counts the non-nil ones.
 	calls []*seedCall
 	owned int
-	dec   *store.RunDecoder // only when needRuns
 }
 
 // join is one slot waiting on a concurrent request's flight entry.
@@ -111,11 +97,6 @@ func (w *window) resolve() (obs.SeedCounts, error) {
 	w.outcomes = make([]workload.RunOutcome, n)
 	w.how = make([]seedHow, n)
 	w.calls = make([]*seedCall, n)
-	if w.needRuns {
-		w.runs = make(model.System, n)
-		w.dec = store.Decoders.Get()
-		defer store.Decoders.Put(w.dec)
-	}
 	w.readCorpus()
 	var err error
 	for pass, retry := 1, true; retry && err == nil; pass++ {
@@ -132,21 +113,16 @@ func (w *window) resolve() (obs.SeedCounts, error) {
 	return w.account()
 }
 
-// settle resolves slot i: the outcome (and, for extraction sources, the run)
-// is recorded and streamed, and the flight entry this request owns for the
-// slot, if any, carries both to its joiners.  Remote outcomes carry no run —
-// remote routing is gated on !needRuns, so every possible joiner of those keys
-// consumes outcomes only.
-func (w *window) settle(i int, how seedHow, out workload.RunOutcome, run *model.Run) {
+// settle resolves slot i: the outcome is recorded and streamed, and the
+// flight entry this request owns for the slot, if any, carries it to its
+// joiners.
+func (w *window) settle(i int, how seedHow, out workload.RunOutcome) {
 	w.outcomes[i], w.how[i] = out, how
-	if w.needRuns {
-		w.runs[i] = run
-	}
 	if w.emit != nil {
 		w.emit(out)
 	}
 	if c := w.calls[i]; c != nil {
-		c.outcome, c.run = out, run
+		c.outcome = out
 		w.publish(i)
 	}
 }
@@ -187,28 +163,17 @@ func (w *window) open(idxs []int) []int {
 	return open
 }
 
-// adopt settles slot i from the corpus record stored under its key, handing
-// extraction sources an owned copy of the run (the decoder's view is
-// transient).  A checksum-clean payload that fails to decode, or carries
-// another seed, is an incompatible record (a different kind under the key,
-// e.g. a run-carrying seed record an older daemon stored for a sweep): adopt
-// reports false and the seed is recomputed and overwritten.
+// adopt settles slot i from the outcome record stored under its key.  A
+// checksum-clean payload that fails to decode, or carries another seed, is an
+// incompatible record (a different kind under the key, e.g. a run-carrying
+// seed record an older daemon stored for a sweep): adopt reports false and
+// the seed is recomputed and overwritten.
 func (w *window) adopt(i int, payload []byte) bool {
-	var out workload.RunOutcome
-	var run *model.Run
-	if w.needRuns {
-		rec, err := w.dec.DecodeSeedRecord(payload)
-		if err != nil || rec.Seed != w.seeds[i] || (w.eval != nil && !rec.Scored) {
-			return false
-		}
-		out, run = rec.Outcome(), rec.Run.CompactClone()
-	} else {
-		var err error
-		if out, err = store.DecodeOutcome(payload); err != nil || out.Seed != w.seeds[i] {
-			return false
-		}
+	out, err := store.DecodeOutcome(payload)
+	if err != nil || out.Seed != w.seeds[i] {
+		return false
 	}
-	w.settle(i, seedCached, out, run)
+	w.settle(i, seedCached, out)
 	return true
 }
 
@@ -250,8 +215,6 @@ func (w *window) claim() (owned []int, joins []join) {
 	// read and the flight registration; it was stored before its call
 	// deregistered, so one uncounted probe per claimed seed closes the race
 	// and keeps overlapping requests at exactly one computation per seed.
-	// Joiners on these keys come from the same namespace, so they need the run
-	// exactly when this request does; the published run is adopt's owned copy.
 	stillOwned := owned[:0]
 	for _, i := range owned {
 		if payload, ok := w.s.store.Probe(w.keys[i]); !ok || !w.adopt(i, payload) {
@@ -273,7 +236,7 @@ func (w *window) computeOwned(owned []int) error {
 	}
 	local := owned
 	var groups map[string][]int
-	if w.s.fleet != nil && !w.needRuns && !w.localOnly && strings.HasPrefix(w.source, scenarioNamespace) {
+	if w.s.fleet != nil && !w.localOnly {
 		local, groups = w.s.fleet.partition(w.keys, owned)
 	}
 	claims := w.launchClaims(groups)
@@ -285,13 +248,10 @@ func (w *window) computeOwned(owned []int) error {
 }
 
 // computeLocal simulates idxs in one fleet pass of its own (runPass), persists
-// them as per-seed records and settles them.  It serves the local partition,
-// the hedge, and degraded-mode fallback alike; a failed pass releases the
-// slots with the failure.  Which Runner stage runs the pass is the request's
-// need to retain: an extraction source keeps its runs (RunAll, one owned slab
-// per seed, persisted as KindSeed), while every /v1/sweep miss and /v1/claim
-// keeps outcomes only, so SweepAll scores each run where its engine recorded
-// it and no run is ever built.
+// their outcomes as per-seed records and settles them.  It serves the local
+// partition, the hedge, and degraded-mode fallback alike; a failed pass
+// releases the slots with the failure.  SweepAll scores each run where its
+// engine recorded it, so no run is ever built.
 func (w *window) computeLocal(idxs []int) error {
 	if len(idxs) == 0 {
 		return nil
@@ -300,22 +260,12 @@ func (w *window) computeLocal(idxs []int) error {
 	for j, i := range idxs {
 		seeds[j] = w.seeds[i]
 	}
-	tasks := []workload.Task{{Spec: w.spec, Seeds: seeds, Eval: w.eval}}
-	seedRuns := make([]workload.SeedRun, len(idxs))
+	var outcomes []workload.RunOutcome
 	computeSpan := w.tr.Span("compute")
 	err := w.s.runPass(w.ctx, func() error {
-		if w.needRuns {
-			runs, err := w.s.runner.RunAll(tasks)
-			if err == nil {
-				seedRuns = runs[0]
-			}
-			return err
-		}
-		results, err := w.s.runner.SweepAll(tasks)
+		results, err := w.s.runner.SweepAll([]workload.Task{{Spec: w.spec, Seeds: seeds, Eval: w.eval}})
 		if err == nil {
-			for j, out := range results[0].Outcomes {
-				seedRuns[j].Outcome = out
-			}
+			outcomes = results[0].Outcomes
 		}
 		return err
 	})
@@ -329,18 +279,14 @@ func (w *window) computeLocal(idxs []int) error {
 	putPayloads := make([][]byte, len(idxs))
 	for j, i := range idxs {
 		putKeys[j] = w.keys[i]
-		if w.needRuns {
-			putPayloads[j] = store.EncodeSeedRecord(store.NewSeedRecord(seedRuns[j], w.eval != nil))
-		} else {
-			putPayloads[j] = store.EncodeOutcome(seedRuns[j].Outcome)
-		}
+		putPayloads[j] = store.EncodeOutcome(outcomes[j])
 	}
 	if failed, _ := w.s.store.PutMulti(putKeys, putPayloads); failed > 0 {
 		w.s.count(func(st *SchedulerStats) { st.PutErrors += uint64(failed) })
 	}
 	persistSpan.End()
 	for j, i := range idxs {
-		w.settle(i, seedComputed, seedRuns[j].Outcome, seedRuns[j].Run)
+		w.settle(i, seedComputed, outcomes[j])
 	}
 	return nil
 }
@@ -417,7 +363,7 @@ func (w *window) collectClaims(groups map[string][]int, claims chan claimResult,
 			if res.err == nil {
 				for j, i := range res.idxs {
 					if w.calls[i] != nil {
-						w.settle(i, seedRemote, res.outcomes[j], nil)
+						w.settle(i, seedRemote, res.outcomes[j])
 					}
 				}
 			} else if open := w.open(res.idxs); len(open) > 0 {
@@ -470,7 +416,7 @@ func (w *window) collectJoins(joins []join, pass int, err error) (retry bool, _ 
 			// Span link: this request consumed a seed computed under the
 			// owner's trace.
 			w.tr.Link(c.owner)
-			w.settle(j.slot, seedJoined, c.outcome, c.run)
+			w.settle(j.slot, seedJoined, c.outcome)
 		case !ownerLocal(c.err):
 			err = c.err
 		case pass < maxClaimPasses:

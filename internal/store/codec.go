@@ -34,8 +34,8 @@ const (
 	// KindExtraction is an ExtractionRecord.
 	KindExtraction byte = 4
 	// KindSeed is a SeedRecord: one seed's recorded run plus the simulator's
-	// counters — the per-seed corpus record of an extraction source, whose
-	// pipeline consumes the run.
+	// counters.  Older daemons stored one per extraction source seed; the
+	// daemon no longer writes or reads them.
 	KindSeed byte = 5
 	// KindOutcome is a single workload.RunOutcome: the per-seed corpus record
 	// of a sweep (nothing in the scenario namespace reads a run, so none is

@@ -142,9 +142,8 @@ func (r *reader) runInto(d *RunDecoder) *model.Run {
 	return &d.run
 }
 
-// DecoderPool is a free list of RunDecoders for concurrent users; the serving
-// layer shares one pool so a burst of requests reuses a few warm decoders
-// instead of growing fresh buffers each.
+// DecoderPool is a free list of RunDecoders for concurrent users, so a burst
+// of decodes reuses a few warm decoders instead of growing fresh buffers each.
 type DecoderPool struct {
 	pool sync.Pool
 }

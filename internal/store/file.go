@@ -51,17 +51,8 @@ func WriteRunFile(path, format string, run *model.Run) error {
 
 // ReadRunFile reads one recorded run from path.  Format "auto" sniffs the
 // binary container magic and falls back to JSON; both decoders validate the
-// run before returning it.  The returned run is owned by the caller; tools
-// that only inspect or convert runs should prefer a Transcoder, which skips
-// the owning copy.
+// run before returning it.  The returned run is owned by the caller.
 func ReadRunFile(path, format string) (*model.Run, error) {
-	return readRunFile(path, format, nil)
-}
-
-// readRunFile is the shared read core: with a decoder, binary containers
-// decode into its reusable buffers and the result is a transient view;
-// without one, the plain pooled-and-copied DecodeRun is used.
-func readRunFile(path, format string, dec *RunDecoder) (*model.Run, error) {
 	if err := checkFormat(format); err != nil {
 		return nil, err
 	}
@@ -74,9 +65,7 @@ func readRunFile(path, format string, dec *RunDecoder) (*model.Run, error) {
 		useBin = len(data) >= len(magic) && [4]byte(data[:4]) == magic
 	}
 	var run *model.Run
-	if useBin && dec != nil {
-		run, err = dec.DecodeRun(data)
-	} else if useBin {
+	if useBin {
 		run, err = DecodeRun(data)
 	} else {
 		run, err = trace.DecodeJSON(bytes.NewReader(data))
@@ -85,26 +74,6 @@ func readRunFile(path, format string, dec *RunDecoder) (*model.Run, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return run, nil
-}
-
-// Transcoder reads and converts recorded run files through one reusable
-// decoder: each binary read lands in the decoder's buffers instead of
-// materialising an owning copy that an inspect-and-discard or
-// decode-and-reencode pipeline would immediately throw away.  Runs returned
-// by ReadRunFile are transient views, valid until the transcoder's next
-// read; callers that retain one must take a CompactClone.  A Transcoder is
-// not safe for concurrent use.
-type Transcoder struct {
-	dec *RunDecoder
-}
-
-// NewTranscoder returns a Transcoder with its own decoder.
-func NewTranscoder() *Transcoder { return &Transcoder{dec: NewRunDecoder()} }
-
-// ReadRunFile reads one recorded run like the package-level function, but a
-// binary container decodes to a transient view of the transcoder's buffers.
-func (t *Transcoder) ReadRunFile(path, format string) (*model.Run, error) {
-	return readRunFile(path, format, t.dec)
 }
 
 // WriteSystemFile writes an ordered sequence of recorded runs to path: the

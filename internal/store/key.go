@@ -51,8 +51,8 @@ func (ks KeySpec) Key() Key {
 }
 
 // SeedKeySpec is the identity of one per-seed run record: the qualified
-// source name (the caller prefixes its catalog namespace, e.g. "scenario:" or
-// "extraction:", so sweep scenarios and extraction sources can never alias),
+// source name (the caller prefixes its catalog namespace, e.g. "scenario:",
+// so two catalog families that share a name can never alias),
 // the adversary override, and the concrete seed value.  Keying on the seed
 // value — not on any (seedBase, count) window — is what makes overlapping
 // sweep windows share work: every window that derives the same seed resolves

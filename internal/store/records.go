@@ -69,15 +69,13 @@ func (r *reader) stats() sim.Stats {
 	}
 }
 
-// SeedRecord is the run-carrying per-seed unit of the run corpus: one seed's
-// recorded run plus the simulator's counters.  Extraction pipelines store one
-// per source seed and reuse the recorded runs for their simulate stage.
-// Sweeps do not: their per-seed record is the scored outcome alone
-// (EncodeOutcome), because no sweep response reads a run.  The daemon
-// therefore writes every SeedRecord from a simulate-only pass, with
-// Scored == false and the outcome fields (Violations, LatencySum,
-// LatencyActions) empty; the format still carries them, and they can go at
-// the next CodecVersion bump.
+// SeedRecord is a run-carrying per-seed record: one seed's recorded run plus
+// the simulator's counters.  Older daemons stored one per extraction source
+// seed, from a simulate-only pass (Scored == false, the outcome fields
+// Violations, LatencySum and LatencyActions empty); the daemon now stores no
+// source runs, and a sweep's per-seed record is the scored outcome alone
+// (EncodeOutcome).  The codec stays for the benchmark's store ladder and the
+// codec goldens.
 type SeedRecord struct {
 	// Seed is the concrete seed value (part of the record's key, repeated so
 	// a decoded record is self-describing).

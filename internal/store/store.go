@@ -2,16 +2,15 @@
 // for recorded runs, per-seed records and sweep/extraction results, plus a
 // content-addressed on-disk store with an in-memory LRU front.  Entries are
 // keyed by a digest of their identity — per-seed records (a sweep's scored
-// outcome, an extraction source's recorded run) by (source name, adversary,
-// concrete seed value), request records by the full request window — plus
-// the engine and codec versions.  On disk, a store directory holds one
-// append-only log of frames (a header of length, key and a CRC-32C over both,
-// then the sealed payload) and the store keeps an in-memory index from key to
-// the payload's place in it, rebuilt by one sequential scan on Open, as in
-// Bitcask (Sheehy & Smith, Basho 2010).  A PutMulti batch is one write, a disk
-// read one pread; overwrites are last-wins.  A torn tail is cut off on Open,
-// and every read is checksummed, so corruption is counted and treated as a
-// miss rather than served.
+// outcome) by (source name, adversary, concrete seed value), request records
+// by the full request window — plus the engine and codec versions.  On disk,
+// a store directory holds one append-only log of frames (a header of length,
+// key and a CRC-32C over both, then the sealed payload) and the store keeps
+// an in-memory index from key to the payload's place in it, rebuilt by one
+// sequential scan on Open, as in Bitcask (Sheehy & Smith, Basho 2010).  A
+// PutMulti batch is one write, a disk read one pread; overwrites are
+// last-wins.  A torn tail is cut off on Open, and every read is checksummed,
+// so corruption is counted and treated as a miss rather than served.
 package store
 
 import (

@@ -166,10 +166,11 @@ func TestQuickBorrowedOwnedAndSerialSweepsAgree(t *testing.T) {
 	}
 }
 
-// TestExtractFromRunsMatchesExtract locks the extraction reuse contract: the
-// pipeline over an externally materialised sample equals the end-to-end
-// pipeline byte for byte.
-func TestExtractFromRunsMatchesExtract(t *testing.T) {
+// TestExtendExtractionMatchesExtract locks the index-state contract the
+// serving layer relies on: a state grown over the first k seeds and extended
+// to the whole window yields the end-to-end pipeline's result byte for byte,
+// at every split from the empty state to the full window.
+func TestExtendExtractionMatchesExtract(t *testing.T) {
 	sc := registry.MustExtraction("kx-perfect")
 	ext := sc.Extraction
 	ext.Runs = 8
@@ -178,37 +179,42 @@ func TestExtractFromRunsMatchesExtract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	ran, err := runner.RunAll([]workload.Task{{Spec: ext.Source, Seeds: workload.Seeds(ext.BaseSeed, ext.Runs)}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sampled := make(model.System, len(ran[0]))
-	for i, sr := range ran[0] {
-		sampled[i] = sr.Run
-	}
-	reused, err := runner.ExtractFromRuns(ext, sampled)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	dj, _ := json.Marshal(direct.Verdicts)
-	rj, _ := json.Marshal(reused.Verdicts)
-	if string(dj) != string(rj) {
-		t.Fatalf("verdicts differ between Extract and ExtractFromRuns")
-	}
-	if direct.Kept != reused.Kept || direct.Excluded != reused.Excluded || direct.Stats != reused.Stats {
-		t.Fatalf("pipeline aggregates differ: %+v vs %+v", direct, reused)
-	}
-	directRuns, reusedRuns := transformed(direct), transformed(reused)
-	for i := range directRuns {
-		if runDigest(t, directRuns[i]) != runDigest(t, reusedRuns[i]) {
-			t.Fatalf("transformed run %d differs", i)
+	directRuns := transformed(direct)
+
+	var st *workload.ExtractionState
+	for _, k := range []int{0, 1, ext.Runs / 2, ext.Runs - 1, ext.Runs} {
+		st = &workload.ExtractionState{}
+		if k > 0 {
+			prefix := ext
+			prefix.Runs = k
+			if _, err := runner.ExtendExtraction(prefix, st); err != nil {
+				t.Fatalf("k=%d: prefix: %v", k, err)
+			}
+		}
+		grown, err := runner.ExtendExtraction(ext, st)
+		if err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
+		if gj, _ := json.Marshal(grown.Verdicts); string(gj) != string(dj) {
+			t.Fatalf("k=%d: verdicts differ from Extract's", k)
+		}
+		ge, _ := json.Marshal(grown.ExcludedSeeds)
+		de, _ := json.Marshal(direct.ExcludedSeeds)
+		if grown.Kept != direct.Kept || grown.Excluded != direct.Excluded || grown.Stats != direct.Stats || string(ge) != string(de) {
+			t.Fatalf("k=%d: pipeline aggregates differ: %+v vs %+v", k, grown, direct)
+		}
+		for i, run := range transformed(grown) {
+			if runDigest(t, run) != runDigest(t, directRuns[i]) {
+				t.Fatalf("k=%d: transformed run %d differs", k, i)
+			}
 		}
 	}
 
-	if _, err := runner.ExtractFromRuns(ext, sampled[:3]); err == nil {
-		t.Fatalf("short sample did not fail")
+	short := ext
+	short.Runs = 3
+	if _, err := runner.ExtendExtraction(short, st); err == nil {
+		t.Fatalf("a state covering more seeds than the window did not fail")
 	}
 }
 

@@ -106,41 +106,28 @@ func (e Extraction) evaluator() (Evaluator, error) {
 	}
 }
 
-// Extract executes the pipeline over the runner's worker pool: the simulate,
-// filter and fused transform-and-check stages distribute work at run
-// granularity with slot-indexed results, the index stage at process
-// granularity (each process's build walks the kept runs in seed order), and
-// the fold between them stays in seed order, so the result is byte-identical
-// to a single-worker execution.  Each transformed run is recorded into its
-// worker's reused arena, checked there and dropped, so the pass keeps no
-// f(r): the result carries the verdicts and the index they were read from.
+// Extract executes the pipeline from scratch: ExtendExtraction from the empty
+// state.  Every stage runs over the runner's worker pool: the simulate, filter
+// and fused transform-and-check stages distribute work at run granularity with
+// slot-indexed results, the index stage at process granularity (each
+// process's build walks the kept runs in seed order), and the fold between
+// them stays in seed order, so the result is byte-identical to a single-worker
+// execution.  Each transformed run is recorded into its worker's reused arena,
+// checked there and dropped, so the pass keeps no f(r): the result carries the
+// verdicts and the index they were read from.
 func (r Runner) Extract(e Extraction) (*ExtractionResult, error) {
-	if e.Runs <= 0 {
-		return nil, fmt.Errorf("extraction %q: Runs must be positive", e.Name)
-	}
-	if _, err := e.evaluator(); err != nil {
-		return nil, err
-	}
-
-	// Simulate: one source run per seed, each kept in its seed's slot (the
-	// Runner's fan-out loop, unscored).
-	sampled := make(model.System, e.Runs)
-	source := []Task{{Spec: e.Source, Seeds: Seeds(e.BaseSeed, e.Runs)}}
-	if err := r.simulate(source, (*sim.Engine).Run, func(_, i int, res *sim.Result) { sampled[i] = res.Run }); err != nil {
-		return nil, err
-	}
-	return r.ExtractFromRuns(e, sampled)
+	return r.ExtendExtraction(e, &ExtractionState{})
 }
 
 // ExtractionState carries the incrementally-maintained prefix of an
 // extraction pipeline: the UDC filter verdicts and the epistemic index over
 // the first Indexed seeds of Seeds(BaseSeed, ·).  A serving layer that caches
-// the state for a pipeline feeds ExtendExtraction only the runs of the seeds
-// beyond Indexed when a window grows, so the filter and index stages cost
-// O(new runs) instead of a from-scratch rebuild.  The zero value is the empty
-// prefix.  Identity (same pipeline, source spec and base seed) is the
-// caller's responsibility, as is single-threaded use: the state's System is
-// shared with every result built from it and grows in place.
+// the state for a pipeline hands it back to ExtendExtraction when a window
+// grows, so the simulate, filter and index stages cost O(new runs) instead of
+// a from-scratch rebuild.  The zero value is the empty prefix.  Identity (same
+// pipeline, source spec and base seed) is the caller's responsibility, as is
+// single-threaded use: the state's System is shared with every result built
+// from it and grows in place.
 type ExtractionState struct {
 	// Indexed counts the leading seeds whose runs have been filtered and
 	// indexed.
@@ -153,40 +140,35 @@ type ExtractionState struct {
 	KeptSeeds, ExcludedSeeds []int64
 }
 
-// ExtractFromRuns runs the pipeline's post-simulate stages — UDC filter,
-// epistemic index, run transform, property check — over an
-// already-materialised sample: one run per Seeds(e.BaseSeed, e.Runs) entry,
-// in seed order.  The serving layer uses it to reuse per-seed corpus records
-// for the simulate stage; because a decoded record is byte-identical to a
-// fresh simulation, the pipeline's result is byte-identical to Extract's.
-func (r Runner) ExtractFromRuns(e Extraction, sampled model.System) (*ExtractionResult, error) {
-	return r.ExtendExtraction(e, &ExtractionState{}, sampled)
-}
-
-// ExtendExtraction is ExtractFromRuns fed only a delta: st covers the first
-// st.Indexed seeds and delta holds the runs of the remaining seeds of
-// Seeds(e.BaseSeed, e.Runs), in seed order.  The new runs are filtered and
-// folded into st's index with System.Add, st advances to cover the full
-// window, and the fused transform-and-check stage runs over the grown system
-// (knowledge at existing points can change as runs arrive, so that stage is
-// inherently whole-window).  The result is byte-identical to
-// ExtractFromRuns over the union, and st is mutated even when the pipeline
-// errors afterwards (the state remains a coherent, reusable prefix).
-func (r Runner) ExtendExtraction(e Extraction, st *ExtractionState, delta model.System) (*ExtractionResult, error) {
+// ExtendExtraction runs the pipeline over the window Seeds(e.BaseSeed, e.Runs)
+// given st, which covers its first st.Indexed seeds.  Only the remaining
+// seeds are simulated; their runs are filtered and folded into st's index with
+// System.Add, st advances to cover the full window, and the fused
+// transform-and-check stage runs over the grown system (knowledge at existing
+// points can change as runs arrive, so that stage is inherently whole-window).
+// The result is byte-identical to Extract's over the whole window, and st is
+// mutated even when the pipeline errors afterwards (the state remains a
+// coherent, reusable prefix).
+func (r Runner) ExtendExtraction(e Extraction, st *ExtractionState) (*ExtractionResult, error) {
 	if e.Runs <= 0 {
 		return nil, fmt.Errorf("extraction %q: Runs must be positive", e.Name)
 	}
 	if st.Indexed > e.Runs {
 		return nil, fmt.Errorf("extraction %q: state covers %d seeds of a %d-seed window", e.Name, st.Indexed, e.Runs)
 	}
-	if len(delta) != e.Runs-st.Indexed {
-		return nil, fmt.Errorf("extraction %q: %d delta runs for %d uncovered seeds", e.Name, len(delta), e.Runs-st.Indexed)
-	}
 	eval, err := e.evaluator()
 	if err != nil {
 		return nil, err
 	}
 	seeds := Seeds(e.BaseSeed, e.Runs)[st.Indexed:]
+
+	// Simulate: one source run per uncovered seed, each kept in its seed's
+	// slot (the Runner's fan-out loop, unscored).
+	delta := make(model.System, len(seeds))
+	source := []Task{{Spec: e.Source, Seeds: seeds}}
+	if err := r.simulate(source, (*sim.Engine).Run, func(_, i int, res *sim.Result) { delta[i] = res.Run }); err != nil {
+		return nil, err
+	}
 
 	// Filter: the theorems assume a system that attains UDC, so runs that
 	// violate it are excluded (and reported) rather than indexed.  The checks

@@ -7,8 +7,8 @@ import (
 )
 
 // Task pairs a scenario with the seeds to sweep and the evaluator to apply.
-// A nil Eval means simulate-only: the runs are wanted (an extraction source,
-// a corpus fill) but no property is scored.
+// A nil Eval means simulate-only: the runs are wanted but no property is
+// scored.
 type Task struct {
 	Spec  Spec
 	Seeds []int64
@@ -135,10 +135,9 @@ func (r Runner) SweepAll(tasks []Task) ([]SweepResult, error) {
 // seed) pairs distribute over one worker pool, each seed's SeedRun — an owned
 // run, one fresh slab per seed — lands in its slot, and tasks with a nil
 // evaluator are simulated but not scored.  It is for callers that keep the
-// runs (an extraction source, whose runs become per-seed corpus records); a
-// caller that wants outcomes only pays for the slabs with nothing to show for
-// them and should call SweepAll, whose outcomes are byte-identical (both
-// funnel through ScoreRun).
+// runs; a caller that wants outcomes only pays for the slabs with nothing to
+// show for them and should call SweepAll, whose outcomes are byte-identical
+// (both funnel through ScoreRun).
 func (r Runner) RunAll(tasks []Task) ([][]SeedRun, error) {
 	runs := make([][]SeedRun, len(tasks))
 	for ti, t := range tasks {

@@ -6,6 +6,9 @@
 # sweep that must be a partial hit computing exactly 8 new seeds, a repeat
 # that must be a byte-identical full hit, and a second cold daemon whose
 # from-scratch seeds=16 body must equal the assembled one byte for byte.
+# An extraction leg grows kx-perfect from runs=6 to runs=8 (a partial over
+# the cached index), restarts the daemon (runs=8 is then a hit from the
+# stored request record), and compares that body with the cold daemon's.
 # Along the way it scrapes /metrics, validates the exposition grammar line by
 # line, and checks the scheduler mirror agrees with /v1/stats.  Two more legs
 # cover the wire protocol and admission control: the NDJSON stream must carry
@@ -129,6 +132,22 @@ binsize="$(wc -c < "$workdir/bin16")"
 jsonsize="$(wc -c < "$workdir/b16")"
 [ "$binsize" -lt "$((jsonsize / 2))" ] || { echo "binary body ($binsize bytes) not materially smaller than JSON ($jsonsize bytes)"; exit 1; }
 
+# Extraction leg: growing a served pipeline's window on the same daemon
+# extends its cached index state (a partial); a restarted daemon has no index
+# state but serves the identical window from its stored request record.
+curl -sf -D "$workdir/hx6" -o /dev/null "$base/v1/extract?extraction=kx-perfect&runs=6"
+grep -qi '^x-cache: miss' "$workdir/hx6" || { echo "cold extraction runs=6 was not a miss:"; cat "$workdir/hx6"; exit 1; }
+curl -sf -D "$workdir/hx8" -o "$workdir/bx8" "$base/v1/extract?extraction=kx-perfect&runs=8"
+grep -qi '^x-cache: partial' "$workdir/hx8" || { echo "grown extraction runs=8 was not a partial:"; cat "$workdir/hx8"; exit 1; }
+kill "$pid"
+wait "$pid" 2>/dev/null || true
+boot_daemon "$workdir/udcd1b.log" "$workdir/store"
+pid=$bootpid
+echo "daemon restarted at $base"
+curl -sf -D "$workdir/hx8b" -o "$workdir/bx8b" "$base/v1/extract?extraction=kx-perfect&runs=8"
+grep -qi '^x-cache: hit' "$workdir/hx8b" || { echo "restarted extraction runs=8 was not a hit:"; cat "$workdir/hx8b"; exit 1; }
+cmp "$workdir/bx8" "$workdir/bx8b" || { echo "restarted extraction hit body differs from the grown body"; exit 1; }
+
 # A cold daemon over a fresh store must compute the same 16-seed body byte
 # for byte — the assembled partial-hit response is indistinguishable from a
 # from-scratch computation.
@@ -138,6 +157,9 @@ echo "cold reference daemon up at $base"
 curl -sf -D "$workdir/h16c" -o "$workdir/b16c" "$base/v1/sweep?scenario=prop3.1-strong-udc&seeds=16"
 grep -qi '^x-cache: miss' "$workdir/h16c" || { echo "reference seeds=16 was not a miss:"; cat "$workdir/h16c"; exit 1; }
 cmp "$workdir/b16" "$workdir/b16c" || { echo "partial-hit body differs from a cold daemon's computation"; exit 1; }
+curl -sf -D "$workdir/hx8c" -o "$workdir/bx8c" "$base/v1/extract?extraction=kx-perfect&runs=8"
+grep -qi '^x-cache: miss' "$workdir/hx8c" || { echo "reference extraction runs=8 was not a miss:"; cat "$workdir/hx8c"; exit 1; }
+cmp "$workdir/bx8b" "$workdir/bx8c" || { echo "restarted extraction body differs from a cold daemon's computation"; exit 1; }
 
 # Admission leg: a rate-limited daemon (1 req/s, burst 2) must shed part of a
 # 5-request burst with 429 + Retry-After, count the sheds on /metrics, and
@@ -159,4 +181,4 @@ curl -sf "$base/metrics" >"$workdir/metrics3.txt"
 grep -q "^udc_admission_rate_limited_total $shed\$" "$workdir/metrics3.txt" || { echo "/metrics rate-limited counter disagrees (want $shed):"; grep rate_limited "$workdir/metrics3.txt"; exit 1; }
 grep -q 'udc_http_requests_total{route="/v1/sweep",code="429"}' "$workdir/metrics3.txt" || { echo "429s missing from the HTTP counter:"; grep udc_http_requests_total "$workdir/metrics3.txt"; exit 1; }
 
-echo "daemon smoke OK: partial-hit assembly byte-identical to cold computation, 8 seeds reused, stream trailer matches buffered aggregate, trace stages match Server-Timing, $shed/5 burst requests shed with 429"
+echo "daemon smoke OK: partial-hit assembly byte-identical to cold computation, 8 seeds reused, grown and restarted extractions byte-identical to cold, stream trailer matches buffered aggregate, trace stages match Server-Timing, $shed/5 burst requests shed with 429"

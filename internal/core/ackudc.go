@@ -129,7 +129,7 @@ func (p *ackUDC[R, P]) OnTick(ctx sim.Context) {
 // check.  Only entered actions are performed, so a new row is unperformed.
 func (p *ackUDC[R, P]) enter(ctx sim.Context, a model.ActionID) {
 	row := activeAction{id: a, acked: model.Singleton(p.id)}
-	if !p.active.add(row) {
+	if !p.active.add(row, ctx.Initiations()) {
 		return
 	}
 	p.resend(ctx, row, false)

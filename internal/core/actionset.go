@@ -29,10 +29,15 @@ func (s *actionSet) index(a model.ActionID) int {
 }
 
 // add appends row and reports whether its action was newly added; adding an
-// action already in the table changes nothing.
-func (s *actionSet) add(row activeAction) bool {
+// action already in the table changes nothing.  The first row sizes the table
+// for actions rows, the run's initiation count (sim.Context.Initiations),
+// so the table is allocated once rather than grown row by row.
+func (s *actionSet) add(row activeAction, actions int) bool {
 	if s.index(row.id) < len(s.entries) {
 		return false
+	}
+	if s.entries == nil {
+		s.entries = make([]activeAction, 0, max(actions, 1))
 	}
 	s.entries = append(s.entries, row)
 	return true

@@ -49,7 +49,7 @@ func (p *NUDC) OnTick(ctx sim.Context) {
 // enter moves the process into the nUDC(a) state: perform a and start
 // re-broadcasting it.
 func (p *NUDC) enter(ctx sim.Context, a model.ActionID) {
-	if !p.active.add(activeAction{id: a}) {
+	if !p.active.add(activeAction{id: a}, ctx.Initiations()) {
 		return
 	}
 	ctx.Do(a)
@@ -94,7 +94,7 @@ func (p *ReliableUDC) OnTick(sim.Context) {}
 // enter first relays alpha to everyone and only then performs it, exactly the
 // order the proof of Proposition 2.4 relies on.
 func (p *ReliableUDC) enter(ctx sim.Context, a model.ActionID) {
-	if !p.active.add(activeAction{id: a}) {
+	if !p.active.add(activeAction{id: a}, ctx.Initiations()) {
 		return
 	}
 	ctx.Broadcast(model.Message{Kind: MsgAlpha, Action: a, KnownInits: true})

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"time"
 
@@ -301,7 +302,7 @@ func (s *scheduler) Claim(ctx context.Context, req ClaimRequest, tr *obs.Trace) 
 // ingress skips).
 func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
 	var req ClaimRequest
-	q, ctx, done := s.admit(w, r, routeClaim, func() error {
+	q, ctx, done := s.admit(w, r, routeClaim, func(url.Values) error {
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			return err
 		}

@@ -94,7 +94,7 @@ func newServerMetrics(sched *scheduler, st *store.Store, traces *obs.TraceLog, f
 	seedsCoalesced := reg.Counter("udc_scheduler_seeds_coalesced_total",
 		"Seeds joined from concurrent requests' in-flight computations.")
 	jobs := reg.Counter("udc_scheduler_fleet_jobs_total",
-		"Jobs executed on the worker fleet, one pass each (missing-seed simulation passes and extraction pipeline tails).")
+		"Jobs executed on the worker fleet, one pass each (a sweep's or claim's missing-seed simulation, or an extraction miss's whole pipeline).")
 	putErrors := reg.Counter("udc_scheduler_put_errors_total",
 		"Computed payloads that could not be persisted (results still served; a degraded store, not failing requests).")
 	indexReuses := reg.Counter("udc_scheduler_index_reuses_total",
@@ -141,7 +141,7 @@ func newServerMetrics(sched *scheduler, st *store.Store, traces *obs.TraceLog, f
 	fleetBusy := reg.Gauge("udc_fleet_busy_workers",
 		"Workers currently executing a simulation.")
 	fleetPasses := reg.Gauge("udc_fleet_active_passes",
-		"Fleet passes (SweepAll/RunAll rounds) in progress.")
+		"Simulation fan-outs in progress (a sweep's or claim's missing seeds, or an extraction miss's source runs).")
 
 	// Fleet-mode (multi-peer) mirrors.  The families exist whatever the
 	// configuration — an exposition page's shape should not depend on flags —

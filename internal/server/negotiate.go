@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/url"
 	"sort"
 	"strings"
 	"sync"
@@ -49,18 +50,21 @@ func notAcceptable(err error) error {
 	return &httpError{status: http.StatusNotAcceptable, err: err}
 }
 
-// negotiateFormat resolves a request's response format.  ?format= wins over
-// Accept; within Accept, the first recognised media type in listed order
-// wins, and a header naming none of ours (or absent) falls back to JSON.
-func negotiateFormat(r *http.Request) (string, error) {
-	if q := r.URL.Query().Get("format"); q != "" {
-		switch q {
+// negotiateFormat resolves a request's response format from its parsed query
+// and its Accept header.  ?format= wins over Accept; within Accept, the first
+// recognised media type in listed order wins, and a header naming none of
+// ours (or absent) falls back to JSON.
+func negotiateFormat(query url.Values, accept string) (string, error) {
+	if f := query.Get("format"); f != "" {
+		switch f {
 		case formatJSON, formatBin, formatNDJSON, formatBinStream:
-			return q, nil
+			return f, nil
 		}
-		return "", notAcceptable(fmt.Errorf("unsupported format %q (json, bin, ndjson, bin-stream)", q))
+		return "", notAcceptable(fmt.Errorf("unsupported format %q (json, bin, ndjson, bin-stream)", f))
 	}
-	for _, part := range strings.Split(r.Header.Get("Accept"), ",") {
+	for accept != "" {
+		var part string
+		part, accept, _ = strings.Cut(accept, ",")
 		mediaType, _, _ := strings.Cut(part, ";")
 		switch strings.ToLower(strings.TrimSpace(mediaType)) {
 		case ctBinary:

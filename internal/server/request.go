@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"net/url"
 	"strconv"
 	"time"
 
@@ -29,14 +30,16 @@ const maxBodyBytes = 1 << 20
 
 var errMethod = errors.New("method not allowed (use GET or POST)")
 
-// request is one corpus-route request in flight: where its response goes, the
-// route and negotiated format its telemetry is labelled with, its trace and
-// its arrival time.  Every exit path ends in exactly one of fail, serveJSON,
-// serveBinary or a streamer's finish, each of which finishes the trace.
+// request is one corpus-route request in flight: where its response goes, its
+// query (parsed once, by admit; nil on the claim route), the route and
+// negotiated format its telemetry is labelled with, its trace and its arrival
+// time.  Every exit path ends in exactly one of fail, serveJSON, serveBinary
+// or a streamer's finish, each of which finishes the trace.
 type request struct {
 	s      *Server
 	w      http.ResponseWriter
 	r      *http.Request
+	query  url.Values
 	route  string
 	format string
 	tr     *obs.Trace
@@ -51,7 +54,7 @@ type request struct {
 // client's budget.  decode fills and validates the route's request value.  A
 // rejected request is already answered and q is nil; otherwise the caller
 // defers done.
-func (s *Server) admit(w http.ResponseWriter, r *http.Request, route string, decode func() error) (q *request, ctx context.Context, done func()) {
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, route string, decode func(query url.Values) error) (q *request, ctx context.Context, done func()) {
 	q = &request{s: s, w: w, r: r, route: route, format: formatBin, tr: s.beginTrace(r), start: time.Now()}
 	w.Header().Set("X-Trace-Id", q.tr.ID.String())
 	// The claim route is fleet-internal: POST only, always the binary wire,
@@ -65,7 +68,8 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, route string, dec
 		allow = "POST"
 	} else {
 		var err error
-		q.format, err = negotiateFormat(r)
+		q.query = r.URL.Query()
+		q.format, err = negotiateFormat(q.query, r.Header.Get("Accept"))
 		if err == nil && q.format == formatBinStream && route == routeExtract {
 			// An extraction's pipeline is one indivisible computation, so
 			// there is no per-seed frame sequence to stream; NDJSON streams the
@@ -84,7 +88,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, route string, dec
 		return nil, nil, nil
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	if err := decode(); err != nil {
+	if err := decode(q.query); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			q.fail(&httpError{status: http.StatusRequestEntityTooLarge, err: err})
@@ -184,7 +188,7 @@ func (q *request) observeWire(bytes int) {
 // trace envelope whose inner response bytes are the unchanged normal body.
 func (q *request) serveJSON(status CacheStatus, body []byte) {
 	total := q.stamp(status)
-	if q.r.URL.Query().Get("debug") == "timing" {
+	if q.query.Get("debug") == "timing" {
 		body = MarshalBody(DebugTimingResponse{
 			Trace:    traceJSON(q.tr, total, status),
 			Response: json.RawMessage(bytes.TrimSuffix(body, []byte("\n"))),

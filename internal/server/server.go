@@ -52,6 +52,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -324,31 +325,37 @@ func (s *Server) requestContext(r *http.Request) (context.Context, context.Cance
 	return r.Context(), func() {}
 }
 
-// decodeRequest fills req from the query string (GET) or the JSON body
-// (POST); admit has rejected every other method.  Query parameters use the
-// JSON field names.
-func decodeRequest(r *http.Request, fields map[string]any) error {
+// param names a request field and where decodeRequest stores it: a *string,
+// *int or *int64.
+type param struct {
+	name string
+	dst  any
+}
+
+// decodeRequest fills params, in order, from the parsed query (GET) or the
+// JSON body (POST); admit has rejected every other method.  Query parameters
+// use the JSON field names.
+func decodeRequest(r *http.Request, query url.Values, params []param) error {
 	switch r.Method {
 	case http.MethodGet:
-		q := r.URL.Query()
-		for name, dst := range fields {
-			raw := q.Get(name)
+		for _, f := range params {
+			raw := query.Get(f.name)
 			if raw == "" {
 				continue
 			}
-			switch p := dst.(type) {
+			switch p := f.dst.(type) {
 			case *string:
 				*p = raw
 			case *int:
 				v, err := strconv.Atoi(raw)
 				if err != nil {
-					return fmt.Errorf("parameter %s: %w", name, err)
+					return fmt.Errorf("parameter %s: %w", f.name, err)
 				}
 				*p = v
 			case *int64:
 				v, err := strconv.ParseInt(raw, 10, 64)
 				if err != nil {
-					return fmt.Errorf("parameter %s: %w", name, err)
+					return fmt.Errorf("parameter %s: %w", f.name, err)
 				}
 				*p = v
 			}
@@ -358,13 +365,13 @@ func decodeRequest(r *http.Request, fields map[string]any) error {
 		if err := json.NewDecoder(r.Body).Decode(&target); err != nil {
 			return fmt.Errorf("decode request body: %w", err)
 		}
-		for name, dst := range fields {
-			raw, ok := target[name]
+		for _, f := range params {
+			raw, ok := target[f.name]
 			if !ok {
 				continue
 			}
-			if err := json.Unmarshal(raw, dst); err != nil {
-				return fmt.Errorf("field %s: %w", name, err)
+			if err := json.Unmarshal(raw, f.dst); err != nil {
+				return fmt.Errorf("field %s: %w", f.name, err)
 			}
 		}
 	}
@@ -396,12 +403,12 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	q, ctx, done := s.admit(w, r, routeSweep, func() error {
-		if err := decodeRequest(r, map[string]any{
-			"scenario":  &req.Scenario,
-			"adversary": &req.Adversary,
-			"seeds":     &req.Seeds,
-			"seedBase":  &req.SeedBase,
+	q, ctx, done := s.admit(w, r, routeSweep, func(query url.Values) error {
+		if err := decodeRequest(r, query, []param{
+			{"scenario", &req.Scenario},
+			{"adversary", &req.Adversary},
+			{"seeds", &req.Seeds},
+			{"seedBase", &req.SeedBase},
 		}); err != nil {
 			return err
 		}
@@ -424,27 +431,23 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		q.serveBinary(status, payload)
 		return
 	}
-	rec, err := store.DecodeSweepRecord(payload)
-	if err != nil {
+	sc := jsonBufs.Get().(*jsonScratch)
+	defer sc.release()
+	if err := sc.renderBody(payload); err != nil {
 		q.fail(err)
 		return
 	}
-	body := jsonBufs.Get().(*[]byte)
-	*body = appendSweepBody((*body)[:0], rec)
-	q.serveJSON(status, *body)
-	if cap(*body) <= maxPooledBody {
-		jsonBufs.Put(body)
-	}
+	q.serveJSON(status, sc.body)
 }
 
 func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
 	var req ExtractRequest
-	q, ctx, done := s.admit(w, r, routeExtract, func() error {
-		if err := decodeRequest(r, map[string]any{
-			"extraction": &req.Extraction,
-			"adversary":  &req.Adversary,
-			"runs":       &req.Runs,
-			"seedBase":   &req.SeedBase,
+	q, ctx, done := s.admit(w, r, routeExtract, func(query url.Values) error {
+		if err := decodeRequest(r, query, []param{
+			{"extraction", &req.Extraction},
+			{"adversary", &req.Adversary},
+			{"runs", &req.Runs},
+			{"seedBase", &req.SeedBase},
 		}); err != nil {
 			return err
 		}

@@ -158,11 +158,12 @@ func (q *request) streamSweep(ctx context.Context, req SweepRequest) {
 	st := newStreamer(q)
 	payload, status, err := q.s.sched.Sweep(ctx, req, q.tr, st.emitOutcome)
 	if err == nil && q.format == formatNDJSON {
-		var rec *store.SweepRecord
-		if rec, err = store.DecodeSweepRecord(payload); err == nil {
+		sc := jsonBufs.Get().(*jsonScratch)
+		defer sc.release()
+		if err = store.DecodeSweepRecordInto(&sc.rec, payload); err == nil {
 			total := st.setTrailers(status)
 			st.write(MarshalBody(streamTrailerLine{Trailer: SweepTrailerJSON{
-				Aggregate: SweepAggregateOf(rec),
+				Aggregate: SweepAggregateOf(&sc.rec),
 				Trace:     traceJSON(q.tr, total, status),
 			}}))
 		}

@@ -219,14 +219,41 @@ func SweepAggregateOf(rec *store.SweepRecord) SweepAggregate {
 // exactly MarshalBody(SweepResponseOf(rec)) and MarshalBody(outcomeJSON(o)),
 // which TestSweepJSONMatchesEncodingJSON and FuzzSweepJSON pin.
 
-// jsonBufs recycles the buffers buffered sweep bodies are rendered into; a
-// buffer goes back once the body is written, since a Writer keeps nothing it
-// is given.
-var jsonBufs = sync.Pool{New: func() any { return new([]byte) }}
+// jsonScratch is what rendering a sweep's JSON takes beyond the stored
+// container: the record decoded from it and the buffer a buffered body is
+// rendered into.  jsonBufs recycles them; a scratch goes back once the body
+// or trailer is written, since a Writer keeps nothing it is given.
+type jsonScratch struct {
+	body []byte
+	rec  store.SweepRecord
+}
 
-// maxPooledBody bounds the buffers jsonBufs keeps, so one large window (a
-// 64-seed body is ≈ 18 KB) does not stay pinned for every small one after it.
-const maxPooledBody = 256 << 10
+var jsonBufs = sync.Pool{New: func() any { return new(jsonScratch) }}
+
+// maxPooledBody and maxPooledOutcomes bound the scratches jsonBufs keeps, so
+// one large window (a 64-seed body is ≈ 18 KB, its outcomes 8.5 KB) does not
+// stay pinned for every small one after it.
+const (
+	maxPooledBody     = 256 << 10
+	maxPooledOutcomes = 1024
+)
+
+// renderBody is a buffered JSON sweep response's decode and render: the
+// stored container decoded into sc.rec and its body rendered into sc.body.
+func (sc *jsonScratch) renderBody(payload []byte) error {
+	if err := store.DecodeSweepRecordInto(&sc.rec, payload); err != nil {
+		return err
+	}
+	sc.body = appendSweepBody(sc.body[:0], &sc.rec)
+	return nil
+}
+
+// release returns sc to jsonBufs unless it has outgrown the bounds.
+func (sc *jsonScratch) release() {
+	if cap(sc.body) <= maxPooledBody && cap(sc.rec.Outcomes) <= maxPooledOutcomes {
+		jsonBufs.Put(sc)
+	}
+}
 
 // appendSweepBody appends the buffered /v1/sweep JSON body of rec, trailing
 // newline included.

@@ -50,6 +50,9 @@ type Context interface {
 	Do(a model.ActionID)
 	// HasDone reports whether this process has already performed a.
 	HasDone(a model.ActionID) bool
+	// Initiations returns the number of initiations in the run's workload,
+	// which bounds the coordination actions a process can learn of.
+	Initiations() int
 }
 
 // NetworkConfig describes the channel behaviour.

@@ -140,6 +140,9 @@ func (c *procContext) Do(a model.ActionID) {
 	c.e.record(c.p.id, model.EventDo).SetAction(a)
 }
 
+// Initiations implements Context.
+func (c *procContext) Initiations() int { return len(c.e.cfg.Initiations) }
+
 // HasDone implements Context.
 func (c *procContext) HasDone(a model.ActionID) bool {
 	idx := c.e.actionIndex(a)

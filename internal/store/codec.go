@@ -189,14 +189,21 @@ func (r *reader) bool() bool {
 	return b != 0
 }
 
-func (r *reader) str() string {
+func (r *reader) str() string { return r.strOver("") }
+
+// strOver reads a string like str, but returns old itself when the bytes
+// spell it, so a recycled record's unchanged strings cost no allocation.
+func (r *reader) strOver(old string) string {
 	n := r.length("string")
 	if r.err != nil {
 		return ""
 	}
-	s := string(r.data[r.pos : r.pos+n])
+	b := r.data[r.pos : r.pos+n]
 	r.pos += n
-	return s
+	if string(b) == old {
+		return old
+	}
+	return string(b)
 }
 
 // kind reads a message kind's name, written like a string, and interns it:
@@ -615,14 +622,23 @@ func (w *writer) violations(vs []model.Violation) {
 	}
 }
 
-func (r *reader) violations() []model.Violation {
+func (r *reader) violations() []model.Violation { return r.violationsOver(nil) }
+
+// violationsOver reads a violation list like violations, but into old's
+// backing array when it has room, keeping old's strings where they are
+// unchanged.  An empty list is nil either way.
+func (r *reader) violationsOver(old []model.Violation) []model.Violation {
 	count := r.length("violation")
 	if r.err != nil || count == 0 {
 		return nil
 	}
-	vs := make([]model.Violation, count)
+	vs := old[:cap(old)]
+	if len(vs) < count {
+		vs = make([]model.Violation, count)
+	}
+	vs = vs[:count]
 	for i := range vs {
-		vs[i] = model.Violation{Rule: r.str(), Detail: r.str()}
+		vs[i] = model.Violation{Rule: r.strOver(vs[i].Rule), Detail: r.strOver(vs[i].Detail)}
 	}
 	return vs
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/registry"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -60,6 +61,79 @@ func FuzzDecodeOutcome(f *testing.F) {
 			for bit := 0; len(flipped) <= 512 && bit < 8*len(flipped); bit++ {
 				flipped[bit/8] ^= 1 << (bit % 8)
 				if _, err := DecodeOutcome(flipped); err == nil {
+					t.Fatalf("container accepted with bit %d flipped", bit)
+				}
+				flipped[bit/8] ^= 1 << (bit % 8)
+			}
+		}
+	})
+}
+
+// FuzzDecodeSweepRecord fuzzes the parser behind every stored and served
+// sweep window, which the daemon reads back from disk and clients read off
+// the wire.  Its shape is FuzzDecodeOutcome's: every input is decoded as it is
+// and sealed as a payload; neither decode may panic or allocate more than
+// reader.length allows, an accepted record must survive decode∘encode
+// unchanged, and no single-bit flip of an accepted container may be accepted
+// too.  Every input is also decoded into one recycled record, which still
+// holds the previous input's decode (whole, partial or failed): it must fail
+// exactly when a fresh decode fails and otherwise equal it.  The seeds are
+// two-seed sweeps of every catalogued scenario and hand-built records with an
+// adversary and violations.
+func FuzzDecodeSweepRecord(f *testing.F) {
+	recs := []*SweepRecord{
+		{Scenario: "empty", Check: "udc", SeedBase: 1},
+		{Scenario: "adv", Check: "nudc", Adversary: "burst-loss", SeedBase: -5, Outcomes: []workload.RunOutcome{
+			{Seed: -5, Stats: sim.Stats{Steps: 10, CrashEvents: 2}, Violations: []model.Violation{{Rule: "R3", Detail: "p2 did a without init"}, {Rule: "udc"}}, LatencySum: 17, LatencyActions: 3},
+			{Seed: -4, Violations: []model.Violation{{Rule: "udc", Detail: "p1"}}},
+			{Seed: -3, Stats: sim.Stats{Steps: 400, MessagesSent: 120}},
+		}},
+	}
+	for _, sc := range registry.Scenarios() {
+		res, err := workload.Sweep(sc.Spec, workload.Seeds(1, 2), sc.Eval)
+		if err != nil {
+			f.Fatal(err)
+		}
+		recs = append(recs, NewSweepRecord(sc.Name, sc.Check, "", 1, res))
+	}
+	for _, rec := range recs {
+		container := EncodeSweepRecord(rec)
+		f.Add(container)
+		f.Add(container[5 : len(container)-4])
+	}
+	var recycled SweepRecord
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, container := range [][]byte{data, seal(KindSweep, data)} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			rec, err := DecodeSweepRecord(container)
+			runtime.ReadMemStats(&after)
+			// An outcome count is bounded by the bytes that remain and a
+			// RunOutcome is 136 bytes; each violation list is bounded the
+			// same way at 32 bytes an entry, and the strings copy input
+			// bytes: under 256 bytes per input byte, plus slack for the
+			// error value and whatever else the process allocates meanwhile.
+			if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(256*len(container)+64<<10); got > limit {
+				t.Fatalf("decoding %d bytes allocated %d, limit %d", len(container), got, limit)
+			}
+			if rerr := DecodeSweepRecordInto(&recycled, container); (rerr == nil) != (err == nil) {
+				t.Fatalf("recycled decode: %v, fresh decode: %v", rerr, err)
+			}
+			if err != nil {
+				continue
+			}
+			if !reflect.DeepEqual(&recycled, rec) {
+				t.Fatalf("recycled decode differs from a fresh one:\n%+v\n%+v", recycled, *rec)
+			}
+			canonical := EncodeSweepRecord(rec)
+			again, err := DecodeSweepRecord(canonical)
+			if err != nil || !reflect.DeepEqual(again, rec) {
+				t.Fatalf("decode∘encode is not the identity: %+v -> %+v (%v)", rec, again, err)
+			}
+			flipped := append([]byte(nil), container...) // the engine owns data
+			for bit := 0; len(flipped) <= 512 && bit < 8*len(flipped); bit++ {
+				flipped[bit/8] ^= 1 << (bit % 8)
+				if _, err := DecodeSweepRecord(flipped); err == nil {
 					t.Fatalf("container accepted with bit %d flipped", bit)
 				}
 				flipped[bit/8] ^= 1 << (bit % 8)

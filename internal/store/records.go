@@ -166,34 +166,47 @@ func EncodeSweepRecord(rec *SweepRecord) []byte {
 
 // DecodeSweepRecord deserialises a record encoded by EncodeSweepRecord.
 func DecodeSweepRecord(data []byte) (*SweepRecord, error) {
-	payload, err := unseal(data, KindSweep)
-	if err != nil {
-		return nil, err
-	}
-	r := reader{data: payload}
-	rec := &SweepRecord{
-		Scenario:  r.str(),
-		Check:     r.str(),
-		Adversary: r.str(),
-		SeedBase:  r.svarint(),
-	}
-	count := r.length("outcome")
-	if r.err == nil && count > 0 {
-		rec.Outcomes = make([]workload.RunOutcome, count)
-		for i := range rec.Outcomes {
-			rec.Outcomes[i] = workload.RunOutcome{
-				Seed:       r.svarint(),
-				Stats:      r.stats(),
-				Violations: r.violations(),
-			}
-			rec.Outcomes[i].LatencySum = r.int()
-			rec.Outcomes[i].LatencyActions = r.int()
-		}
-	}
-	if err := r.done(); err != nil {
+	rec := new(SweepRecord)
+	if err := DecodeSweepRecordInto(rec, data); err != nil {
 		return nil, err
 	}
 	return rec, nil
+}
+
+// DecodeSweepRecordInto is DecodeSweepRecord into a record the caller owns
+// and decodes one container after another into.  It overwrites every field:
+// Outcomes, and each outcome's Violations, are refilled in place when their
+// capacity suffices, a string whose bytes are unchanged is kept, and an empty
+// list is nil, so the result equals a fresh decode and nothing of rec's last
+// use shows.  rec's slices must be rec's alone (a record from NewSweepRecord
+// shares its sweep's outcomes).  On error rec's contents are unspecified.
+func DecodeSweepRecordInto(rec *SweepRecord, data []byte) error {
+	payload, err := unseal(data, KindSweep)
+	if err != nil {
+		return err
+	}
+	r := reader{data: payload}
+	rec.Scenario = r.strOver(rec.Scenario)
+	rec.Check = r.strOver(rec.Check)
+	rec.Adversary = r.strOver(rec.Adversary)
+	rec.SeedBase = r.svarint()
+	switch count := r.length("outcome"); {
+	case r.err != nil || count == 0:
+		rec.Outcomes = nil
+	case cap(rec.Outcomes) < count:
+		rec.Outcomes = make([]workload.RunOutcome, count)
+	default:
+		rec.Outcomes = rec.Outcomes[:count]
+	}
+	for i := range rec.Outcomes {
+		o := &rec.Outcomes[i]
+		o.Seed = r.svarint()
+		o.Stats = r.stats()
+		o.Violations = r.violationsOver(o.Violations)
+		o.LatencySum = r.int()
+		o.LatencyActions = r.int()
+	}
+	return r.done()
 }
 
 // ExtractionRecord is the serialisable result of one knowledge-extraction

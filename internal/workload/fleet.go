@@ -14,8 +14,9 @@ type FleetMetrics struct {
 	InflightSeeds atomic.Int64
 	// BusyWorkers is the number of workers currently executing a simulation.
 	BusyWorkers atomic.Int64
-	// ActivePasses is the number of fleet passes (SweepAll/RunAll rounds) in
-	// progress.
+	// ActivePasses is the number of simulation fan-outs in progress: a
+	// SweepAll or RunAll pass, or the stage of ExtendExtraction that
+	// simulates the seeds its state does not cover.
 	ActivePasses atomic.Int64
 }
 

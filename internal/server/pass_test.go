@@ -156,7 +156,7 @@ func TestAbandonedWhileWaitingForPass(t *testing.T) {
 
 	var joined []*seedCall
 	s.mu.Lock()
-	for _, key := range store.SeedKeys(scenarioNamespace+req.Scenario, "", workload.Seeds(req.SeedBase, req.Seeds)) {
+	for _, key := range store.AppendSeedKeys(nil, scenarioNamespace+req.Scenario, "", workload.Seeds(req.SeedBase, req.Seeds)) {
 		if c, ok := s.seedflight[key]; ok {
 			joined = append(joined, c)
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -62,13 +63,34 @@ type window struct {
 	// streamed responses flush progressively.
 	emit func(workload.RunOutcome)
 
+	*slots
+	// owned counts the non-nil calls.
+	owned int
+}
+
+// slots is a window's per-slot state.  It comes from slotPool when resolve
+// starts and goes back once sweepRecord has encoded the outcomes: a 64-seed
+// window's is ≈ 11 KB, and nothing outlives the window in it, since settle
+// hands each outcome on by value.
+type slots struct {
 	keys     []store.Key
 	outcomes []workload.RunOutcome
 	how      []seedHow
 	// calls[i] is the flight entry this request owns for slot i, nil before
-	// the claim and again once published; owned counts the non-nil ones.
+	// the claim and again once published.
 	calls []*seedCall
-	owned int
+}
+
+var slotPool = sync.Pool{New: func() any { return new(slots) }}
+
+// zeroed returns s resized to n zero elements, reusing its array if it can.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // join is one slot waiting on a concurrent request's flight entry.
@@ -93,10 +115,11 @@ type join struct {
 // own runPass errors propagate unmodified.
 func (w *window) resolve() (obs.SeedCounts, error) {
 	n := len(w.seeds)
-	w.keys = store.SeedKeys(w.source, w.adversary, w.seeds)
-	w.outcomes = make([]workload.RunOutcome, n)
-	w.how = make([]seedHow, n)
-	w.calls = make([]*seedCall, n)
+	w.slots = slotPool.Get().(*slots)
+	w.keys = store.AppendSeedKeys(w.keys[:0], w.source, w.adversary, w.seeds)
+	w.outcomes = zeroed(w.outcomes, n)
+	w.how = zeroed(w.how, n)
+	w.calls = zeroed(w.calls, n)
 	w.readCorpus()
 	var err error
 	for pass, retry := 1, true; retry && err == nil; pass++ {
@@ -321,6 +344,9 @@ func (w *window) launchClaims(groups map[string][]int) chan claimResult {
 		return nil
 	}
 	claims := make(chan claimResult, len(groups))
+	// The goroutines may outlive the window (a hedge stops waiting for
+	// them), so they get copies of what they need, never w.
+	fl, ctx, adversary := w.s.fleet, w.ctx, w.adversary
 	traceID := w.tr.TraceIDOrZero()
 	scenario := strings.TrimPrefix(w.source, scenarioNamespace)
 	for peer, idxs := range groups {
@@ -329,7 +355,7 @@ func (w *window) launchClaims(groups map[string][]int) chan claimResult {
 			seeds[j] = w.seeds[i]
 		}
 		go func() {
-			outs, err := w.s.fleet.claim(w.ctx, peer, traceID, scenario, w.adversary, seeds)
+			outs, err := fl.claim(ctx, peer, traceID, scenario, adversary, seeds)
 			claims <- claimResult{peer: peer, idxs: idxs, outcomes: outs, err: err}
 		}()
 	}
@@ -494,9 +520,10 @@ func cacheStatus(c obs.SeedCounts) CacheStatus {
 }
 
 // sweepRecord resolves the window and encodes it as the scenario's sweep
-// record — the half Sweep and Claim share.
+// record — the half Sweep and Claim share — then frees the window's slots.
 func (w *window) sweepRecord(sc registry.Scenario, seedBase int64) ([]byte, obs.SeedCounts, error) {
 	counts, err := w.resolve()
+	defer w.freeSlots()
 	if err != nil {
 		return nil, counts, err
 	}
@@ -509,4 +536,18 @@ func (w *window) sweepRecord(sc registry.Scenario, seedBase int64) ([]byte, obs.
 		SeedBase:  seedBase,
 		Outcomes:  w.outcomes,
 	}), counts, nil
+}
+
+// freeSlots returns the window's slots to slotPool, unless a slot is still
+// owned (it will be published through them) or the window outgrew the bound
+// the sweep JSON scratch has too.
+func (w *window) freeSlots() {
+	sl := w.slots
+	if sl == nil || w.owned > 0 || cap(sl.outcomes) > maxPooledOutcomes {
+		return
+	}
+	w.slots = nil
+	clear(sl.outcomes)
+	clear(sl.calls)
+	slotPool.Put(sl)
 }

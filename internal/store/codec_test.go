@@ -182,23 +182,26 @@ func TestSeedKeySpecDigests(t *testing.T) {
 }
 
 // TestSeedKeysMatchSeedKeySpec pins the batch derivation to the per-seed
-// one: a digest that moved would silently orphan every stored record.
+// one: a digest that moved would silently orphan every stored record.  The
+// keys are appended after what dst already holds.
 func TestSeedKeysMatchSeedKeySpec(t *testing.T) {
 	seeds := []int64{0, 1, -1, 7919, -7919, 1 << 40, math.MaxInt64, math.MinInt64}
 	for _, name := range []string{"scenario:prop2.3-nudc", "extraction:kx-perfect", "scenario:"} {
 		for _, adversary := range []string{"", "cascade"} {
-			keys := store.SeedKeys(name, adversary, seeds)
-			if len(keys) != len(seeds) {
-				t.Fatalf("%d keys for %d seeds", len(keys), len(seeds))
+			held := store.KeySpec{Kind: "held"}.Key()
+			keys := store.AppendSeedKeys([]store.Key{held}, name, adversary, seeds)
+			if len(keys) != 1+len(seeds) || keys[0] != held {
+				t.Fatalf("%d keys for %d seeds after one held key", len(keys), len(seeds))
 			}
+			keys = keys[1:]
 			for i, seed := range seeds {
 				if want := store.SeedKeySpec(name, adversary, seed).Key(); keys[i] != want {
-					t.Errorf("SeedKeys(%q, %q)[seed %d] = %s, want %s", name, adversary, seed, keys[i], want)
+					t.Errorf("AppendSeedKeys(%q, %q)[seed %d] = %s, want %s", name, adversary, seed, keys[i], want)
 				}
 			}
 		}
 	}
-	if keys := store.SeedKeys("scenario:x", "", nil); len(keys) != 0 {
+	if keys := store.AppendSeedKeys(nil, "scenario:x", "", nil); len(keys) != 0 {
 		t.Fatalf("no seeds yielded %d keys", len(keys))
 	}
 }

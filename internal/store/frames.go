@@ -28,13 +28,9 @@ const maxFrameLen = 1 << 30
 // recorded run is not part of it — streams and sweep responses carry scores,
 // not traces — so an outcome stays a few dozen bytes.
 func EncodeOutcome(o workload.RunOutcome) []byte {
-	var w writer
-	w.svarint(o.Seed)
-	w.stats(o.Stats)
-	w.violations(o.Violations)
-	w.int(o.LatencySum)
-	w.int(o.LatencyActions)
-	return seal(KindOutcome, w.buf)
+	w := newWriter()
+	w.outcome(&o)
+	return w.seal(KindOutcome)
 }
 
 // DecodeOutcome deserialises a container encoded by EncodeOutcome.  It reads
@@ -45,13 +41,8 @@ func DecodeOutcome(data []byte) (workload.RunOutcome, error) {
 		return workload.RunOutcome{}, err
 	}
 	r := reader{data: payload}
-	o := workload.RunOutcome{
-		Seed:       r.svarint(),
-		Stats:      r.stats(),
-		Violations: r.violations(),
-	}
-	o.LatencySum = r.int()
-	o.LatencyActions = r.int()
+	var o workload.RunOutcome
+	r.outcomeInto(&o)
 	if err := r.done(); err != nil {
 		return workload.RunOutcome{}, err
 	}
@@ -60,9 +51,9 @@ func DecodeOutcome(data []byte) (workload.RunOutcome, error) {
 
 // EncodeStreamError serialises a stream's terminal error as a wire container.
 func EncodeStreamError(msg string) []byte {
-	var w writer
+	w := newWriter()
 	w.str(msg)
-	return seal(KindError, w.buf)
+	return w.seal(KindError)
 }
 
 // DecodeStreamError deserialises a container encoded by EncodeStreamError.

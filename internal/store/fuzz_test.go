@@ -200,8 +200,9 @@ func FuzzDecodeRun(f *testing.F) {
 // FuzzOpenLog fuzzes Open's scan of the log, which reads bytes the daemon
 // does not control, and the reads that follow it.  The input is the whole
 // log file.  Open must neither panic nor fail (a bad tail is cut off, not
-// refused), a hostile length field must not make Open or Get allocate
-// beyond what the file's size allows, and every payload served must pass
+// refused), a hostile length field must not make Open, GetMulti or Get
+// allocate beyond what the file's size allows, a batched read must serve and
+// count exactly what single reads do, and every payload served must pass
 // Check and sit in the input under a whole, CRC-clean header naming the
 // requested key.  The seeds are logs written by PutMulti, torn inside their
 // last frame and with single bits flipped in a frame's length, key and
@@ -255,12 +256,41 @@ func FuzzOpenLog(f *testing.F) {
 		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(4*len(data)+64<<10); got > limit {
 			t.Fatalf("opening a %d-byte log allocated %d, limit %d", len(data), got, limit)
 		}
-		for key, l := range s.index {
+		// Every indexed key is read twice: all of them in one GetMulti here,
+		// and each with its own Get on a second Open of the same bytes (the
+		// first one cut any bad tail off).  Per slot the two must agree on
+		// the payload, on hit or miss, and on whether the miss was corrupt.
+		keys := make([]Key, 0, len(s.index))
+		for key := range s.index {
+			keys = append(keys, key)
+		}
+		opened := s.Stats().CorruptEntries
+		runtime.ReadMemStats(&before)
+		batch := s.GetMulti(keys)
+		runtime.ReadMemStats(&after)
+		// The result and the pending list cost under 64 bytes a key, and each
+		// key stands for at least FrameHeaderSize bytes of input; the read
+		// scratch and the slab are at most the file each.
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(4*len(data)+16<<10); got > limit {
+			t.Fatalf("batch-reading %d keys of a %d-byte log allocated %d, limit %d", len(keys), len(data), got, limit)
+		}
+		single, err := Open(dir, Options{MaxMemEntries: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var singleCorrupt uint64
+		for j, key := range keys {
+			was := single.Stats().CorruptEntries
 			runtime.ReadMemStats(&before)
-			payload, ok := s.Get(key)
+			payload, ok := single.Get(key)
 			runtime.ReadMemStats(&after)
-			if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(len(data)+16<<10); got > limit {
+			if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(2*len(data)+16<<10); got > limit {
 				t.Fatalf("reading a record of a %d-byte log allocated %d, limit %d", len(data), got, limit)
+			}
+			corrupt := single.Stats().CorruptEntries - was
+			singleCorrupt += corrupt
+			if ok != (batch[j] != nil) || !bytes.Equal(payload, batch[j]) || (corrupt != 0) == ok {
+				t.Fatalf("key %d: Get = %d bytes (hit %v, corrupt %d), GetMulti = %d bytes", j, len(payload), ok, corrupt, len(batch[j]))
 			}
 			if !ok {
 				continue
@@ -268,12 +298,16 @@ func FuzzOpenLog(f *testing.F) {
 			if err := Check(payload); err != nil {
 				t.Fatalf("served a payload that fails Check: %v", err)
 			}
+			l := s.index[key]
 			header := data[l.off-FrameHeaderSize : l.off]
 			if Key(header[4:36]) != key || binary.LittleEndian.Uint32(header) != uint32(len(payload)) ||
 				crc32.Checksum(header[:36], crcTable) != binary.LittleEndian.Uint32(header[36:]) ||
 				!bytes.Equal(data[l.off:l.off+int64(len(payload))], payload) {
 				t.Fatalf("payload at %d served under a key it was not framed under", l.off)
 			}
+		}
+		if batchCorrupt := s.Stats().CorruptEntries - opened; batchCorrupt != singleCorrupt {
+			t.Fatalf("GetMulti counted %d corrupt entries, single Gets %d", batchCorrupt, singleCorrupt)
 		}
 		kept, err := os.ReadFile(filepath.Join(dir, logName))
 		if err != nil || !bytes.Equal(kept, data[:len(kept)]) {

@@ -61,18 +61,17 @@ func SeedKeySpec(qualifiedName, adversary string, seed int64) KeySpec {
 	return KeySpec{Kind: "seed", Name: qualifiedName, Adversary: adversary, SeedBase: seed, Count: 1}
 }
 
-// SeedKeys returns SeedKeySpec(qualifiedName, adversary, seed).Key() for every
-// seed of a window.  The seeds share everything before the seed value, so the
-// prefix is rendered once and each digest costs one integer append and one
-// SHA-256 — a window's keys are derived on every request that reaches the
-// per-seed records.
-func SeedKeys(qualifiedName, adversary string, seeds []int64) []Key {
+// AppendSeedKeys appends SeedKeySpec(qualifiedName, adversary, seed).Key()
+// for every seed of a window to dst.  The seeds share everything before the
+// seed value, so the prefix is rendered once and each digest costs one
+// integer append and one SHA-256 — a window's keys are derived on every
+// request that reaches the per-seed records.
+func AppendSeedKeys(dst []Key, qualifiedName, adversary string, seeds []int64) []Key {
 	buf := fmt.Appendf(nil, keyPrefixFormat, CodecVersion, sim.EngineVersion, "seed", qualifiedName, adversary)
 	prefix := len(buf)
-	keys := make([]Key, len(seeds))
-	for i, seed := range seeds {
+	for _, seed := range seeds {
 		buf = append(strconv.AppendInt(buf[:prefix], seed, 10), "|1"...)
-		keys[i] = sha256.Sum256(buf)
+		dst = append(dst, sha256.Sum256(buf))
 	}
-	return keys
+	return dst
 }

@@ -53,6 +53,25 @@ func (w *writer) stats(s sim.Stats) {
 	w.int(s.LastEventTime)
 }
 
+// outcome writes one scored outcome: a KindOutcome payload, and each entry of
+// a sweep record's outcome list.
+func (w *writer) outcome(o *workload.RunOutcome) {
+	w.svarint(o.Seed)
+	w.stats(o.Stats)
+	w.violations(o.Violations)
+	w.int(o.LatencySum)
+	w.int(o.LatencyActions)
+}
+
+// outcomeInto reads an outcome into *o, refilling o.Violations in place.
+func (r *reader) outcomeInto(o *workload.RunOutcome) {
+	o.Seed = r.svarint()
+	o.Stats = r.stats()
+	o.Violations = r.violationsOver(o.Violations)
+	o.LatencySum = r.int()
+	o.LatencyActions = r.int()
+}
+
 func (r *reader) stats() sim.Stats {
 	return sim.Stats{
 		Steps:              r.int(),
@@ -119,7 +138,7 @@ func NewSeedRecord(sr workload.SeedRun, scored bool) *SeedRecord {
 
 // EncodeSeedRecord serialises a seed record.
 func EncodeSeedRecord(rec *SeedRecord) []byte {
-	var w writer
+	w := newWriter()
 	w.svarint(rec.Seed)
 	w.stats(rec.Stats)
 	w.bool(rec.Scored)
@@ -127,7 +146,7 @@ func EncodeSeedRecord(rec *SeedRecord) []byte {
 	w.int(rec.LatencySum)
 	w.int(rec.LatencyActions)
 	w.run(rec.Run)
-	return seal(KindSeed, w.buf)
+	return w.seal(KindSeed)
 }
 
 // DecodeSeedRecord deserialises a record encoded by EncodeSeedRecord,
@@ -148,20 +167,16 @@ func DecodeSeedRecord(data []byte) (*SeedRecord, error) {
 
 // EncodeSweepRecord serialises a sweep record.
 func EncodeSweepRecord(rec *SweepRecord) []byte {
-	var w writer
+	w := newWriter()
 	w.str(rec.Scenario)
 	w.str(rec.Check)
 	w.str(rec.Adversary)
 	w.svarint(rec.SeedBase)
 	w.uvarint(uint64(len(rec.Outcomes)))
-	for _, o := range rec.Outcomes {
-		w.svarint(o.Seed)
-		w.stats(o.Stats)
-		w.violations(o.Violations)
-		w.int(o.LatencySum)
-		w.int(o.LatencyActions)
+	for i := range rec.Outcomes {
+		w.outcome(&rec.Outcomes[i])
 	}
-	return seal(KindSweep, w.buf)
+	return w.seal(KindSweep)
 }
 
 // DecodeSweepRecord deserialises a record encoded by EncodeSweepRecord.
@@ -199,12 +214,7 @@ func DecodeSweepRecordInto(rec *SweepRecord, data []byte) error {
 		rec.Outcomes = rec.Outcomes[:count]
 	}
 	for i := range rec.Outcomes {
-		o := &rec.Outcomes[i]
-		o.Seed = r.svarint()
-		o.Stats = r.stats()
-		o.Violations = r.violationsOver(o.Violations)
-		o.LatencySum = r.int()
-		o.LatencyActions = r.int()
+		r.outcomeInto(&rec.Outcomes[i])
 	}
 	return r.done()
 }
@@ -286,7 +296,7 @@ func NewExtractionRecord(adversary string, stress bool, res *workload.Extraction
 
 // EncodeExtractionRecord serialises an extraction record.
 func EncodeExtractionRecord(rec *ExtractionRecord) []byte {
-	var w writer
+	w := newWriter()
 	w.str(rec.Extraction)
 	w.str(rec.Mode)
 	w.int(rec.T)
@@ -310,7 +320,7 @@ func EncodeExtractionRecord(rec *ExtractionRecord) []byte {
 		w.svarint(v.Seed)
 		w.violations(v.Violations)
 	}
-	return seal(KindExtraction, w.buf)
+	return w.seal(KindExtraction)
 }
 
 // DecodeExtractionRecord deserialises a record encoded by

@@ -8,19 +8,20 @@
 // key and a CRC-32C over both, then the sealed payload) and the store keeps
 // an in-memory index from key to the payload's place in it, rebuilt by one
 // sequential scan on Open, as in Bitcask (Sheehy & Smith, Basho 2010).  A
-// PutMulti batch is one write, a disk read one pread; overwrites are
-// last-wins.  A torn tail is cut off on Open, and every read is checksummed,
+// PutMulti batch is one write, a batched read one pread per contiguous run of
+// frames; overwrites are last-wins.  A torn tail is cut off on Open, and every read is checksummed,
 // so corruption is counted and treated as a miss rather than served.
 package store
 
 import (
-	"container/list"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 )
 
@@ -76,11 +77,6 @@ type Stats struct {
 // Hits returns the total number of Gets served from any layer.
 func (s Stats) Hits() uint64 { return s.MemHits + s.DiskHits }
 
-type memEntry struct {
-	key     Key
-	payload []byte
-}
-
 // logName is the log file inside a store directory.  Anything else there —
 // the shard directories of the one-file-per-record layout included — is
 // ignored: the corpus is a cache of deterministic results.
@@ -91,30 +87,48 @@ const logName = "corpus.log"
 const FrameHeaderSize = 4 + 32 + 4
 
 // maxKeptBuf bounds the append buffer a store keeps between PutMulti calls,
-// so one outsized batch does not pin its buffer for the store's lifetime.
+// and a read scratch readBufs keeps, so one outsized batch does not pin its
+// buffer for the store's lifetime.
 const maxKeptBuf = 1 << 20
 
-// loc is an indexed record: where its payload lies in the log and the
-// container kind byte it starts with (the corpus census reads it from here).
+// readBufs holds the scratch a batch of log reads lands in before its valid
+// payloads are copied out.
+var readBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// loc is an indexed record: where its payload lies in the log (off 0 for the
+// entries of a memory-only store, which have no log location), the container
+// kind byte it starts with (the corpus census reads it from here), and its
+// memory-layer slot in Store.slab (0 when it has none).
 type loc struct {
 	off  int64
 	n    uint32
+	mem  int32
 	kind byte
+}
+
+// memEntry is one memory-layer slot: a node of the LRU list, which links
+// slots by their indices in Store.slab.  slab[0] is the list's head, so
+// slab[0].next is the most recently used slot and slab[0].prev the least;
+// a free slot's next chains the free list.
+type memEntry struct {
+	key        Key
+	payload    []byte
+	prev, next int32
 }
 
 // Store is a content-addressed blob store.  It is safe for concurrent use.
 type Store struct {
 	dir  string
 	opts Options
-	log  *os.File // opened for append; nil for memory-only stores
-
-	wmu sync.Mutex // serialises appends; taken before mu
-	buf []byte     // the append buffer, reused under wmu
+	log  *os.File   // opened for append; nil for memory-only stores
+	wmu  sync.Mutex // serialises appends; taken before mu
+	buf  []byte     // the append buffer, reused under wmu
 
 	mu       sync.Mutex
-	index    map[Key]loc           // every live record in the log
-	entries  map[Key]*list.Element // of *memEntry
-	lru      *list.List            // front = most recently used
+	index    map[Key]loc // every live record, in the log or the memory layer
+	slab     []memEntry  // the memory layer; grows with its occupancy
+	free     int32       // head of the free slots' list, 0 if none
+	memLen   int
 	memBytes int64
 	stats    Stats
 }
@@ -127,7 +141,7 @@ type Store struct {
 // CorruptEntries.  Another Store of this process may hold the same directory
 // open as long as it is idle.
 func Open(dir string, opts Options) (*Store, error) {
-	s := &Store{dir: dir, opts: opts, entries: make(map[Key]*list.Element), lru: list.New()}
+	s := &Store{dir: dir, opts: opts, index: make(map[Key]loc), slab: make([]memEntry, 1)}
 	if dir == "" {
 		return s, nil
 	}
@@ -170,72 +184,23 @@ func (s *Store) Locate(key Key) (off int64, n int, ok bool) {
 	s.mu.Lock()
 	l, ok := s.index[key]
 	s.mu.Unlock()
-	return l.off, int(l.n), ok
+	return l.off, int(l.n), ok && l.off != 0
 }
 
 // Get returns the payload stored under key, if a valid entry exists.  The
 // returned slice is shared with the cache and must not be modified.  A
 // corrupt on-disk entry is counted and treated as a miss.
-func (s *Store) Get(key Key) ([]byte, bool) {
-	return s.get(key, true)
-}
+func (s *Store) Get(key Key) ([]byte, bool) { return s.get(key, true) }
 
 // Probe is Get for opportunistic re-checks (the scheduler's post-claim
 // probes): hits count normally, but a miss — corrupt or plain — is not added
 // to the miss counters, so one logical request never inflates them twice.
-func (s *Store) Probe(key Key) ([]byte, bool) {
-	return s.get(key, false)
-}
+func (s *Store) Probe(key Key) ([]byte, bool) { return s.get(key, false) }
 
 func (s *Store) get(key Key, countMiss bool) ([]byte, bool) {
-	s.mu.Lock()
-	if el, ok := s.entries[key]; ok {
-		s.lru.MoveToFront(el)
-		s.stats.MemHits++
-		payload := el.Value.(*memEntry).payload
-		s.mu.Unlock()
-		return payload, true
-	}
-	l, indexed := s.index[key]
-	if !indexed {
-		if countMiss {
-			s.stats.Misses++
-		}
-		s.mu.Unlock()
-		return nil, false
-	}
-	s.mu.Unlock()
-
-	data, corrupt := s.read(l)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if data == nil {
-		if countMiss {
-			s.stats.Misses++
-			if corrupt {
-				s.stats.CorruptEntries++
-			}
-		}
-		return nil, false
-	}
-	s.stats.DiskHits++
-	s.stats.BytesRead += uint64(len(data))
-	s.admit(key, data)
-	return data, true
-}
-
-// read loads one indexed payload into an owned slice and checks its
-// container.  It returns nil on failure, with corrupt set when the bytes were
-// read but failed the check.
-func (s *Store) read(l loc) (data []byte, corrupt bool) {
-	data = make([]byte, l.n)
-	if _, err := s.log.ReadAt(data, l.off); err != nil {
-		return nil, false
-	}
-	if Check(data) != nil {
-		return nil, true
-	}
-	return data, false
+	var payload [1][]byte
+	s.getMulti([]Key{key}, payload[:], countMiss)
+	return payload[0], payload[0] != nil
 }
 
 // Put stores the payload under key: PutMulti of one record.
@@ -247,60 +212,147 @@ func (s *Store) Put(key Key, payload []byte) error {
 // GetMulti returns the payloads stored under a batch of keys, index-aligned
 // with keys (nil where no valid entry exists).  The memory layer and the
 // index are consulted under one lock acquisition; only the leftover keys
-// touch the log, one pread each.  Like Get, corrupt on-disk entries count as
-// misses, and the returned slices are shared with the cache and must not be
-// modified.
+// touch the log, in offset order, one pread per run of adjacent frames.  Each
+// payload is checked on its own, so a corrupt one is a counted miss and its
+// neighbours are still served.  The valid payloads share one slab per call,
+// so a payload the memory layer keeps also keeps its batch's slab alive.
+// The returned slices are shared with the cache and must not be modified.
 func (s *Store) GetMulti(keys []Key) [][]byte {
 	payloads := make([][]byte, len(keys))
-	type pending struct {
-		i int
-		l loc
-	}
-	var rest []pending
+	s.getMulti(keys, payloads, true)
+	return payloads
+}
 
+// pending is a key left for the log: its slot in the batch, its index entry
+// when it was looked up, and whether its payload failed the check.
+type pending struct {
+	l       loc
+	i       int32
+	corrupt bool
+}
+
+// getMulti fills payloads, index-aligned with keys: memory hits under the
+// lock, then the log reads outside it, then their accounting and admission
+// under it again.  countMiss is false for Probe.
+func (s *Store) getMulti(keys []Key, payloads [][]byte, countMiss bool) {
+	rest := s.lookup(keys, payloads, countMiss)
+	if len(rest) == 0 {
+		return
+	}
+	s.read(rest, payloads)
+	s.settle(keys, rest, payloads, countMiss)
+}
+
+// lookup serves keys from the memory layer and returns the indexed rest, in
+// key order.
+func (s *Store) lookup(keys []Key, payloads [][]byte, countMiss bool) []pending {
+	var rest []pending
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	for i, key := range keys {
-		if el, ok := s.entries[key]; ok {
-			s.lru.MoveToFront(el)
+		l, ok := s.index[key]
+		switch {
+		case l.mem != 0:
+			s.unlink(l.mem)
+			s.pushFront(l.mem)
 			s.stats.MemHits++
-			payloads[i] = el.Value.(*memEntry).payload
-		} else if l, ok := s.index[key]; ok {
-			rest = append(rest, pending{i, l})
-		} else {
+			payloads[i] = s.slab[l.mem].payload
+		case ok:
+			if rest == nil {
+				rest = make([]pending, 0, len(keys)-i)
+			}
+			rest = append(rest, pending{l: l, i: int32(i)})
+		case countMiss:
 			s.stats.Misses++
 		}
 	}
-	s.mu.Unlock()
-	if len(rest) == 0 {
-		return payloads
-	}
+	return rest
+}
 
-	var misses, corrupt uint64
+// read loads rest's payloads from the log into payloads.  It sorts rest by
+// offset and reads each run of exactly adjacent frames (a key asked for twice
+// shares its frame) with one ReadAt; a failed run read falls back to one read
+// per frame.  The valid payloads are then copied out of the scratch into one
+// exact-size slab.
+func (s *Store) read(rest []pending, payloads [][]byte) {
+	slices.SortFunc(rest, func(a, b pending) int { return cmp.Compare(a.l.off, b.l.off) })
+	bufp := readBufs.Get().(*[]byte)
+	need := 0
 	for _, p := range rest {
-		data, bad := s.read(p.l)
-		if data == nil {
-			misses++
-			if bad {
-				corrupt++
+		need += FrameHeaderSize + int(p.l.n)
+	}
+	if cap(*bufp) < need {
+		*bufp = make([]byte, need)
+	}
+	buf, valid := (*bufp)[:need], 0
+	for j := 0; j < len(rest); {
+		first, end, k := rest[j].l.off, rest[j].l.off+int64(rest[j].l.n), j+1
+		for ; k < len(rest) && (rest[k].l.off == rest[k-1].l.off || rest[k].l.off == end+FrameHeaderSize); k++ {
+			end = rest[k].l.off + int64(rest[k].l.n)
+		}
+		run := buf[:end-first]
+		buf = buf[len(run):]
+		_, err := s.log.ReadAt(run, first)
+		for m := j; m < k; m++ {
+			p := &rest[m]
+			if m > j && p.l.off == rest[m-1].l.off {
+				p.corrupt, payloads[p.i] = rest[m-1].corrupt, payloads[rest[m-1].i]
+				continue
+			}
+			frame, ferr := run[p.l.off-first:p.l.off-first+int64(p.l.n)], err
+			if err != nil && k > j+1 {
+				_, ferr = s.log.ReadAt(frame, p.l.off)
+			}
+			if ferr == nil {
+				p.corrupt = Check(frame) != nil
+				if !p.corrupt {
+					payloads[p.i] = frame
+					valid += len(frame)
+				}
 			}
 		}
-		payloads[p.i] = data
+		j = k
 	}
-
-	s.mu.Lock()
-	s.stats.Misses += misses
-	s.stats.CorruptEntries += corrupt
-	// Admission follows key order, so the LRU layer's state after a batch
-	// is deterministic.
-	for _, p := range rest {
-		if data := payloads[p.i]; data != nil {
-			s.stats.DiskHits++
-			s.stats.BytesRead += uint64(len(data))
-			s.admit(keys[p.i], data)
+	slab := make([]byte, 0, valid)
+	for j, p := range rest {
+		if j > 0 && p.l.off == rest[j-1].l.off {
+			payloads[p.i] = payloads[rest[j-1].i]
+		} else if data := payloads[p.i]; data != nil {
+			slab = append(slab, data...)
+			payloads[p.i] = slab[len(slab)-len(data) : len(slab) : len(slab)]
 		}
 	}
-	s.mu.Unlock()
-	return payloads
+	if cap(*bufp) <= maxKeptBuf {
+		readBufs.Put(bufp)
+	}
+}
+
+// settle counts rest's log reads and admits the payloads read, in key order
+// so the memory layer's state after a batch is deterministic.  A payload is
+// admitted only while its key's index entry still points at the frame it was
+// read from: a PutMulti that overwrote the key meanwhile has admitted the
+// newer payload, which must stay the one served.
+func (s *Store) settle(keys []Key, rest []pending, payloads [][]byte, countMiss bool) {
+	slices.SortFunc(rest, func(a, b pending) int { return cmp.Compare(a.i, b.i) })
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, p := range rest {
+		data := payloads[p.i]
+		if data == nil {
+			if countMiss {
+				s.stats.Misses++
+				if p.corrupt {
+					s.stats.CorruptEntries++
+				}
+			}
+			continue
+		}
+		s.stats.DiskHits++
+		s.stats.BytesRead += uint64(len(data))
+		if l := s.index[keys[p.i]]; l.off == p.l.off {
+			s.admit(keys[p.i], l, data)
+		}
+	}
 }
 
 // PutMulti stores a batch of payloads, index-aligned with keys.  The batch's
@@ -316,7 +368,7 @@ func (s *Store) PutMulti(keys []Key, payloads [][]byte) (failed int, first error
 	if s.log == nil {
 		s.mu.Lock()
 		for i, key := range keys {
-			s.admit(key, payloads[i])
+			s.admit(key, loc{mem: s.index[key].mem}, payloads[i])
 		}
 		s.stats.Puts += uint64(len(keys))
 		s.mu.Unlock()
@@ -361,10 +413,10 @@ func (s *Store) append(keys []Key, payloads [][]byte) error {
 	defer s.mu.Unlock()
 	for i, key := range keys {
 		off += FrameHeaderSize
-		s.index[key] = loc{off: off, n: uint32(len(payloads[i])), kind: kindByte(payloads[i])}
-		off += int64(len(payloads[i]))
-		s.stats.BytesWritten += uint64(len(payloads[i]))
-		s.admit(key, payloads[i])
+		n := uint32(len(payloads[i]))
+		s.admit(key, loc{off: off, n: n, mem: s.index[key].mem, kind: kindByte(payloads[i])}, payloads[i])
+		off += int64(n)
+		s.stats.BytesWritten += uint64(n)
 	}
 	s.stats.Puts += uint64(len(keys))
 	return nil
@@ -379,31 +431,75 @@ func appendFrame(buf []byte, key Key, payload []byte) []byte {
 	return append(buf, payload...)
 }
 
-// admit inserts or refreshes a memory-layer entry and evicts down to the
-// configured bounds.  Callers hold s.mu.
-func (s *Store) admit(key Key, payload []byte) {
+// admit indexes key at l and makes payload its memory-layer entry, the most
+// recently used, then evicts down to the configured bounds; l.mem is key's
+// current slot, if any.  With the memory layer off, only a record in the log
+// is indexed.  Callers hold s.mu.
+func (s *Store) admit(key Key, l loc, payload []byte) {
 	maxEntries := s.opts.maxMemEntries()
 	if maxEntries < 0 {
+		if l.off != 0 {
+			s.index[key] = l
+		}
 		return
 	}
-	if el, ok := s.entries[key]; ok {
-		ent := el.Value.(*memEntry)
-		s.memBytes += int64(len(payload)) - int64(len(ent.payload))
-		ent.payload = payload
-		s.lru.MoveToFront(el)
+	if l.mem == 0 {
+		l.mem = s.alloc(key)
+		s.memLen++
 	} else {
-		s.entries[key] = s.lru.PushFront(&memEntry{key: key, payload: payload})
-		s.memBytes += int64(len(payload))
+		s.unlink(l.mem)
 	}
+	e := &s.slab[l.mem]
+	s.memBytes += int64(len(payload)) - int64(len(e.payload))
+	e.payload = payload
+	s.pushFront(l.mem)
+	s.index[key] = l
 	maxBytes := s.opts.maxMemBytes()
-	for s.lru.Len() > maxEntries || (s.memBytes > maxBytes && s.lru.Len() > 1) {
-		el := s.lru.Back()
-		ent := el.Value.(*memEntry)
-		s.lru.Remove(el)
-		delete(s.entries, ent.key)
-		s.memBytes -= int64(len(ent.payload))
-		s.stats.Evictions++
+	for s.memLen > maxEntries || (s.memBytes > maxBytes && s.memLen > 1) {
+		s.evict(s.slab[0].prev)
 	}
+}
+
+// alloc takes a slot for key from the free list, or grows the slab.
+func (s *Store) alloc(key Key) int32 {
+	i := s.free
+	if i == 0 {
+		i = int32(len(s.slab))
+		s.slab = append(s.slab, memEntry{})
+	} else {
+		s.free = s.slab[i].next
+	}
+	s.slab[i] = memEntry{key: key}
+	return i
+}
+
+// evict drops slot i from the memory layer.  A memory-only store's entry has
+// nowhere else to live, so it leaves the index too.
+func (s *Store) evict(i int32) {
+	e := &s.slab[i]
+	s.unlink(i)
+	if l := s.index[e.key]; l.off == 0 {
+		delete(s.index, e.key)
+	} else {
+		l.mem = 0
+		s.index[e.key] = l
+	}
+	s.memLen--
+	s.memBytes -= int64(len(e.payload))
+	s.stats.Evictions++
+	*e = memEntry{next: s.free}
+	s.free = i
+}
+
+func (s *Store) unlink(i int32) {
+	e := &s.slab[i]
+	s.slab[e.prev].next, s.slab[e.next].prev = e.next, e.prev
+}
+
+func (s *Store) pushFront(i int32) {
+	head := s.slab[0].next
+	s.slab[i].prev, s.slab[i].next = 0, head
+	s.slab[head].prev, s.slab[0].next = i, i
 }
 
 // Stats returns a snapshot of the store's counters.
@@ -411,7 +507,7 @@ func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.stats
-	st.MemEntries = s.lru.Len()
+	st.MemEntries = s.memLen
 	st.MemBytes = s.memBytes
 	return st
 }

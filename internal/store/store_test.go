@@ -466,3 +466,39 @@ func TestStoreGetMultiConcurrentDiskReads(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestGetMultiAllocs pins the batched read's allocations.  On a reopened disk
+// store with the memory layer off, so every call reads the log, a GetMulti
+// over keys one PutMulti wrote back to back allocates three times whatever
+// the batch size: the result, the list of keys left for the log and the one
+// slab their payloads share.  A per-record allocation in the read makes the
+// count grow with the batch.  And with a warm slab, PutMulti's admission
+// allocates nothing per record, even when every record evicts another.
+func TestGetMultiAllocs(t *testing.T) {
+	dir := t.TempDir()
+	s, err := store.Open(dir, store.Options{MaxMemEntries: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]store.Key, 256)
+	payloads := make([][]byte, len(keys))
+	for i := range keys {
+		keys[i] = keyOf(i)
+		payloads[i] = payloadOf(fmt.Sprintf("p%d", i))
+	}
+	if failed, err := s.PutMulti(keys, payloads); failed != 0 || err != nil {
+		t.Fatalf("PutMulti: failed=%d err=%v", failed, err)
+	}
+	r, err := store.Open(dir, store.Options{MaxMemEntries: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{16, 64, 256} {
+		if got := testing.AllocsPerRun(20, func() { r.GetMulti(keys[:n]) }); got != 3 {
+			t.Errorf("GetMulti of %d keys read from the log allocates %v times, want 3", n, got)
+		}
+		if got := testing.AllocsPerRun(5, func() { s.PutMulti(keys[:n], payloads[:n]) }); got != 0 {
+			t.Errorf("PutMulti of %d indexed keys allocates %v times, want 0", n, got)
+		}
+	}
+}

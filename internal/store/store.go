@@ -270,21 +270,30 @@ func (s *Store) lookup(keys []Key, payloads [][]byte, countMiss bool) []pending 
 }
 
 // read loads rest's payloads from the log into payloads.  It sorts rest by
-// offset and reads each run of exactly adjacent frames (a key asked for twice
-// shares its frame) with one ReadAt; a failed run read falls back to one read
-// per frame.  The valid payloads are then copied out of the scratch into one
-// exact-size slab.
+// offset and reads each run of exactly adjacent frames (or of one frame, for
+// a key asked for twice) with one ReadAt; a failed run read falls back to one
+// read per frame.  A batch that fits the pooled scratch is read there and its
+// valid payloads are copied into one exact-size slab.  A larger one is read
+// straight into a slab of its own, headers and all: copying it would cost
+// more than the preads it saves (on a 2-core box, 64 frames of 46 KB took
+// 1.5 ms one pread each and 2.2 ms read as one run and copied).
 func (s *Store) read(rest []pending, payloads [][]byte) {
 	slices.SortFunc(rest, func(a, b pending) int { return cmp.Compare(a.l.off, b.l.off) })
-	bufp := readBufs.Get().(*[]byte)
 	need := 0
 	for _, p := range rest {
 		need += FrameHeaderSize + int(p.l.n)
 	}
-	if cap(*bufp) < need {
-		*bufp = make([]byte, need)
+	var bufp *[]byte
+	buf, valid := []byte(nil), 0
+	if need > maxKeptBuf {
+		buf = make([]byte, need)
+	} else {
+		bufp = readBufs.Get().(*[]byte)
+		if cap(*bufp) < need {
+			*bufp = make([]byte, need)
+		}
+		buf = (*bufp)[:need]
 	}
-	buf, valid := (*bufp)[:need], 0
 	for j := 0; j < len(rest); {
 		first, end, k := rest[j].l.off, rest[j].l.off+int64(rest[j].l.n), j+1
 		for ; k < len(rest) && (rest[k].l.off == rest[k-1].l.off || rest[k].l.off == end+FrameHeaderSize); k++ {
@@ -295,11 +304,8 @@ func (s *Store) read(rest []pending, payloads [][]byte) {
 		_, err := s.log.ReadAt(run, first)
 		for m := j; m < k; m++ {
 			p := &rest[m]
-			if m > j && p.l.off == rest[m-1].l.off {
-				p.corrupt, payloads[p.i] = rest[m-1].corrupt, payloads[rest[m-1].i]
-				continue
-			}
-			frame, ferr := run[p.l.off-first:p.l.off-first+int64(p.l.n)], err
+			from, to := p.l.off-first, p.l.off-first+int64(p.l.n)
+			frame, ferr := run[from:to:to], err
 			if err != nil && k > j+1 {
 				_, ferr = s.log.ReadAt(frame, p.l.off)
 			}
@@ -313,18 +319,17 @@ func (s *Store) read(rest []pending, payloads [][]byte) {
 		}
 		j = k
 	}
+	if bufp == nil {
+		return
+	}
 	slab := make([]byte, 0, valid)
-	for j, p := range rest {
-		if j > 0 && p.l.off == rest[j-1].l.off {
-			payloads[p.i] = payloads[rest[j-1].i]
-		} else if data := payloads[p.i]; data != nil {
+	for _, p := range rest {
+		if data := payloads[p.i]; data != nil {
 			slab = append(slab, data...)
 			payloads[p.i] = slab[len(slab)-len(data) : len(slab) : len(slab)]
 		}
 	}
-	if cap(*bufp) <= maxKeptBuf {
-		readBufs.Put(bufp)
-	}
+	readBufs.Put(bufp)
 }
 
 // settle counts rest's log reads and admits the payloads read, in key order

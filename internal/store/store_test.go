@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -499,6 +500,44 @@ func TestGetMultiAllocs(t *testing.T) {
 		}
 		if got := testing.AllocsPerRun(5, func() { s.PutMulti(keys[:n], payloads[:n]) }); got != 0 {
 			t.Errorf("PutMulti of %d indexed keys allocates %v times, want 0", n, got)
+		}
+	}
+}
+
+// TestGetMultiLargeBatch reads a batch larger than the pooled read scratch,
+// which lands in a slab of its own: a corrupt frame in the middle of its one
+// run is a counted miss, its neighbours are served byte-equal, and a served
+// payload's capacity ends with it, so appending to one cannot overwrite the
+// next.
+func TestGetMultiLargeBatch(t *testing.T) {
+	dir := t.TempDir()
+	s, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := []store.Key{keyOf(0), keyOf(1), keyOf(2)}
+	payloads := make([][]byte, len(keys))
+	for i := range payloads {
+		payloads[i] = store.EncodeStreamError(strings.Repeat(fmt.Sprint(i), 512<<10))
+	}
+	if failed, err := s.PutMulti(keys, payloads); failed != 0 || err != nil {
+		t.Fatalf("PutMulti: failed=%d err=%v", failed, err)
+	}
+	damage(t, s, keys[1], garbage)
+	r, err := store.Open(dir, store.Options{MaxMemEntries: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := r.GetMulti([]store.Key{keys[2], keys[1], keys[0]})
+	if !bytes.Equal(got[0], payloads[2]) || got[1] != nil || !bytes.Equal(got[2], payloads[0]) {
+		t.Fatal("large batch: corrupt member not isolated or neighbours not served")
+	}
+	if st := r.Stats(); st.DiskHits != 2 || st.Misses != 1 || st.CorruptEntries != 1 {
+		t.Fatalf("stats after large batch: %+v", st)
+	}
+	for i, p := range got {
+		if p != nil && cap(p) != len(p) {
+			t.Errorf("payload %d has capacity %d past its %d bytes", i, cap(p), len(p))
 		}
 	}
 }

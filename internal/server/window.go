@@ -543,7 +543,7 @@ func (w *window) sweepRecord(sc registry.Scenario, seedBase int64) ([]byte, obs.
 // the sweep JSON scratch has too.
 func (w *window) freeSlots() {
 	sl := w.slots
-	if sl == nil || w.owned > 0 || cap(sl.outcomes) > maxPooledOutcomes {
+	if w.owned > 0 || cap(sl.outcomes) > maxPooledOutcomes {
 		return
 	}
 	w.slots = nil

@@ -9,8 +9,9 @@
 // an in-memory index from key to the payload's place in it, rebuilt by one
 // sequential scan on Open, as in Bitcask (Sheehy & Smith, Basho 2010).  A
 // PutMulti batch is one write, a batched read one pread per contiguous run of
-// frames; overwrites are last-wins.  A torn tail is cut off on Open, and every read is checksummed,
-// so corruption is counted and treated as a miss rather than served.
+// frames; overwrites are last-wins.  A torn tail is cut off on Open, and
+// every read is checksummed, so corruption is counted and treated as a miss
+// rather than served.
 package store
 
 import (
@@ -120,9 +121,10 @@ type memEntry struct {
 type Store struct {
 	dir  string
 	opts Options
-	log  *os.File   // opened for append; nil for memory-only stores
-	wmu  sync.Mutex // serialises appends; taken before mu
-	buf  []byte     // the append buffer, reused under wmu
+	log  *os.File // opened for append; nil for memory-only stores
+
+	wmu sync.Mutex // serialises appends; taken before mu
+	buf []byte     // the append buffer, reused under wmu
 
 	mu       sync.Mutex
 	index    map[Key]loc // every live record, in the log or the memory layer

@@ -269,8 +269,9 @@ func FuzzOpenLog(f *testing.F) {
 		batch := s.GetMulti(keys)
 		runtime.ReadMemStats(&after)
 		// The result and the pending list cost under 64 bytes a key, and each
-		// key stands for at least FrameHeaderSize bytes of input; the read
-		// scratch and the slab are at most the file each.
+		// key stands for at least FrameHeaderSize bytes of input; the frames
+		// read on their own and the read scratch are at most the file
+		// together, and so is the slab.
 		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(4*len(data)+16<<10); got > limit {
 			t.Fatalf("batch-reading %d keys of a %d-byte log allocated %d, limit %d", len(keys), len(data), got, limit)
 		}
@@ -284,7 +285,7 @@ func FuzzOpenLog(f *testing.F) {
 			runtime.ReadMemStats(&before)
 			payload, ok := single.Get(key)
 			runtime.ReadMemStats(&after)
-			if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(2*len(data)+16<<10); got > limit {
+			if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(len(data)+16<<10); got > limit {
 				t.Fatalf("reading a record of a %d-byte log allocated %d, limit %d", len(data), got, limit)
 			}
 			corrupt := single.Stats().CorruptEntries - was

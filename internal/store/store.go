@@ -92,8 +92,8 @@ const FrameHeaderSize = 4 + 32 + 4
 // buffer for the store's lifetime.
 const maxKeptBuf = 1 << 20
 
-// readBufs holds the scratch a batch of log reads lands in before its valid
-// payloads are copied out.
+// readBufs holds the scratch a batch's runs of several log frames land in
+// before their valid payloads are copied out.
 var readBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // loc is an indexed record: where its payload lies in the log (off 0 for the
@@ -226,10 +226,12 @@ func (s *Store) GetMulti(keys []Key) [][]byte {
 }
 
 // pending is a key left for the log: its slot in the batch, its index entry
-// when it was looked up, and whether its payload failed the check.
+// when it was looked up, whether its frame is read in a run of several
+// (through the shared scratch), and whether its payload failed the check.
 type pending struct {
 	l       loc
 	i       int32
+	shared  bool
 	corrupt bool
 }
 
@@ -272,66 +274,79 @@ func (s *Store) lookup(keys []Key, payloads [][]byte, countMiss bool) []pending 
 }
 
 // read loads rest's payloads from the log into payloads.  It sorts rest by
-// offset and reads each run of exactly adjacent frames (or of one frame, for
-// a key asked for twice) with one ReadAt; a failed run read falls back to one
-// read per frame.  A batch that fits the pooled scratch is read there and its
-// valid payloads are copied into one exact-size slab.  A larger one is read
-// straight into a slab of its own, headers and all: copying it would cost
-// more than the preads it saves (on a 2-core box, 64 frames of 46 KB took
-// 1.5 ms one pread each and 2.2 ms read as one run and copied).
+// offset and reads each run of exactly adjacent frames with one ReadAt.  A
+// run of one frame (asked for once or more) is read straight into a slice of
+// its own.  Runs of several frames are read into one scratch, headers and
+// all, and their valid payloads copied into one exact-size slab; a failed
+// read of such a run falls back to one read per frame.
 func (s *Store) read(rest []pending, payloads [][]byte) {
 	slices.SortFunc(rest, func(a, b pending) int { return cmp.Compare(a.l.off, b.l.off) })
 	need := 0
-	for _, p := range rest {
-		need += FrameHeaderSize + int(p.l.n)
-	}
-	var bufp *[]byte
-	buf, valid := []byte(nil), 0
-	if need > maxKeptBuf {
-		buf = make([]byte, need)
-	} else {
-		bufp = readBufs.Get().(*[]byte)
-		if cap(*bufp) < need {
-			*bufp = make([]byte, need)
+	for j, k := 0, 0; j < len(rest); j = k {
+		k = runEnd(rest, j)
+		if first, last := rest[j].l, rest[k-1].l; first.off != last.off {
+			need += int(last.off + int64(last.n) - first.off)
+			for m := j; m < k; m++ {
+				rest[m].shared = true
+			}
 		}
-		buf = (*bufp)[:need]
 	}
-	for j := 0; j < len(rest); {
-		first, end, k := rest[j].l.off, rest[j].l.off+int64(rest[j].l.n), j+1
-		for ; k < len(rest) && (rest[k].l.off == rest[k-1].l.off || rest[k].l.off == end+FrameHeaderSize); k++ {
-			end = rest[k].l.off + int64(rest[k].l.n)
+	bufp := readBufs.Get().(*[]byte)
+	if cap(*bufp) < need {
+		*bufp = make([]byte, need)
+	}
+	buf, valid := (*bufp)[:need], 0
+	for j, k := 0, 0; j < len(rest); j = k {
+		k = runEnd(rest, j)
+		first, last := rest[j].l, rest[k-1].l
+		var run []byte
+		if n := last.off + int64(last.n) - first.off; rest[j].shared {
+			run, buf = buf[:n], buf[n:]
+		} else {
+			run = make([]byte, n)
 		}
-		run := buf[:end-first]
-		buf = buf[len(run):]
-		_, err := s.log.ReadAt(run, first)
+		_, err := s.log.ReadAt(run, first.off)
 		for m := j; m < k; m++ {
 			p := &rest[m]
-			from, to := p.l.off-first, p.l.off-first+int64(p.l.n)
+			from, to := p.l.off-first.off, p.l.off-first.off+int64(p.l.n)
 			frame, ferr := run[from:to:to], err
-			if err != nil && k > j+1 {
+			if err != nil && p.shared {
 				_, ferr = s.log.ReadAt(frame, p.l.off)
 			}
 			if ferr == nil {
 				p.corrupt = Check(frame) != nil
 				if !p.corrupt {
 					payloads[p.i] = frame
-					valid += len(frame)
+					if p.shared {
+						valid += len(frame)
+					}
 				}
 			}
 		}
-		j = k
-	}
-	if bufp == nil {
-		return
 	}
 	slab := make([]byte, 0, valid)
 	for _, p := range rest {
-		if data := payloads[p.i]; data != nil {
+		if data := payloads[p.i]; p.shared && data != nil {
 			slab = append(slab, data...)
 			payloads[p.i] = slab[len(slab)-len(data) : len(slab) : len(slab)]
 		}
 	}
-	readBufs.Put(bufp)
+	if cap(*bufp) <= maxKeptBuf {
+		readBufs.Put(bufp)
+	}
+}
+
+// runEnd returns the end of the run of exactly adjacent frames that starts at
+// rest[j]; a key asked for twice is one frame, read once.
+func runEnd(rest []pending, j int) int {
+	k := j + 1
+	for ; k < len(rest); k++ {
+		prev, next := rest[k-1].l, rest[k].l
+		if next.off != prev.off && next.off != prev.off+int64(prev.n)+FrameHeaderSize {
+			break
+		}
+	}
+	return k
 }
 
 // settle counts rest's log reads and admits the payloads read, in key order

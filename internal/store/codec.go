@@ -119,9 +119,9 @@ func (r *reader) fail(format string, args ...any) {
 	}
 }
 
-// uvarint inlines the one- and two-byte cases — event kinds, presence masks,
-// counts, and step times up to 16383 — and falls back to the full decoder
-// for longer values.
+// uvarint and svarint inline the one- and two-byte cases — event kinds,
+// presence masks, counts, and step times up to 16383 — and fall back to the
+// full decoder for longer values.
 
 func (r *reader) uvarint() uint64 {
 	if r.err == nil && r.pos < len(r.data) {
@@ -151,13 +151,41 @@ func (r *reader) uvarintSlow() uint64 {
 	return v
 }
 
-// svarint reads a zigzag-encoded varint, as binary.Varint does.
 func (r *reader) svarint() int64 {
-	ux := r.uvarint()
-	if ux&1 != 0 {
-		return ^int64(ux >> 1)
+	if r.err == nil && r.pos < len(r.data) {
+		if b := r.data[r.pos]; b < 0x80 {
+			r.pos++
+			v := int64(b >> 1)
+			if b&1 != 0 {
+				v = ^v
+			}
+			return v
+		} else if r.pos+1 < len(r.data) {
+			if b2 := r.data[r.pos+1]; b2 < 0x80 {
+				r.pos += 2
+				ux := uint64(b&0x7f) | uint64(b2)<<7
+				v := int64(ux >> 1)
+				if ux&1 != 0 {
+					v = ^v
+				}
+				return v
+			}
+		}
 	}
-	return int64(ux >> 1)
+	return r.svarintSlow()
+}
+
+func (r *reader) svarintSlow() int64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Varint(r.data[r.pos:])
+	if n <= 0 {
+		r.fail("store: truncated varint at offset %d", r.pos)
+		return 0
+	}
+	r.pos += n
+	return v
 }
 
 func (r *reader) int() int { return int(r.svarint()) }
@@ -310,14 +338,6 @@ func KindName(kind byte) string {
 // defined on; a recorded event has only the one its kind carries, and the
 // decoder rejects any other (model.Event.SetParts).
 
-// bit is a presence mask's bit i, set when the field is present.
-func bit(present bool, i uint) uint64 {
-	if present {
-		return 1 << i
-	}
-	return 0
-}
-
 func (w *writer) action(a model.ActionID) {
 	w.svarint(int64(a.Initiator))
 	w.int(a.Seq)
@@ -328,9 +348,34 @@ func (r *reader) action() model.ActionID {
 }
 
 func (w *writer) message(m *model.Message) {
-	mask := bit(m.Kind != 0, 0) | bit(!m.Action.IsZero(), 1) | bit(m.Round != 0, 2) |
-		bit(m.Phase != 0, 3) | bit(m.Value != 0, 4) | bit(m.Aux != 0, 5) |
-		bit(m.Suspects != 0, 6) | bit(m.KnownCrashed != 0, 7) | bit(m.KnownInits, 8)
+	var mask uint64
+	if m.Kind != 0 {
+		mask |= 1 << 0
+	}
+	if !m.Action.IsZero() {
+		mask |= 1 << 1
+	}
+	if m.Round != 0 {
+		mask |= 1 << 2
+	}
+	if m.Phase != 0 {
+		mask |= 1 << 3
+	}
+	if m.Value != 0 {
+		mask |= 1 << 4
+	}
+	if m.Aux != 0 {
+		mask |= 1 << 5
+	}
+	if m.Suspects != 0 {
+		mask |= 1 << 6
+	}
+	if m.KnownCrashed != 0 {
+		mask |= 1 << 7
+	}
+	if m.KnownInits {
+		mask |= 1 << 8
+	}
 	w.uvarint(mask)
 	if mask&(1<<0) != 0 {
 		w.str(m.Kind.String())
@@ -392,8 +437,25 @@ func (r *reader) messageInto(m *model.Message) {
 }
 
 func (w *writer) report(rep *model.SuspectReport) {
-	mask := bit(rep.Suspects != 0, 0) | bit(rep.Generalized, 1) | bit(rep.Group != 0, 2) |
-		bit(rep.MinFaulty != 0, 3) | bit(rep.CorrectReport, 4) | bit(rep.Correct != 0, 5)
+	var mask uint64
+	if rep.Suspects != 0 {
+		mask |= 1 << 0
+	}
+	if rep.Generalized {
+		mask |= 1 << 1
+	}
+	if rep.Group != 0 {
+		mask |= 1 << 2
+	}
+	if rep.MinFaulty != 0 {
+		mask |= 1 << 3
+	}
+	if rep.CorrectReport {
+		mask |= 1 << 4
+	}
+	if rep.Correct != 0 {
+		mask |= 1 << 5
+	}
 	w.uvarint(mask)
 	if mask&(1<<0) != 0 {
 		w.uvarint(uint64(rep.Suspects))
@@ -429,9 +491,22 @@ func (r *reader) reportInto(rep *model.SuspectReport) {
 }
 
 func (w *writer) event(e *model.Event) {
+	var mask uint64
+	if e.Peer != 0 {
+		mask |= 1 << 0
+	}
 	msg, action, rep := e.Msg(), e.Action(), e.Report()
-	hasMsg, hasReport := msg != (model.Message{}), rep != (model.SuspectReport{})
-	mask := bit(e.Peer != 0, 0) | bit(hasMsg, 1) | bit(!action.IsZero(), 2) | bit(hasReport, 3)
+	hasMsg := msg != (model.Message{})
+	if hasMsg {
+		mask |= 1 << 1
+	}
+	if !action.IsZero() {
+		mask |= 1 << 2
+	}
+	hasReport := rep != (model.SuspectReport{})
+	if hasReport {
+		mask |= 1 << 3
+	}
 	w.uvarint(uint64(e.Kind))
 	w.uvarint(mask)
 	if mask&(1<<0) != 0 {

@@ -344,8 +344,9 @@ func (w *window) launchClaims(groups map[string][]int) chan claimResult {
 		return nil
 	}
 	claims := make(chan claimResult, len(groups))
-	// The goroutines may outlive the window (a hedge stops waiting for
-	// them), so they get copies of what they need, never w.
+	// The goroutines may outlive collectClaims (a hedge stops waiting for
+	// them), after which the window's slots go back to slotPool; they read
+	// no slot, and take the rest of what they need by value.
 	fl, ctx, adversary := w.s.fleet, w.ctx, w.adversary
 	traceID := w.tr.TraceIDOrZero()
 	scenario := strings.TrimPrefix(w.source, scenarioNamespace)

@@ -216,8 +216,9 @@ func (s *Store) Put(key Key, payload []byte) error {
 // index are consulted under one lock acquisition; only the leftover keys
 // touch the log, in offset order, one pread per run of adjacent frames.  Each
 // payload is checked on its own, so a corrupt one is a counted miss and its
-// neighbours are still served.  The valid payloads share one slab per call,
-// so a payload the memory layer keeps also keeps its batch's slab alive.
+// neighbours are still served.  The valid payloads read in runs of several
+// frames share one slab per call, so a payload the memory layer keeps can
+// keep its batch's slab alive.
 // The returned slices are shared with the cache and must not be modified.
 func (s *Store) GetMulti(keys []Key) [][]byte {
 	payloads := make([][]byte, len(keys))

@@ -93,6 +93,11 @@ func TestRecordedRunsMatchGoldenDigests(t *testing.T) {
 		{"adv-skewed-delays-strong-udc", 1, "f59ecd00b5637d23da33564b2ad3ef7827f2e19829ab2689822ca66e63e58a2c"},
 		{"adv-skewed-delays-strong-udc", 77, "7e6abc9d830ef683ecb227e8a492d2d495e6972bdc74c0d773c6cec880e91358"},
 		{"adv-skewed-delays-strong-udc", 4242, "8572a090a86c4f52e1e76c19eac1f01e0d41be7e4a05b26fa16c6a7bc9120f3b"},
+		// Recorded before the two relay protocols (Props 2.3 and 2.4)
+		// became one body: the duplicate storm floods the nUDC relay.
+		{"adv-duplicate-storm-nudc", 1, "3ea902a8c4e1ecc9c86b3879c63be3ec48df788a95cf64d19b790e4dbf5dcb69"},
+		{"adv-duplicate-storm-nudc", 77, "8ef495f9ce3d5a3be57f2c73c133c8549ce3709618e226cc06246173d5bf4383"},
+		{"adv-duplicate-storm-nudc", 4242, "8d5607fd2c8ced90b74f9fe22fefb3f5f7efb84973dea7e2b674c6eb59d61ab9"},
 	}
 	for _, g := range golden {
 		spec := registry.MustScenario(g.scenario).Spec

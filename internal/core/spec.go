@@ -12,9 +12,10 @@ import (
 // DC3.  do_q2(alpha)  => init_p(alpha)                           for all q2
 // DC2'. do_q1(alpha)  => <>(do_q2(alpha) \/ crash(q2) \/ crash(q1))
 //
-// "Eventually" is interpreted on the finite horizon of the run; a checker is
-// therefore meaningful only on runs whose protocol obligations have quiesced
-// (see Quiesced).
+// "Eventually" is interpreted on the finite horizon of the run.  DC1 and DC2
+// (DC2') are liveness clauses read at the horizon, so a violation of either
+// may be pending: a longer run could still repair it.  DC3 is a safety clause,
+// so a violation of it is final.
 
 // Message kinds shared by the UDC protocols in this package, interned once.
 var (

@@ -18,7 +18,9 @@ const (
 
 // sizeChecked lists the package directories the limits apply to.
 var sizeChecked = []string{
-	"internal/consensus", "internal/core", "internal/server", "internal/sim", "internal/store", "internal/workload",
+	"internal/adversary", "internal/broadcast", "internal/consensus", "internal/core", "internal/epistemic",
+	"internal/fd", "internal/fleet", "internal/model", "internal/obs", "internal/pool", "internal/server",
+	"internal/service", "internal/sim", "internal/store", "internal/trace", "internal/workload",
 }
 
 // lengthExempt names the functions, as package.name, allowed past
